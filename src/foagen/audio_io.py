@@ -131,6 +131,7 @@ def read_wav(path, ambix: bool = False):
         CorruptHeader: malformed or truncated RIFF structure.
         UnsupportedFormat: an encoding other than pcm16/float32.
         ChannelCountUnsupported: a channel count outside {1, 2, 4}.
+        ParseError: a float32 payload holding a NaN or infinite sample.
         IoFailure: the underlying read failed.
     """
     try:
@@ -182,6 +183,8 @@ def read_wav(path, ambix: bool = False):
         matrix = pcm16_decode(interleaved.T)
     else:
         matrix = interleaved.T.astype(np.float64)
+        if not np.all(np.isfinite(matrix)):
+            raise ParseError(f"{path}: float32 payload holds non-finite samples")
     if ambix:
         if channels != 4:
             raise SpecMismatch("ambix ordering applies to 4-channel files only")

@@ -3,9 +3,11 @@
 The model is a small tanh MLP applied independently to every frame. Its
 input is the concatenation of the current path point, the condition
 channels, and the raw scalar time, so the first layer owns any projection
-from condition width to hidden width. Gradients are accumulated by exact
-reverse-mode differentiation; no framework is involved, which keeps the
-arithmetic reproducible and easy to check against finite differences.
+from condition width to hidden width. Because frames never interact, rows
+from different sequences can share one pass when each row carries its own
+time value. Gradients are accumulated by exact reverse-mode
+differentiation; no framework is involved, which keeps the arithmetic
+reproducible and easy to check against finite differences.
 
 Checkpoints are a flat binary container: magic bytes, the layer widths,
 then each layer's weight matrix (row-major) and bias vector as 64-bit
@@ -85,7 +87,7 @@ class VelocityModel:
     def widths(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def _assemble_input(self, t: float, cond: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    def _assemble_input(self, t, cond: np.ndarray | None, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.latent_dim:
             raise ShapeMismatch(
@@ -106,16 +108,28 @@ class VelocityModel:
                         f"condition must be ({frames}, {self.cond_dim}), "
                         f"got {cond_block.shape}"
                     )
-        t_column = np.full((frames, 1), float(t))
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim == 0:
+            t_column = np.full((frames, 1), float(t))
+        elif t.shape == (frames,):
+            t_column = t[:, None]
+        else:
+            raise ShapeMismatch(
+                f"t must be a scalar or one value per frame ({frames},), got shape {t.shape}"
+            )
         return np.concatenate([x, cond_block, t_column], axis=1)
 
-    def forward(self, t: float, cond: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-        """Velocity for each frame; deterministic in its inputs."""
+    def forward(self, t, cond: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+        """Velocity for each frame; deterministic in its inputs.
+
+        ``t`` is a scalar time shared by every frame, or a (frames,)
+        vector holding each row's own time.
+        """
         out, _ = self.forward_cached(t, cond, x)
         return out
 
     def forward_cached(
-        self, t: float, cond: np.ndarray | None, x: np.ndarray
+        self, t, cond: np.ndarray | None, x: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping layer activations for the backward pass."""
         activation = self._assemble_input(t, cond, x)
@@ -165,8 +179,10 @@ def build_condition(
     The masked-latent view (hidden frames zeroed) always forms the first
     block. Local features are stretched to the latent frame count and
     either fused into the view by addition (when widths already match and
-    ``fuse_local_features`` is set) or appended as extra channels. A
-    global vector is tiled over frames and appended last.
+    ``fuse_local_features`` is set) or appended as extra channels. The
+    global condition is appended last: a vector is tiled over frames, and
+    a (frames, channels) block gives each row its own global channels,
+    which is how a stack of several sequences carries one vector each.
     """
     view = masked.condition_view()
     frames = view.shape[0]
@@ -182,10 +198,15 @@ def build_condition(
         else:
             blocks.append(local)
     if global_cond is not None:
-        vector = np.asarray(global_cond, dtype=np.float64)
-        if vector.ndim != 1 or vector.size == 0:
-            raise ShapeMismatch("global condition must be a non-empty vector")
-        blocks.append(np.tile(vector, (frames, 1)))
+        block = np.asarray(global_cond, dtype=np.float64)
+        if block.ndim == 1:
+            block = np.tile(block, (frames, 1))
+        if block.ndim != 2 or block.shape[0] != frames or block.shape[1] == 0:
+            raise ShapeMismatch(
+                "global condition must be a non-empty vector or a "
+                f"({frames}, channels) block, got shape {np.shape(global_cond)}"
+            )
+        blocks.append(block)
     return np.concatenate([view, *blocks], axis=1)
 
 

@@ -36,17 +36,30 @@ def _check_pair(x0, x1) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return t
+def _check_time(t, rows: int):
+    """A scalar time as a float, or one time per row as a (rows, 1) column."""
+    arr = np.asarray(t, dtype=np.float64)
+    if arr.ndim == 0:
+        t = float(arr)
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t must lie in [0, 1], got {t!r}")
+        return t
+    if arr.shape != (rows,):
+        raise ShapeMismatch(
+            f"t must be a scalar or one value per row ({rows},), got shape {arr.shape}"
+        )
+    if not bool(np.all((arr >= 0.0) & (arr <= 1.0))):
+        raise ValueError("t must lie in [0, 1] on every row")
+    return arr[:, None]
 
 
-def interpolate(x0, x1, t: float) -> np.ndarray:
-    """Point on the noise-to-data path at time t."""
+def interpolate(x0, x1, t) -> np.ndarray:
+    """Point on the noise-to-data path at time t.
+
+    ``t`` is a scalar or a vector holding one time per row (frame).
+    """
     a, b = _check_pair(x0, x1)
-    t = _check_time(t)
+    t = _check_time(t, a.shape[0])
     return t * b + (1.0 - t) * a
 
 
@@ -69,8 +82,7 @@ class FlowSample:
     @classmethod
     def draw(cls, x0, x1, t: float) -> "FlowSample":
         a, b = _check_pair(x0, x1)
-        t = _check_time(t)
-        return cls(x0=a, x1=b, t=t, xt=t * b + (1.0 - t) * a, u=b - a)
+        return cls(x0=a, x1=b, t=float(t), xt=interpolate(a, b, t), u=velocity_target(a, b))
 
 
 @dataclass(frozen=True)

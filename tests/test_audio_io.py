@@ -153,6 +153,8 @@ def test_read_wav_error_paths(tmp_path):
         (_wav_bytes(format_tag=7), UnsupportedFormat),  # mu-law
         (_wav_bytes(channels=3, data=b"\x00" * 6), ChannelCountUnsupported),
         (_wav_bytes(data=b""), CorruptHeader),  # no complete frame
+        (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<ff", 0.5, math.nan)), ParseError),
+        (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<f", -math.inf)), ParseError),
     ]
     for k, (blob, err) in enumerate(cases):
         path = tmp_path / f"bad{k}.wav"

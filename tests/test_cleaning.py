@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -214,6 +215,31 @@ def test_run_pipeline_reasons_and_counts(tmp_path):
     assert report.skipped["a_quiet_wordy"] == ["stationary"]
     assert report.skipped["c_missing"] == ["stationary", "silent", "speech"]
     assert "b_loud_ok" not in report.skipped
+
+
+def test_run_pipeline_keeps_clip_with_non_finite_audio(tmp_path):
+    # a float32 WAV holding a NaN is unreadable audio: the silence filter is
+    # skipped for that clip and the rest of the manifest is still evaluated
+    entries, base = _pipeline_fixture(tmp_path)
+    samples = _blocky_signal([0.5] * 50).astype("<f4")
+    samples[10] = np.nan
+    body = b"WAVE"
+    fmt = struct.pack("<HHIIHH", 3, 1, RATE, 4 * RATE, 4, 32)
+    for fourcc, chunk in ((b"fmt ", fmt), (b"data", samples.tobytes())):
+        body += fourcc + struct.pack("<I", len(chunk)) + chunk
+    (tmp_path / "nan.wav").write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    entries.insert(0, ClipManifestEntry(
+        "0_nan_audio", "nan.wav", 1.0, RATE,
+        frames_pattern="moving_*.fframe", word_count=0, alignment_score=2.0,
+    ))
+    for jobs in (1, 2):
+        report = run_pipeline(entries, base_dir=base, jobs=jobs)
+        assert report.evaluated == 5
+        assert report.kept == ["0_nan_audio", "b_loud_ok"]
+        assert report.skipped["0_nan_audio"] == ["silent"]
+        assert report.counts == {
+            "stationary": 1, "silent": 1, "speech": 1, "alignment": 1,
+        }
 
 
 def test_run_pipeline_worker_count_irrelevant(tmp_path):

@@ -67,6 +67,39 @@ def test_forward_validates_shapes():
     assert out.shape == (3, 2)
 
 
+def test_forward_with_per_row_times_matches_per_draw_calls():
+    rng = np.random.default_rng(11)
+    model = VelocityModel.initialize(2, 3, (5, 4), rng)
+    lengths = (1, 4, 2)
+    times = rng.random(len(lengths))
+    xs = [rng.standard_normal((n, 2)) for n in lengths]
+    conds = [rng.standard_normal((n, 3)) for n in lengths]
+    stacked = model.forward(
+        np.repeat(times, lengths), np.concatenate(conds), np.concatenate(xs)
+    )
+    per_draw = np.concatenate(
+        [model.forward(t, c, x) for t, c, x in zip(times, conds, xs)]
+    )
+    np.testing.assert_allclose(stacked, per_draw, rtol=1e-13, atol=1e-15)
+    with pytest.raises(ShapeMismatch):
+        model.forward(np.full(6, 0.5), np.concatenate(conds), np.concatenate(xs))
+    with pytest.raises(ShapeMismatch):
+        model.forward_cached(np.full((7, 1), 0.5), np.concatenate(conds), np.concatenate(xs))
+
+
+def test_build_condition_per_row_global_block():
+    masked = MaskedLatent(np.zeros((3, 2)), np.ones(3, dtype=bool))
+    g = np.array([0.5, -0.5])
+    np.testing.assert_array_equal(
+        build_condition(masked, global_cond=np.tile(g, (3, 1))),
+        build_condition(masked, global_cond=g),
+    )
+    with pytest.raises(ShapeMismatch):
+        build_condition(masked, global_cond=np.ones((2, 2)))
+    with pytest.raises(ShapeMismatch):
+        build_condition(masked, global_cond=np.ones(0))
+
+
 def test_gradients_match_finite_differences():
     """Exact backprop against central differences over random small nets."""
     rng = np.random.default_rng(7)
@@ -195,7 +228,8 @@ def test_cfm_loss_zero_at_oracle():
     w_in = np.zeros((latent + latent + 1, 4))
     w_out = np.zeros((4, latent))
     model = VelocityModel(latent, latent, [w_in, w_out], [np.zeros(4), np.zeros(latent)])
-    loss, grads = cfm_loss(model, x0, x1, t, masked)
+    weights = np.full(3, 1.0 / (3 * latent))
+    loss, grads = cfm_loss(model, x0, x1, t, build_condition(masked), weights)
     # zero model on mean(x1^2)-style target: loss equals mean over frames/dims of u^2
     assert loss == pytest.approx(float(np.mean(np.sum(x1**2, axis=1) / latent)))
     assert len(grads) == 2
@@ -208,14 +242,16 @@ def test_cfm_loss_masked_frames_only():
     model = VelocityModel.initialize(2, 2, (4,), rng)
     mask = np.array([True, True, False, False])
     masked = MaskedLatent(x1, mask)
-    loss_masked, _ = cfm_loss(model, x0, x1, 0.3, masked, masked_frames_only=True)
+    cond = build_condition(masked)
+    # one draw's weights: 1 / (selected terms) on the frames the loss covers
+    loss_masked, _ = cfm_loss(model, x0, x1, 0.3, cond, mask / (mask.sum() * 2))
 
     out = model.forward(0.3, build_condition(masked), 0.3 * x1 + 0.7 * x0)
     diff = out - (x1 - x0)
     per_frame = np.sum(diff**2, axis=1) / 2
     assert loss_masked == pytest.approx(float(per_frame[mask].mean()))
 
-    loss_all, _ = cfm_loss(model, x0, x1, 0.3, masked, masked_frames_only=False)
+    loss_all, _ = cfm_loss(model, x0, x1, 0.3, cond, np.full(4, 1.0 / (4 * 2)))
     assert loss_all == pytest.approx(float(per_frame.mean()))
 
 
@@ -224,4 +260,4 @@ def test_cfm_loss_requires_masked_frames():
     masked = MaskedLatent(x, np.zeros(3, dtype=bool))
     model = VelocityModel.initialize(2, 2, (4,), np.random.default_rng(10))
     with pytest.raises(NoMaskedFrames):
-        cfm_loss(model, x, x, 0.5, masked)
+        cfm_loss(model, x, x, 0.5, build_condition(masked), masked.mask / 6.0)

@@ -90,3 +90,17 @@ def test_logit_normal_location_shift():
     low = TimeSampler("logit_normal", mu=-1.0)
     draws = np.array([sample_time(low, rng) for _ in range(20_000)])
     assert np.median(draws) < 0.4  # sigmoid(-1) ~ 0.27
+
+
+def test_interpolate_per_row_times():
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal((3, 2))
+    x1 = rng.standard_normal((3, 2))
+    t = np.array([0.0, 0.25, 1.0])
+    got = interpolate(x0, x1, t)
+    for row, t_row in enumerate(t):
+        np.testing.assert_array_equal(got[row], interpolate(x0, x1, t_row)[row])
+    with pytest.raises(ShapeMismatch):
+        interpolate(x0, x1, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        interpolate(x0, x1, np.array([0.5, 1.5, 0.5]))

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from foagen.errors import DivergenceDetected
+from foagen.errors import DivergenceDetected, FoagenError, ShapeMismatch
 from foagen.flow import (
     MaskSpec,
+    MaskedLatent,
     TimeSampler,
     TrainConfig,
     VelocityModel,
+    build_condition,
+    make_mask,
+    random_mask_spec,
+    sample_time,
     train,
 )
 
@@ -138,3 +143,134 @@ def test_cond_dropout_changes_training():
         return train(model, [(seq, g)], cfg)
 
     assert run(0.0) != run(0.9)
+
+
+def _reference_train(model, dataset, config):
+    """The per-draw loop: one forward and one backward pass per sample.
+
+    Draws are made in the same RNG order as ``train``; each draw's loss is
+    the mean squared velocity error over its selected frames, and its
+    gradients are scaled by 1/B and summed before the SGD update.
+    """
+    rng = np.random.default_rng(config.seed)
+    trace = []
+    for _ in range(config.steps):
+        indices = rng.integers(0, len(dataset), size=config.batch_size)
+        batch_loss, batch_grads = 0.0, None
+        for index in indices:
+            x1, external = dataset[int(index)]
+            frames = x1.shape[0]
+            x0 = rng.standard_normal(x1.shape)
+            t = sample_time(config.time_sampler, rng)
+            if config.mask_spec is not None:
+                spec = config.mask_spec
+                if config.span_choices is not None:
+                    spec = random_mask_spec(spec, frames, rng, config.span_choices)
+                mask, _ = make_mask(frames, spec, rng)
+            else:
+                mask = np.ones(frames, dtype=bool)
+            local = global_cond = None
+            if external is not None:
+                arr = np.asarray(external, dtype=np.float64)
+                if config.cond_dropout > 0.0 and rng.random() < config.cond_dropout:
+                    arr = np.zeros_like(arr)
+                if arr.ndim == 1:
+                    global_cond = arr
+                else:
+                    local = arr
+            cond = build_condition(
+                MaskedLatent(x1, mask), local, global_cond, config.fuse_local_features
+            )
+            predicted, cache = model.forward_cached(t, cond, t * x1 + (1.0 - t) * x0)
+            residual = predicted - (x1 - x0)
+            selected = mask if config.masked_frames_only else np.ones(frames, dtype=bool)
+            n_terms = int(selected.sum()) * x1.shape[1]
+            grad_out = np.zeros_like(residual)
+            grad_out[selected] = 2.0 * residual[selected] / n_terms
+            grads = model.backward(cache, grad_out)
+            batch_loss += float(np.sum(residual[selected] ** 2) / n_terms) / config.batch_size
+            scaled = [(dw / config.batch_size, db / config.batch_size) for dw, db in grads]
+            batch_grads = scaled if batch_grads is None else [
+                (tw + dw, tb + db) for (tw, tb), (dw, db) in zip(batch_grads, scaled)
+            ]
+        model.apply_gradients(batch_grads, config.learning_rate)
+        trace.append(batch_loss)
+    return trace
+
+
+def _ragged_dataset(kind, dims=3, channels=2):
+    """Sequences of 1-300 frames, with a few longer than one frame table."""
+    rng = np.random.default_rng(12)
+    lengths = [1, 2, 3, 7, 64, 255, 256, 257, 300, *rng.integers(1, 301, size=7)]
+    dataset = []
+    for frames in lengths:
+        x1 = rng.standard_normal((frames, dims))
+        if kind == "global":
+            external = rng.standard_normal(channels)
+        else:
+            width = dims if kind == "fused" else channels
+            external = rng.standard_normal((max(1, frames // 4), width))
+        dataset.append((x1, external))
+    return dataset
+
+
+@pytest.mark.parametrize("masked_frames_only", [True, False])
+@pytest.mark.parametrize("kind", ["fused", "local", "global"])
+def test_frame_tables_match_per_draw_reference(kind, masked_frames_only):
+    dims, channels = 3, 2
+    dataset = _ragged_dataset(kind, dims, channels)
+    cond_dim = dims if kind == "fused" else dims + channels
+    config = TrainConfig(
+        learning_rate=0.01,
+        batch_size=6,
+        steps=8,
+        seed=13,
+        time_sampler=TimeSampler("logit_normal"),
+        mask_spec=MaskSpec(p_cond=0.7, n_mask=1, l_mask=1),
+        span_choices=(1, 2, 3),
+        masked_frames_only=masked_frames_only,
+        cond_dropout=0.3,
+        fuse_local_features=kind == "fused",
+    )
+    models = [
+        VelocityModel.initialize(dims, cond_dim, (8, 6), np.random.default_rng(14))
+        for _ in range(2)
+    ]
+    got = train(models[0], dataset, config)
+    want = _reference_train(models[1], dataset, config)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    for a, b in zip(models[0].weights + models[0].biases, models[1].weights + models[1].biases):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "externals",
+    [
+        [np.ones(2), np.ones(3)],  # global vectors of different widths
+        [np.ones((4, 2)), np.ones((4, 3))],  # local features of different widths
+        [np.ones(2), np.ones((4, 2))],  # a global vector and local features
+        [np.ones(2), None],  # a condition and none
+    ],
+)
+def test_mixed_condition_widths_raise_shape_mismatch(externals):
+    seq = np.zeros((4, 2))
+    dataset = [(seq, external) for external in externals]
+    model = VelocityModel.initialize(2, 2 + 2, (4,), np.random.default_rng(0))
+    # a batch of 8 draws over the two items holds both of them for this seed
+    cfg = TrainConfig(batch_size=8, steps=1, seed=0)
+    with pytest.raises(ShapeMismatch, match="different external conditions") as info:
+        train(model, dataset, cfg)
+    assert isinstance(info.value, FoagenError)
+
+
+def test_train_validates_latents():
+    model = VelocityModel.initialize(2, 0, (4,), np.random.default_rng(0))
+    cfg = TrainConfig(batch_size=2, steps=1)
+    with pytest.raises(ShapeMismatch):
+        train(model, [(np.zeros((3, 5)), None)], cfg)  # wrong latent width
+    with pytest.raises(ShapeMismatch):
+        train(model, [(np.zeros(3), None)], cfg)  # not (frames, dims)
+    bad = np.zeros((3, 2))
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="x1 contains non-finite values"):
+        train(model, [(bad, None)], cfg)
