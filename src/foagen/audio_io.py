@@ -11,8 +11,7 @@ exactly; encoding rounds half away from zero and saturates at the int16
 limits. Float32 files round-trip bit-exactly.
 
 Feature matrices travel either as delimited text (one row per line) or
-as a flat binary container: magic bytes, row/column counts, then
-row-major 64-bit little-endian floats.
+as the ``.fmat`` binary container laid out in :mod:`foagen.container`.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import struct
 
 import numpy as np
 
+from . import container
 from .errors import (
     ChannelCountUnsupported,
     CorruptHeader,
@@ -134,11 +134,7 @@ def read_wav(path, ambix: bool = False):
         ParseError: a float32 payload holding a NaN or infinite sample.
         IoFailure: the underlying read failed.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    blob = container.read_bytes(path)
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise CorruptHeader(f"{path} is not a RIFF/WAVE file")
 
@@ -155,6 +151,8 @@ def read_wav(path, ambix: bool = False):
         raise CorruptHeader("missing fmt or data chunk")
 
     audio_format, channels, sample_rate, _, block_align, bits = fmt
+    if sample_rate == 0:
+        raise CorruptHeader("fmt chunk gives a sample rate of 0 Hz")
     if audio_format == _WAVE_FORMAT_PCM:
         if bits != 16:
             raise UnsupportedFormat(f"{bits}-bit PCM unsupported; only 16")
@@ -254,34 +252,19 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
 # --- matrix containers -----------------------------------------------------------
 
 def write_matrix(path, matrix) -> None:
-    """Write a 2-D float64 matrix to the flat binary container."""
+    """Write a 2-D float64 matrix to the ``.fmat`` container."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(MATRIX_MAGIC)
-            fh.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write matrix {path}: {exc}") from exc
+    container.write(path, MATRIX_MAGIC, "<QQ", arr.shape, [arr])
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix`; bit-exact."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read matrix {path}: {exc}") from exc
-    if len(blob) < 8 + 16 or blob[:8] != MATRIX_MAGIC:
-        raise CorruptHeader(f"{path} is not a matrix container")
-    rows, cols = struct.unpack_from("<QQ", blob, 8)
-    count = rows * cols
-    if len(blob) != 24 + 8 * count:
-        raise CorruptHeader("matrix payload size mismatch")
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=24)
-    return data.reshape(int(rows), int(cols)).copy()
+    reader = container.Reader(container.read_bytes(path), MATRIX_MAGIC)
+    matrix = reader.floats(reader.ints("<QQ"))
+    reader.end()
+    return matrix
 
 
 def write_matrix_text(path, matrix, fmt: str = "%.17g") -> None:
@@ -303,7 +286,8 @@ def read_matrix_text(path) -> np.ndarray:
     """Read whitespace- or comma-delimited text, one row per line.
 
     Raises:
-        ParseError: naming the line of the first bad token or ragged row.
+        ParseError: naming the line of the first bad token or ragged row,
+            or on bytes that are not UTF-8.
     """
     rows: list[list[float]] = []
     try:
@@ -311,6 +295,8 @@ def read_matrix_text(path) -> np.ndarray:
             lines = fh.readlines()
     except OSError as exc:
         raise IoFailure(f"cannot read matrix {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

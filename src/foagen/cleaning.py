@@ -81,6 +81,8 @@ class ClipManifestEntry:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if self.frames_pattern is not None and not isinstance(self.frames_pattern, str):
+            raise TypeError(f"frames_pattern must be a string, got {self.frames_pattern!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
@@ -223,21 +225,22 @@ def read_manifest(path) -> list[ClipManifestEntry]:
 
     Raises:
         ManifestParseError: naming the offending line on bad JSON, bad or
-            missing keys, or duplicate ids.
+            missing keys, or duplicate ids; or on an unreadable or non-UTF-8
+            file.
     """
     entries: list[ClipManifestEntry] = []
     seen: set[str] = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestParseError(f"cannot read manifest {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
             raise ManifestParseError(f"line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ManifestParseError(f"line {lineno}: expected an object")
@@ -269,7 +272,7 @@ def read_manifest(path) -> list[ClipManifestEntry]:
                     else float(record["alignment_score"])
                 ),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ManifestParseError(f"line {lineno}: {exc}") from exc
         if entry.id in seen:
             raise ManifestParseError(f"line {lineno}: duplicate id {entry.id!r}")
@@ -403,22 +406,17 @@ def run_pipeline(
 ) -> FilterReport:
     """Evaluate every entry against every applicable filter.
 
-    Entries are processed independently (optionally in ``jobs`` threads)
-    and the report is merged in sorted-id order, so the result does not
-    depend on the worker count.
+    Entries are processed independently in ``jobs`` threads and the
+    report is merged in sorted-id order, so the result does not depend
+    on the worker count.
     """
     if thresholds is None:
         thresholds = FilterThresholds()
     entries = sorted(entries, key=lambda e: e.id)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda e: _evaluate_entry(e, thresholds, base_dir), entries
-                )
-            )
-    else:
-        results = [_evaluate_entry(e, thresholds, base_dir) for e in entries]
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        results = list(
+            pool.map(lambda e: _evaluate_entry(e, thresholds, base_dir), entries)
+        )
 
     report = FilterReport(evaluated=len(entries))
     report.counts = {name: 0 for name in FILTER_ORDER}

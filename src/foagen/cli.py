@@ -179,11 +179,8 @@ def _cmd_eval_doa(args) -> int:
             _require_foa(read_wav(pair[1], ambix=args.ambix)),
         )
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(load, paths))
-    else:
-        pairs = [load(pair) for pair in paths]
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        pairs = list(pool.map(load, paths))
     result = eval_doa_batch(pairs)
     _emit_angle("d_theta", result.errors.d_theta, args.degrees)
     _emit_angle("d_phi", result.errors.d_phi, args.degrees)
@@ -237,11 +234,8 @@ def _cmd_cut_fov(args) -> int:
         CameraSpec(yaw, pitch, hfov, args.width, args.height)
         for yaw, pitch in FOV_PRESETS[args.preset]
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            cuts = list(pool.map(lambda cam: erp_to_perspective(frame, cam), cameras))
-    else:
-        cuts = [erp_to_perspective(frame, cam) for cam in cameras]
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        cuts = list(pool.map(lambda cam: erp_to_perspective(frame, cam), cameras))
 
     stem = Path(args.input).stem
     suffix = Path(args.input).suffix or ".pgm"

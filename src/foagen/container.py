@@ -1,0 +1,80 @@
+"""Binary container codec shared by ``.fmat``, ``.fframe`` and ``.fgvm`` files.
+
+A container holds an 8-byte magic naming its format and version, a header
+of little-endian unsigned integers, then its arrays as row-major
+little-endian float64 (``<f8``), back to back, and nothing after them:
+
+    .fmat    FMAT0001  <QQ rows, cols; one (rows, cols) matrix
+    .fframe  FFRM0001  <QQQ height, width, channels; one frame
+    .fgvm    FGVM0001  <I n, <nI layer widths; per layer the
+                       (fan_in, fan_out) weights, then the fan_out biases
+
+Reads raise CorruptHeader on a bad magic, a short read, a shape numpy
+cannot hold, or leftover bytes, and IoFailure when the OS read fails.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+
+import numpy as np
+
+from .errors import CorruptHeader, IoFailure
+
+
+def read_bytes(path) -> bytes:
+    """The whole file at ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def write(path, magic: bytes, header_fmt: str, header, arrays) -> None:
+    """Write magic, the packed header, then each array as ``<f8``."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack(header_fmt, *header))
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+class Reader:
+    """Cursor over one container's bytes, past its checked magic."""
+
+    def __init__(self, blob: bytes, magic: bytes):
+        if not blob.startswith(magic):
+            raise CorruptHeader(f"bad magic; expected {magic!r}")
+        self._blob = blob
+        self._pos = len(magic)
+
+    def _take(self, size: int) -> int:
+        """Offset of the next ``size`` bytes, which must all be present."""
+        start = self._pos
+        if size > len(self._blob) - start:
+            raise CorruptHeader(f"container truncated at offset {start}")
+        self._pos += size
+        return start
+
+    def ints(self, fmt: str) -> tuple[int, ...]:
+        """The next header fields."""
+        return struct.unpack_from(fmt, self._blob, self._take(struct.calcsize(fmt)))
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next ``<f8`` array of ``shape``, as an owned float64 copy."""
+        count = math.prod(shape)
+        data = np.frombuffer(self._blob, "<f8", count, self._take(8 * count))
+        try:
+            return data.reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise CorruptHeader(f"no array can have shape {shape}") from exc
+
+    def end(self) -> None:
+        """Check that nothing follows the last array."""
+        if self._pos != len(self._blob):
+            raise CorruptHeader(f"{len(self._blob) - self._pos} bytes follow the last array")

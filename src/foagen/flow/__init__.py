@@ -1,6 +1,6 @@
 """Flow-matching engine: path, masking, network, training, sampling."""
 
-from .path import FlowSample, TimeSampler, interpolate, sample_time, velocity_target
+from .path import TimeSampler, interpolate, sample_time, velocity_target
 from .masking import MaskSpec, MaskedLatent, make_mask, max_spans, random_mask_spec
 from .network import (
     VelocityModel,
@@ -24,7 +24,6 @@ from .fixtures import (
 
 __all__ = [
     "CfgSpec",
-    "FlowSample",
     "MIXTURE_CLASS_IDS",
     "MIXTURE_MEANS",
     "MIXTURE_TRAIN",

@@ -9,20 +9,19 @@ time value. Gradients are accumulated by exact reverse-mode
 differentiation; no framework is involved, which keeps the arithmetic
 reproducible and easy to check against finite differences.
 
-Checkpoints are a flat binary container: magic bytes, the layer widths,
-then each layer's weight matrix (row-major) and bias vector as 64-bit
-little-endian floats. The latent width is the last layer width and the
-condition width is recoverable as widths[0] - widths[-1] - 1.
+Checkpoints are the ``.fgvm`` container laid out in :mod:`foagen.container`.
+The latent width is the last layer width and the condition width is
+recoverable as widths[0] - widths[-1] - 1.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CorruptHeader, IoFailure, ShapeMismatch
+from .. import container
+from ..errors import CorruptHeader, ShapeMismatch
 from ..conditioning import fuse_local, upsample_features
 from .masking import MaskedLatent
 
@@ -222,16 +221,10 @@ def null_condition(frames: int, cond_dim: int) -> np.ndarray:
 def save_model(model: VelocityModel, path) -> None:
     """Write a checkpoint; see the module docstring for the layout."""
     widths = model.widths
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(widths)))
-            fh.write(struct.pack(f"<{len(widths)}I", *widths))
-            for w, b in zip(model.weights, model.biases):
-                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
+    container.write(
+        path, CHECKPOINT_MAGIC, f"<I{len(widths)}I", [len(widths), *widths],
+        (arr for layer in zip(model.weights, model.biases) for arr in layer),
+    )
 
 
 def load_model(path) -> VelocityModel:
@@ -240,40 +233,19 @@ def load_model(path) -> VelocityModel:
     Raises:
         CorruptHeader: on bad magic, truncation, or impossible widths.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4:
-        raise CorruptHeader("checkpoint shorter than its fixed header")
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CorruptHeader("bad checkpoint magic")
-    offset = len(CHECKPOINT_MAGIC)
-    (n_widths,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    reader = container.Reader(container.read_bytes(path), CHECKPOINT_MAGIC)
+    (n_widths,) = reader.ints("<I")
     if n_widths < 3:
         raise CorruptHeader("checkpoint must describe at least one hidden layer")
-    if len(blob) < offset + 4 * n_widths:
-        raise CorruptHeader("checkpoint truncated in width table")
-    widths = list(struct.unpack_from(f"<{n_widths}I", blob, offset))
-    offset += 4 * n_widths
+    widths = reader.ints(f"<{n_widths}I")
     latent_dim = widths[-1]
     cond_dim = widths[0] - latent_dim - 1
     if latent_dim < 1 or cond_dim < 0:
-        raise CorruptHeader(f"width table {widths!r} is not a valid model")
+        raise CorruptHeader(f"width table {list(widths)!r} is not a valid model")
     weights = []
     biases = []
     for fan_in, fan_out in zip(widths, widths[1:]):
-        need = 8 * (fan_in * fan_out + fan_out)
-        if len(blob) < offset + need:
-            raise CorruptHeader("checkpoint truncated in parameter data")
-        w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    if offset != len(blob):
-        raise CorruptHeader("checkpoint has trailing bytes")
+        weights.append(reader.floats((fan_in, fan_out)))
+        biases.append(reader.floats((fan_out,)))
+    reader.end()
     return VelocityModel(latent_dim, cond_dim, weights, biases)

@@ -70,22 +70,6 @@ def velocity_target(x0, x1) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FlowSample:
-    """One training draw: endpoints, time, path point, and target."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    t: float
-    xt: np.ndarray
-    u: np.ndarray
-
-    @classmethod
-    def draw(cls, x0, x1, t: float) -> "FlowSample":
-        a, b = _check_pair(x0, x1)
-        return cls(x0=a, x1=b, t=float(t), xt=interpolate(a, b, t), u=velocity_target(a, b))
-
-
-@dataclass(frozen=True)
 class TimeSampler:
     """Law for drawing path times: uniform on [0, 1] or logit-normal.
 

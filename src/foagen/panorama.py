@@ -16,12 +16,12 @@ in [-pi/2, pi/2] increasing upward.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import container
 from .errors import (
     CorruptHeader,
     IoFailure,
@@ -281,33 +281,26 @@ def stationarity_verdict(
 # --- frame file I/O ----------------------------------------------------------
 #
 # Two interchange forms: binary portable anymaps (P5 grayscale, P6 color,
-# 8- or 16-bit) and a raw float container (magic, dims, row-major float64)
-# that preserves values exactly.
+# 8- or 16-bit) and the ``.fframe`` float container laid out in
+# foagen.container, which preserves values exactly.
 
 def write_frame(path, frame, bit_depth: int = 8) -> None:
     """Write a frame; format chosen by extension (.pgm/.ppm/.fframe)."""
     arr = _as_frame(frame)
     name = str(path)
-    try:
-        if name.endswith(".fframe"):
-            _write_frame_raw(name, arr)
-        elif name.endswith(".pgm") or name.endswith(".ppm"):
-            _write_pnm(name, arr, bit_depth)
-        else:
-            raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
-    except OSError as exc:
-        raise IoFailure(f"cannot write frame {name}: {exc}") from exc
+    if name.endswith(".fframe"):
+        container.write(name, FRAME_MAGIC, "<QQQ", arr.shape, [arr])
+    elif name.endswith(".pgm") or name.endswith(".ppm"):
+        _write_pnm(name, arr, bit_depth)
+    else:
+        raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
 
 
 def read_frame(path) -> np.ndarray:
     """Read a frame written by :func:`write_frame`."""
     name = str(path)
-    try:
-        with open(name, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read frame {name}: {exc}") from exc
-    if blob[:8] == FRAME_MAGIC:
+    blob = container.read_bytes(name)
+    if blob.startswith(FRAME_MAGIC):
         return _parse_frame_raw(blob)
     if blob[:2] in (b"P5", b"P6"):
         return _parse_pnm(blob)
@@ -327,8 +320,11 @@ def _write_pnm(name: str, arr: np.ndarray, bit_depth: int) -> None:
     payload = quantized.astype(">u2" if bit_depth == 16 else "u1").tobytes()
     magic = b"P5" if channels == 1 else b"P6"
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
-    with open(name, "wb") as fh:
-        fh.write(header + payload)
+    try:
+        with open(name, "wb") as fh:
+            fh.write(header + payload)
+    except OSError as exc:
+        raise IoFailure(f"cannot write frame {name}: {exc}") from exc
 
 
 def _parse_pnm(blob: bytes) -> np.ndarray:
@@ -371,22 +367,11 @@ def _parse_pnm(blob: bytes) -> np.ndarray:
     return data.astype(np.float64).reshape(height, width, channels) / maxval
 
 
-def _write_frame_raw(name: str, arr: np.ndarray) -> None:
-    height, width, channels = arr.shape
-    with open(name, "wb") as fh:
-        fh.write(FRAME_MAGIC)
-        fh.write(struct.pack("<QQQ", height, width, channels))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
 def _parse_frame_raw(blob: bytes) -> np.ndarray:
-    if len(blob) < 8 + 24:
-        raise CorruptHeader("raw frame header truncated")
-    height, width, channels = struct.unpack_from("<QQQ", blob, 8)
+    reader = container.Reader(blob, FRAME_MAGIC)
+    height, width, channels = shape = reader.ints("<QQQ")
     if channels not in (1, 3) or height < 1 or width < 1:
         raise CorruptHeader(f"bad raw frame dims {height}x{width}x{channels}")
-    count = height * width * channels
-    if len(blob) != 8 + 24 + 8 * count:
-        raise CorruptHeader("raw frame payload size mismatch")
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=32)
-    return data.reshape(int(height), int(width), int(channels)).copy()
+    frame = reader.floats(shape)
+    reader.end()
+    return frame

@@ -153,6 +153,7 @@ def test_read_wav_error_paths(tmp_path):
         (_wav_bytes(format_tag=7), UnsupportedFormat),  # mu-law
         (_wav_bytes(channels=3, data=b"\x00" * 6), ChannelCountUnsupported),
         (_wav_bytes(data=b""), CorruptHeader),  # no complete frame
+        (_wav_bytes(rate=0), CorruptHeader),
         (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<ff", 0.5, math.nan)), ParseError),
         (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<f", -math.inf)), ParseError),
     ]
@@ -216,6 +217,10 @@ def test_matrix_container_errors(tmp_path):
     (tmp_path / "long.fmat").write_bytes(blob + b"\x00")
     with pytest.raises(CorruptHeader):
         read_matrix(tmp_path / "long.fmat")
+    # no payload bytes, but a row count numpy cannot hold
+    (tmp_path / "huge.fmat").write_bytes(MATRIX_MAGIC + struct.pack("<QQ", 2**63, 0))
+    with pytest.raises(CorruptHeader):
+        read_matrix(tmp_path / "huge.fmat")
     with pytest.raises(IoFailure):
         read_matrix(tmp_path / "missing.fmat")
 
@@ -248,6 +253,11 @@ def test_matrix_text_parsing(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ParseError):
         read_matrix_text(empty)
+
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1 2\n# caf\xe9\n")
+    with pytest.raises(ParseError):
+        read_matrix_text(latin1)
 
 
 def test_read_matrix_any_dispatch(tmp_path):

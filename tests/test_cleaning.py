@@ -147,6 +147,22 @@ def test_manifest_parse_errors(tmp_path):
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
             '"sample_rate": 16000, "extra": 1}\n'
         ),
+        "infinite-rate": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": Infinity}\n'
+        ),
+        "huge-word-count": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "word_count": 1e999}\n'
+        ),
+        "huge-int": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": '
+            + "9" * 5000 + "}\n"
+        ),
+        "deep-nesting": "[" * 10000 + "]" * 10000 + "\n",
+        "pattern-not-string": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "frames_pattern": 5}\n'
+        ),
         "duplicate": (
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000}\n'
             '{"id": "a", "audio_path": "b.wav", "duration": 1.0, "sample_rate": 16000}\n'
@@ -158,6 +174,13 @@ def test_manifest_parse_errors(tmp_path):
         with pytest.raises(ManifestParseError) as err:
             read_manifest(path)
         assert "line" in str(err.value)
+
+    not_utf8 = tmp_path / "latin1.jsonl"
+    not_utf8.write_bytes(
+        b'{"id": "caf\xe9", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000}\n'
+    )
+    with pytest.raises(ManifestParseError):
+        read_manifest(not_utf8)
 
     blank_ok = tmp_path / "blanks.jsonl"
     blank_ok.write_text(
@@ -217,29 +240,39 @@ def test_run_pipeline_reasons_and_counts(tmp_path):
     assert "b_loud_ok" not in report.skipped
 
 
-def test_run_pipeline_keeps_clip_with_non_finite_audio(tmp_path):
-    # a float32 WAV holding a NaN is unreadable audio: the silence filter is
-    # skipped for that clip and the rest of the manifest is still evaluated
+def _assert_unreadable_audio_kept(tmp_path, format_tag, rate, samples):
+    # unreadable audio: the silence filter is skipped for that clip and the
+    # rest of the manifest is still evaluated
     entries, base = _pipeline_fixture(tmp_path)
-    samples = _blocky_signal([0.5] * 50).astype("<f4")
-    samples[10] = np.nan
+    width = samples.itemsize
+    fmt = struct.pack("<HHIIHH", format_tag, 1, rate, width * rate, width, 8 * width)
     body = b"WAVE"
-    fmt = struct.pack("<HHIIHH", 3, 1, RATE, 4 * RATE, 4, 32)
     for fourcc, chunk in ((b"fmt ", fmt), (b"data", samples.tobytes())):
         body += fourcc + struct.pack("<I", len(chunk)) + chunk
-    (tmp_path / "nan.wav").write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    (tmp_path / "bad.wav").write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     entries.insert(0, ClipManifestEntry(
-        "0_nan_audio", "nan.wav", 1.0, RATE,
+        "0_bad_audio", "bad.wav", 1.0, RATE,
         frames_pattern="moving_*.fframe", word_count=0, alignment_score=2.0,
     ))
     for jobs in (1, 2):
         report = run_pipeline(entries, base_dir=base, jobs=jobs)
         assert report.evaluated == 5
-        assert report.kept == ["0_nan_audio", "b_loud_ok"]
-        assert report.skipped["0_nan_audio"] == ["silent"]
+        assert report.kept == ["0_bad_audio", "b_loud_ok"]
+        assert report.skipped["0_bad_audio"] == ["silent"]
         assert report.counts == {
             "stationary": 1, "silent": 1, "speech": 1, "alignment": 1,
         }
+
+
+def test_run_pipeline_keeps_clip_with_non_finite_audio(tmp_path):
+    samples = _blocky_signal([0.5] * 50).astype("<f4")
+    samples[10] = np.nan
+    _assert_unreadable_audio_kept(tmp_path, 3, RATE, samples)
+
+
+def test_run_pipeline_keeps_clip_with_zero_sample_rate(tmp_path):
+    samples = (_blocky_signal([0.5] * 50) * 32767).astype("<i2")
+    _assert_unreadable_audio_kept(tmp_path, 1, 0, samples)
 
 
 def test_run_pipeline_worker_count_irrelevant(tmp_path):

@@ -219,6 +219,24 @@ def test_clean_pipeline(tmp_path, capsys):
     assert (tmp_path / "report.jsonl.summary").exists()
 
 
+def test_clean_rejects_unparsable_manifest(tmp_path, capsys):
+    manifests = {
+        "infinite.jsonl": (
+            b'{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": Infinity}\n'
+        ),
+        "latin1.jsonl": (
+            b'{"id": "caf\xe9", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 1000}\n'
+        ),
+    }
+    for name, blob in manifests.items():
+        (tmp_path / name).write_bytes(blob)
+        code, kv = run_cli(
+            capsys, "clean", tmp_path / name, "--report", tmp_path / "report.jsonl"
+        )
+        assert code == 1
+        assert kv["error"].startswith("ManifestParseError ")
+
+
 def test_segment(tmp_path, capsys):
     write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
     outdir = tmp_path / "segs"

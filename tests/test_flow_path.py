@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from foagen.errors import ShapeMismatch
-from foagen.flow import FlowSample, TimeSampler, interpolate, sample_time, velocity_target
+from foagen.flow import TimeSampler, interpolate, sample_time, velocity_target
 
 
 def test_interpolate_endpoints_exact():
@@ -51,15 +51,6 @@ def test_path_consistency_identity():
     u = velocity_target(x0, x1)
     for t in (0.1, 0.5, 0.9):
         np.testing.assert_allclose(interpolate(x0, x1, t) - x0, t * u, atol=1e-12)
-
-
-def test_flow_sample_draw():
-    x0 = np.array([[0.0, 2.0]])
-    x1 = np.array([[4.0, 2.0]])
-    s = FlowSample.draw(x0, x1, 0.25)
-    np.testing.assert_array_equal(s.xt, [[1.0, 2.0]])
-    np.testing.assert_array_equal(s.u, [[4.0, 0.0]])
-    assert s.t == 0.25
 
 
 def test_time_sampler_validation():

@@ -1,0 +1,158 @@
+"""Every file reader fails only with a FoagenError on malformed bytes.
+
+Inputs are arbitrary bytes, and truncated, bit-flipped, re-tailed or
+header-patched copies of valid files. Runs are derandomized, so the examples are the
+same on every run.
+"""
+
+import json
+import math
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from foagen.audio_io import (
+    WavSpec,
+    read_matrix,
+    read_matrix_text,
+    read_wav,
+    write_matrix,
+    write_matrix_text,
+    write_wav,
+)
+from foagen.cleaning import ClipManifestEntry, read_manifest, write_manifest
+from foagen.errors import FoagenError
+from foagen.flow.network import VelocityModel, load_model, save_model
+from foagen.foa import FoaSignal, MonoSignal
+from foagen.panorama import read_frame, write_frame
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _valid_files(root: Path) -> dict[str, list[bytes]]:
+    """Small valid files per reader, written by the package's own writers."""
+    rng = np.random.default_rng(0)
+    paths = {
+        "wav": [root / "pcm.wav", root / "float.wav"],
+        "frame": [root / "f.pgm", root / "f.ppm", root / "f.fframe"],
+        "matrix": [root / "m.fmat"],
+        "model": [root / "m.fgvm"],
+        "text": [root / "m.txt"],
+        "manifest": [root / "m.jsonl"],
+    }
+    write_wav(MonoSignal(0.3 * rng.standard_normal(6), 8000), paths["wav"][0], WavSpec(1, 8000, "pcm16"))
+    write_wav(FoaSignal(*(0.3 * rng.standard_normal((4, 3))), 16000), paths["wav"][1])
+    write_frame(paths["frame"][0], rng.random((2, 4, 1)))
+    write_frame(paths["frame"][1], rng.random((2, 4, 3)), bit_depth=16)
+    write_frame(paths["frame"][2], rng.random((2, 4, 3)))
+    write_matrix(paths["matrix"][0], rng.standard_normal((3, 2)))
+    save_model(VelocityModel.initialize(2, 1, (3,), rng), paths["model"][0])
+    write_matrix_text(paths["text"][0], rng.standard_normal((2, 3)))
+    write_manifest(paths["manifest"][0], [
+        ClipManifestEntry("a", "a.wav", 1.5, 16000, "a_*.pgm", ("x",), 3, 1.25),
+        ClipManifestEntry("b", "b.wav", 2.0, 8000),
+    ])
+    return {kind: [p.read_bytes() for p in ps] for kind, ps in paths.items()}
+
+
+READERS = {
+    "wav": read_wav,
+    "frame": read_frame,
+    "matrix": read_matrix,
+    "model": load_model,
+    "text": read_matrix_text,
+    "manifest": read_manifest,
+}
+
+
+_EXTREMES = [0, 1, 3, 2**31, 2**32 - 1, 2**62, 2**63, 2**64 - 1]
+
+
+@st.composite
+def _mutated(draw, valid: list[bytes]) -> bytes:
+    blob = draw(st.sampled_from(valid))
+    how = draw(st.sampled_from(["truncate", "flip", "patch", "retail"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob)))]
+    out = bytearray(blob)
+    if how == "flip":
+        for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4)):
+            out[bit // 8] ^= 1 << (bit % 8)
+    elif how == "patch":
+        # header counts set to extreme values, 4-byte aligned like the headers
+        for _ in range(draw(st.integers(1, 3))):
+            at = 4 * draw(st.integers(0, (len(blob) - 1) // 4))
+            word = struct.pack("<Q", draw(st.sampled_from(_EXTREMES)))
+            out[at : at + 8] = word[: len(out[at : at + 8])]
+    else:
+        return blob[: draw(st.integers(0, len(blob)))] + draw(st.binary(max_size=64))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid(scratch):
+    return _valid_files(scratch)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_reader_fails_only_with_domain_errors(kind, scratch, valid):
+    path = scratch / f"input.{kind}"
+
+    @FUZZ
+    @given(blob=st.one_of(st.binary(max_size=128), _mutated(valid[kind])))
+    def run(blob):
+        path.write_bytes(blob)
+        try:
+            READERS[kind](path)
+        except FoagenError:
+            pass
+
+    run()
+
+
+_JSON_VALUES = st.one_of(
+    # edge values first: NaN and the infinities are written as JSON extensions
+    st.sampled_from(
+        [None, True, 0, -1, 2**70, 1.5, math.inf, -math.inf, math.nan, "", "8000", [1, 2]]
+    ),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+)
+_RECORDS = st.fixed_dictionaries(
+    {key: _JSON_VALUES for key in ("id", "audio_path", "duration", "sample_rate")},
+    optional={
+        key: _JSON_VALUES
+        for key in ("frames_pattern", "labels", "word_count", "alignment_score")
+    },
+)
+
+
+@FUZZ
+@given(records=st.lists(_RECORDS, min_size=1, max_size=3))
+def test_manifest_reader_on_arbitrary_field_values(scratch, records):
+    # every key is known, so any value read_manifest cannot use must fail as a domain error
+    path = scratch / "fields.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    try:
+        entries = read_manifest(path)
+    except FoagenError:
+        return
+    for entry in entries:
+        assert entry.sample_rate > 0 and math.isfinite(entry.duration)
+        assert entry.frames_pattern is None or isinstance(entry.frames_pattern, str)
