@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import EmptySignal, FoagenError, ManifestParseError, MissingScore
-from .panorama import read_frame, stationarity_verdict
+from .panorama import check_frame, read_frame, stationarity_verdict
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,9 @@ class ClipManifestEntry:
     alignment_score: float | None = None
 
     def __post_init__(self):
+        for name in ("id", "audio_path"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not self.id:
             raise ValueError("entry id must be non-empty")
         if self.duration < 0.0 or not math.isfinite(self.duration):
@@ -83,6 +86,10 @@ class ClipManifestEntry:
             raise ValueError("sample_rate must be positive")
         if self.frames_pattern is not None and not isinstance(self.frames_pattern, str):
             raise TypeError(f"frames_pattern must be a string, got {self.frames_pattern!r}")
+        if not isinstance(self.labels, (list, tuple)) or not all(
+            isinstance(label, str) for label in self.labels
+        ):
+            raise TypeError(f"labels must be a list of strings, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
@@ -257,12 +264,14 @@ def read_manifest(path) -> list[ClipManifestEntry]:
             )
         try:
             entry = ClipManifestEntry(
-                id=str(record["id"]),
-                audio_path=str(record["audio_path"]),
+                id=record["id"],
+                audio_path=record["audio_path"],
                 duration=float(record["duration"]),
                 sample_rate=int(record["sample_rate"]),
                 frames_pattern=record.get("frames_pattern"),
-                labels=tuple(record.get("labels") or ()),
+                labels=(
+                    () if record.get("labels") is None else record["labels"]
+                ),
                 word_count=(
                     None if record.get("word_count") is None
                     else int(record["word_count"])
@@ -340,7 +349,12 @@ def _evaluate_entry(
     thresholds: FilterThresholds,
     base_dir: str | None,
 ) -> tuple[str, list[str], list[str]]:
-    """Run every applicable filter; reasons and skip notes accumulate."""
+    """Run every applicable filter; reasons and skip notes accumulate.
+
+    Every frame the pattern matches is checked, so one unreadable frame
+    anywhere skips the stationarity filter, but only frames 0, k, 2k, ...
+    (k = ``frame_interval``), the ones the verdict compares, are decoded.
+    """
     from .audio_io import read_wav, signal_channels  # deferred: avoids an import cycle
 
     def resolve(path: str) -> str:
@@ -353,11 +367,17 @@ def _evaluate_entry(
 
     if entry.frames_pattern:
         frame_paths = sorted(glob.glob(resolve(entry.frames_pattern)))
+        interval = thresholds.frame_interval
         try:
-            frames = [read_frame(p) for p in frame_paths]
+            # check_frame validates a frame the verdict never compares and
+            # leaves None in its place.
+            frames = [
+                read_frame(p) if i % interval == 0 else check_frame(p)
+                for i, p in enumerate(frame_paths)
+            ]
             verdict = stationarity_verdict(
                 frames,
-                thresholds.frame_interval,
+                interval,
                 thresholds.frame_mse,
                 thresholds.stationary_ratio,
             )

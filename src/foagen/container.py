@@ -65,14 +65,18 @@ class Reader:
         """The next header fields."""
         return struct.unpack_from(fmt, self._blob, self._take(struct.calcsize(fmt)))
 
-    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next ``<f8`` array of ``shape``, as an owned float64 copy."""
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next ``<f8`` array of ``shape``, as a read-only view of the bytes."""
         count = math.prod(shape)
         data = np.frombuffer(self._blob, "<f8", count, self._take(8 * count))
         try:
-            return data.reshape(shape).astype(np.float64)
+            return data.reshape(shape)
         except ValueError as exc:
             raise CorruptHeader(f"no array can have shape {shape}") from exc
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next ``<f8`` array of ``shape``, as an owned float64 copy."""
+        return self.array(shape).astype(np.float64)
 
     def end(self) -> None:
         """Check that nothing follows the last array."""

@@ -254,7 +254,10 @@ def stationarity_verdict(
     Frames i and i + interval are compared for i = 0, interval,
     2*interval, ...; a comparison counts as stationary when its MSE falls
     strictly below ``mse_threshold``, and the sequence is stationary when
-    the stationary fraction strictly exceeds ``ratio_threshold``.
+    the stationary fraction strictly exceeds ``ratio_threshold``. No
+    other frame is read, so the others may be placeholders: ``clean``
+    checks every frame file but decodes only frames 0, interval,
+    2*interval, ... and passes None for the rest.
 
     Raises:
         TooFewFrames: when fewer than two comparisons are available.
@@ -298,10 +301,27 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
 
 def read_frame(path) -> np.ndarray:
     """Read a frame written by :func:`write_frame`."""
+    pixels, maxval = _stored_pixels(path)
+    frame = pixels.astype(np.float64)
+    if maxval is not None:  # anymap integers scale to [0, 1]
+        frame /= maxval
+    return frame
+
+
+def check_frame(path) -> None:
+    """Raise what :func:`read_frame` would raise on ``path``, without
+    decoding the pixels; return None for a readable frame."""
+    _stored_pixels(path)
+
+
+def _stored_pixels(path) -> tuple[np.ndarray, int | None]:
+    """A frame file's pixels as a checked (height, width, channels) view
+    of its bytes in their stored type, and the anymap maxval (None for
+    the float container)."""
     name = str(path)
     blob = container.read_bytes(name)
     if blob.startswith(FRAME_MAGIC):
-        return _parse_frame_raw(blob)
+        return _parse_frame_raw(blob), None
     if blob[:2] in (b"P5", b"P6"):
         return _parse_pnm(blob)
     raise UnsupportedFormat(f"{name!r} is neither a portable anymap nor a raw frame")
@@ -327,7 +347,7 @@ def _write_pnm(name: str, arr: np.ndarray, bit_depth: int) -> None:
         raise IoFailure(f"cannot write frame {name}: {exc}") from exc
 
 
-def _parse_pnm(blob: bytes) -> np.ndarray:
+def _parse_pnm(blob: bytes) -> tuple[np.ndarray, int]:
     # Header: magic, width, height, maxval as whitespace-separated tokens
     # with optional '#' comments, then a single whitespace byte.
     tokens: list[int] = []
@@ -364,7 +384,7 @@ def _parse_pnm(blob: bytes) -> np.ndarray:
     if len(blob) - pos < count * dtype.itemsize:
         raise CorruptHeader("anymap pixel data truncated")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-    return data.astype(np.float64).reshape(height, width, channels) / maxval
+    return data.reshape(height, width, channels), maxval
 
 
 def _parse_frame_raw(blob: bytes) -> np.ndarray:
@@ -372,6 +392,6 @@ def _parse_frame_raw(blob: bytes) -> np.ndarray:
     height, width, channels = shape = reader.ints("<QQQ")
     if channels not in (1, 3) or height < 1 or width < 1:
         raise CorruptHeader(f"bad raw frame dims {height}x{width}x{channels}")
-    frame = reader.floats(shape)
+    pixels = reader.array(shape)
     reader.end()
-    return frame
+    return pixels

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
+import foagen.cleaning
 from foagen.audio_io import write_wav
 from foagen.cleaning import (
     ClipManifestEntry,
@@ -20,9 +22,9 @@ from foagen.cleaning import (
     write_manifest,
     write_report,
 )
-from foagen.errors import EmptySignal, ManifestParseError, MissingScore
+from foagen.errors import EmptySignal, ManifestParseError, MissingScore, TooFewFrames
 from foagen.foa import MonoSignal
-from foagen.panorama import write_frame
+from foagen.panorama import read_frame, stationarity_verdict, write_frame
 
 RATE = 1000  # 20 ms windows are 20 samples at this rate
 
@@ -163,6 +165,20 @@ def test_manifest_parse_errors(tmp_path):
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
             '"sample_rate": 16000, "frames_pattern": 5}\n'
         ),
+        "id-null": (
+            '{"id": null, "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000}\n'
+        ),
+        "audio-path-number": (
+            '{"id": "a", "audio_path": 5, "duration": 1.0, "sample_rate": 16000}\n'
+        ),
+        "labels-string": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "labels": "speech"}\n'
+        ),
+        "labels-not-strings": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "labels": [1, null]}\n'
+        ),
         "duplicate": (
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000}\n'
             '{"id": "a", "audio_path": "b.wav", "duration": 1.0, "sample_rate": 16000}\n'
@@ -273,6 +289,114 @@ def test_run_pipeline_keeps_clip_with_non_finite_audio(tmp_path):
 def test_run_pipeline_keeps_clip_with_zero_sample_rate(tmp_path):
     samples = (_blocky_signal([0.5] * 50) * 32767).astype("<i2")
     _assert_unreadable_audio_kept(tmp_path, 1, 0, samples)
+
+
+def _write_moving_clip(clip_dir, frames, suffix=".fframe"):
+    """Distinct random frames f000, f001, ...; returns their paths."""
+    clip_dir.mkdir()
+    rng = np.random.default_rng(0)
+    paths = [clip_dir / f"f{i:03d}{suffix}" for i in range(frames)]
+    for path in paths:
+        write_frame(path, rng.random((4, 8, 1)))
+    return paths
+
+
+def _corrupt_pgm_header(path):
+    path.write_bytes(b"P5\n8 x4\n255\n" + bytes(32))
+
+
+def _truncate_pgm_pixels(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _corrupt_fframe_dims(path):
+    blob = bytearray(path.read_bytes())
+    blob[24:32] = struct.pack("<Q", 2)  # channels: neither 1 nor 3
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("suffix, corrupt", [
+    (".pgm", _corrupt_pgm_header),
+    (".pgm", _truncate_pgm_pixels),
+    (".fframe", _corrupt_fframe_dims),
+])
+def test_bad_frame_the_verdict_never_compares_still_skips(tmp_path, suffix, corrupt):
+    # 17 frames at interval 8 compare frames 0, 8 and 16; frame 3 is only checked
+    entries, base = _pipeline_fixture(tmp_path)
+    paths = _write_moving_clip(tmp_path / "clip", 17, suffix)
+    entries.append(ClipManifestEntry(
+        "e_bad_frame", "loud.wav", 1.0, RATE,
+        frames_pattern=f"clip/*{suffix}", word_count=0, alignment_score=2.0,
+    ))
+    assert run_pipeline(entries, base_dir=base).skipped.get("e_bad_frame") is None
+    corrupt(paths[3])
+    report = run_pipeline(entries, base_dir=base)
+    assert report.skipped["e_bad_frame"] == ["stationary"]
+    assert "e_bad_frame" in report.kept
+
+
+def test_run_pipeline_decodes_only_compared_frames(tmp_path, monkeypatch):
+    _write_moving_clip(tmp_path / "clip", 33)
+    calls = []
+
+    def counting_read_frame(path):
+        calls.append(path)
+        return read_frame(path)
+
+    monkeypatch.setattr(foagen.cleaning, "read_frame", counting_read_frame)
+    entry = ClipManifestEntry("a", "none.wav", 1.0, RATE, frames_pattern="clip/*.fframe")
+    report = run_pipeline([entry], FilterThresholds(frame_interval=8), base_dir=str(tmp_path))
+    assert [os.path.basename(p) for p in calls] == [
+        f"f{i:03d}.fframe" for i in (0, 8, 16, 24, 32)
+    ]
+    assert "stationary" not in report.skipped.get("a", [])
+
+
+@pytest.mark.parametrize("interval", [1, 3, 8])
+def test_stationarity_outcome_matches_all_frames_reference(tmp_path, monkeypatch, interval):
+    # frames 0-11 are identical and the rest distinct, so the verdict
+    # comes out both ways among the counts at every interval
+    thresholds = FilterThresholds(frame_interval=interval, stationary_ratio=0.4)
+    rng = np.random.default_rng(1)
+    scenes = [rng.random((4, 8, 1)) for _ in range(33)]
+    counts = sorted({0, 1, interval, 2 * interval, 2 * interval + 1, 33})
+    entries, frame_paths = [], {}
+    for n in counts:
+        clip = tmp_path / f"clip{n:02d}"
+        clip.mkdir()
+        frame_paths[n] = [clip / f"f{i:03d}.fframe" for i in range(n)]
+        for i, path in enumerate(frame_paths[n]):
+            write_frame(path, scenes[max(i, 11)])
+        entries.append(ClipManifestEntry(
+            f"n{n:02d}", "none.wav", 1.0, RATE, frames_pattern=f"clip{n:02d}/*.fframe",
+        ))
+
+    def outcome(frames):
+        try:
+            return stationarity_verdict(
+                frames, interval, thresholds.frame_mse, thresholds.stationary_ratio
+            )
+        except TooFewFrames:
+            return TooFewFrames
+
+    seen = {}
+
+    def recording_verdict(frames, *args):
+        seen[len(frames)] = outcome(frames)
+        return stationarity_verdict(frames, *args)
+
+    monkeypatch.setattr(foagen.cleaning, "stationarity_verdict", recording_verdict)
+    report = run_pipeline(entries, thresholds, base_dir=str(tmp_path))
+    for n in counts:
+        want = outcome([read_frame(p) for p in frame_paths[n]])
+        assert seen[n] == want, n
+        entry_id = f"n{n:02d}"
+        assert ("stationary" in report.skipped[entry_id]) == (want is TooFewFrames)
+        assert ("stationary" in report.removed.get(entry_id, [])) == (
+            want is not TooFewFrames and want.stationary
+        )
+    assert any(v is not TooFewFrames and v.stationary for v in seen.values())
+    assert any(v is not TooFewFrames and not v.stationary for v in seen.values())
 
 
 def test_run_pipeline_worker_count_irrelevant(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foagen.conditioning import upsample_features
 from foagen.errors import ShapeMismatch
 from foagen.flow import (
     CfgSpec,
@@ -154,3 +155,44 @@ def test_guided_sampling_matches_manual_blend():
         v = uncond_v + scale * (cond_v - uncond_v)
         x = x + 0.5 * v
     np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
+
+
+class _ConditionEcho:
+    """Stand-in model whose velocity is its first latent_dim condition channels."""
+
+    def __init__(self, latent_dim, cond_dim):
+        self.latent_dim = latent_dim
+        self.cond_dim = cond_dim
+
+    def forward(self, t, cond, x):
+        return cond[:, : self.latent_dim].copy()
+
+
+def test_euler_fuse_local_features():
+    local = np.random.default_rng(2).standard_normal((3, 2))  # upsampled to 6 frames
+    model = VelocityModel.initialize(2, 2, (5,), np.random.default_rng(3))
+
+    def sample(model, fuse):
+        return euler_sample(
+            model, 4, local=local, fuse_local_features=fuse,
+            frames=6, rng=np.random.default_rng(7),
+        )
+
+    fused = sample(model, True)
+    assert fused.shape == (6, 2) and np.all(np.isfinite(fused))
+    assert np.array_equal(fused, sample(model, True))
+
+    # The view of a fully hidden latent is zero, so the echoed velocity is the
+    # fused local features with the flag on and zero with it off.
+    echo = _ConditionEcho(2, 2)
+    start = np.random.default_rng(7).standard_normal((6, 2))
+    np.testing.assert_allclose(
+        sample(echo, True), start + upsample_features(local, 6), rtol=0, atol=1e-12
+    )
+    assert np.array_equal(sample(echo, False), start)
+
+    # Fused, the condition is latent_dim wide; appending would make it 4 wide.
+    with pytest.raises(ShapeMismatch):
+        sample(model, False)
+    with pytest.raises(ShapeMismatch):
+        sample(VelocityModel.initialize(2, 4, (5,), np.random.default_rng(3)), True)

@@ -28,7 +28,7 @@ from foagen.cleaning import ClipManifestEntry, read_manifest, write_manifest
 from foagen.errors import FoagenError
 from foagen.flow.network import VelocityModel, load_model, save_model
 from foagen.foa import FoaSignal, MonoSignal
-from foagen.panorama import read_frame, write_frame
+from foagen.panorama import check_frame, read_frame, write_frame
 
 FUZZ = settings(
     derandomize=True,
@@ -125,6 +125,29 @@ def test_reader_fails_only_with_domain_errors(kind, scratch, valid):
     run()
 
 
+def _raised(reader, path):
+    """The class of the exception ``reader(path)`` raises, or None."""
+    try:
+        reader(path)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def test_frame_check_raises_exactly_when_read_frame_does(scratch, valid):
+    path = scratch / "input.checked"
+
+    @FUZZ
+    @given(blob=st.one_of(
+        st.sampled_from(valid["frame"]), st.binary(max_size=128), _mutated(valid["frame"])
+    ))
+    def run(blob):
+        path.write_bytes(blob)
+        assert _raised(check_frame, path) is _raised(read_frame, path)
+
+    run()
+
+
 _JSON_VALUES = st.one_of(
     # edge values first: NaN and the infinities are written as JSON extensions
     st.sampled_from(
@@ -133,6 +156,7 @@ _JSON_VALUES = st.one_of(
     st.integers(),
     st.floats(),
     st.text(max_size=8),
+    st.lists(st.text(max_size=4), max_size=2),
 )
 _RECORDS = st.fixed_dictionaries(
     {key: _JSON_VALUES for key in ("id", "audio_path", "duration", "sample_rate")},
@@ -156,3 +180,5 @@ def test_manifest_reader_on_arbitrary_field_values(scratch, records):
     for entry in entries:
         assert entry.sample_rate > 0 and math.isfinite(entry.duration)
         assert entry.frames_pattern is None or isinstance(entry.frames_pattern, str)
+        assert isinstance(entry.id, str) and isinstance(entry.audio_path, str)
+        assert all(isinstance(label, str) for label in entry.labels)
