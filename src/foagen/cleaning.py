@@ -19,10 +19,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
+from .audio_io import read_wav, signal_channels
 from .errors import EmptySignal, FoagenError, ManifestParseError, MissingScore
 from .panorama import check_frame, read_frame, stationarity_verdict
 
@@ -41,7 +43,6 @@ class FilterThresholds:
     max_words: int = 5
     min_alignment: float = 1.0
     window_ms: float = 20.0
-    hop_ms: float | None = None
     frame_interval: int = 8
     frame_mse: float = 1e-3
 
@@ -52,8 +53,6 @@ class FilterThresholds:
             raise ValueError("stationary_ratio must lie in [0, 1]")
         if self.window_ms <= 0.0:
             raise ValueError("window_ms must be positive")
-        if self.hop_ms is not None and self.hop_ms <= 0.0:
-            raise ValueError("hop_ms must be positive when set")
         if self.frame_interval < 1:
             raise ValueError("frame_interval must be >= 1")
 
@@ -63,7 +62,12 @@ STRICT_ALIGNMENT = 2.0
 
 @dataclass(frozen=True)
 class ClipManifestEntry:
-    """One media clip: paths, duration, and externally supplied scores."""
+    """One media clip: paths, duration, and externally supplied scores.
+
+    The constructor checks every field's type and range; :func:`read_manifest`
+    relies on it and checks no field itself. Numbers are kept as given,
+    never converted, and ``bool`` is not a number.
+    """
 
     id: str
     audio_path: str
@@ -75,17 +79,20 @@ class ClipManifestEntry:
     alignment_score: float | None = None
 
     def __post_init__(self):
-        for name in ("id", "audio_path"):
-            if not isinstance(getattr(self, name), str):
-                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
+        kinds = {"id": str, "audio_path": str, "duration": Real, "sample_rate": Integral,
+                 "frames_pattern": str, "word_count": Integral, "alignment_score": Real}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in kinds or (value is None and f.default is None):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds[f.name]):
+                raise TypeError(f"{f.name} must be {kinds[f.name].__name__}, got {value!r}")
         if not self.id:
             raise ValueError("entry id must be non-empty")
         if self.duration < 0.0 or not math.isfinite(self.duration):
             raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.frames_pattern is not None and not isinstance(self.frames_pattern, str):
-            raise TypeError(f"frames_pattern must be a string, got {self.frames_pattern!r}")
         if not isinstance(self.labels, (list, tuple)) or not all(
             isinstance(label, str) for label in self.labels
         ):
@@ -156,9 +163,7 @@ def silence_verdict(
     """
     if thresholds is None:
         thresholds = FilterThresholds()
-    levels = window_dbfs(
-        samples, thresholds.window_ms, sample_rate, thresholds.hop_ms
-    )
+    levels = window_dbfs(samples, thresholds.window_ms, sample_rate)
     silent_windows = int(np.sum(levels < thresholds.silence_dbfs))
     ratio = silent_windows / levels.shape[0]
     return SilenceResult(ratio > thresholds.silence_ratio, ratio, levels.shape[0])
@@ -223,18 +228,19 @@ def segment_clips(
 
 # --- manifest I/O ----------------------------------------------------------------
 
-_REQUIRED_KEYS = {"id", "audio_path", "duration", "sample_rate"}
-_OPTIONAL_KEYS = {"frames_pattern", "labels", "word_count", "alignment_score"}
-
-
 def read_manifest(path) -> list[ClipManifestEntry]:
     """Read a line-delimited JSON manifest.
+
+    Each line is one :class:`ClipManifestEntry` record; a ``null`` value
+    means the key is absent.
 
     Raises:
         ManifestParseError: naming the offending line on bad JSON, bad or
             missing keys, or duplicate ids; or on an unreadable or non-UTF-8
             file.
     """
+    keys = {f.name for f in fields(ClipManifestEntry)}
+    required = {f.name for f in fields(ClipManifestEntry) if f.default is MISSING}
     entries: list[ClipManifestEntry] = []
     seen: set[str] = set()
     try:
@@ -251,35 +257,19 @@ def read_manifest(path) -> list[ClipManifestEntry]:
             raise ManifestParseError(f"line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ManifestParseError(f"line {lineno}: expected an object")
-        keys = set(record)
-        missing = _REQUIRED_KEYS - keys
+        missing = required - record.keys()
         if missing:
             raise ManifestParseError(
                 f"line {lineno}: missing keys {sorted(missing)}"
             )
-        unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
+        unknown = record.keys() - keys
         if unknown:
             raise ManifestParseError(
                 f"line {lineno}: unknown keys {sorted(unknown)}"
             )
         try:
             entry = ClipManifestEntry(
-                id=record["id"],
-                audio_path=record["audio_path"],
-                duration=float(record["duration"]),
-                sample_rate=int(record["sample_rate"]),
-                frames_pattern=record.get("frames_pattern"),
-                labels=(
-                    () if record.get("labels") is None else record["labels"]
-                ),
-                word_count=(
-                    None if record.get("word_count") is None
-                    else int(record["word_count"])
-                ),
-                alignment_score=(
-                    None if record.get("alignment_score") is None
-                    else float(record["alignment_score"])
-                ),
+                **{key: value for key, value in record.items() if value is not None}
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ManifestParseError(f"line {lineno}: {exc}") from exc
@@ -355,8 +345,6 @@ def _evaluate_entry(
     anywhere skips the stationarity filter, but only frames 0, k, 2k, ...
     (k = ``frame_interval``), the ones the verdict compares, are decoded.
     """
-    from .audio_io import read_wav, signal_channels  # deferred: avoids an import cycle
-
     def resolve(path: str) -> str:
         if base_dir is not None and not os.path.isabs(path):
             return os.path.join(base_dir, path)

@@ -54,7 +54,7 @@ from .flow import (
     train,
 )
 from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance
-from .panorama import FOV_PRESETS, CameraSpec, erp_to_perspective, pad_to_square, read_frame, write_frame
+from .panorama import FOV_PRESETS, erp_to_perspective, fov_cameras, pad_to_square, read_frame, write_frame
 
 DEGREES = 180.0 / math.pi
 
@@ -81,14 +81,6 @@ def _emit_angle(key: str, radians: float, degrees: bool) -> None:
 
 def _angle_in(value: float, degrees: bool) -> float:
     return value / DEGREES if degrees else value
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("FOAGEN_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _print_config(args: argparse.Namespace) -> None:
@@ -229,11 +221,7 @@ def _cmd_pad_erp(args) -> int:
 
 def _cmd_cut_fov(args) -> int:
     frame = read_frame(args.input)
-    hfov = args.hfov / DEGREES
-    cameras = [
-        CameraSpec(yaw, pitch, hfov, args.width, args.height)
-        for yaw, pitch in FOV_PRESETS[args.preset]
-    ]
+    cameras = fov_cameras(args.preset, args.hfov / DEGREES, args.width, args.height)
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         cuts = list(pool.map(lambda cam: erp_to_perspective(frame, cam), cameras))
 
@@ -446,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "flow matching, panorama cuts, dataset cleaning.",
     )
     subparsers = root.add_subparsers(dest="command", required=True)
-    jobs_default = _default_jobs()
+    jobs_default = len(os.sched_getaffinity(0))
 
     p = _add(subparsers, "spatialize", _cmd_spatialize, "Encode a mono WAV into FOA at a given direction.")
     p.add_argument("input")

@@ -189,14 +189,10 @@ FOV_PRESETS: dict[str, tuple[tuple[float, float], ...]] = {
 }
 
 
-def make_fov_cuts(
-    erp,
-    preset: str,
-    hfov: float = 2.0 * math.pi / 3.0,
-    out_width: int = 256,
-    out_height: int = 256,
-) -> list[np.ndarray]:
-    """Perspective cuts for a named direction preset.
+def fov_cameras(
+    preset: str, hfov: float, out_width: int, out_height: int
+) -> list[CameraSpec]:
+    """One camera per direction of a named preset.
 
     Presets: ``front`` (one forward view), ``2cuts`` (front/back),
     ``4cuts`` (four compass directions), ``6cuts`` (compass plus up and
@@ -207,17 +203,22 @@ def make_fov_cuts(
             f"unknown preset {preset!r}; expected one of {sorted(FOV_PRESETS)}"
         )
     return [
-        erp_to_perspective(
-            erp,
-            CameraSpec(
-                yaw=yaw,
-                pitch=pitch,
-                hfov=hfov,
-                out_width=out_width,
-                out_height=out_height,
-            ),
-        )
+        CameraSpec(yaw, pitch, hfov, out_width, out_height)
         for yaw, pitch in FOV_PRESETS[preset]
+    ]
+
+
+def make_fov_cuts(
+    erp,
+    preset: str,
+    hfov: float = 2.0 * math.pi / 3.0,
+    out_width: int = 256,
+    out_height: int = 256,
+) -> list[np.ndarray]:
+    """Perspective cuts for the cameras of :func:`fov_cameras`."""
+    return [
+        erp_to_perspective(erp, camera)
+        for camera in fov_cameras(preset, hfov, out_width, out_height)
     ]
 
 

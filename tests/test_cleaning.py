@@ -179,6 +179,27 @@ def test_manifest_parse_errors(tmp_path):
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
             '"sample_rate": 16000, "labels": [1, null]}\n'
         ),
+        "duration-string": (
+            '{"id": "a", "audio_path": "a.wav", "duration": "2.5", "sample_rate": 16000}\n'
+        ),
+        "rate-fraction": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000.9}\n'
+        ),
+        "rate-string": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": "16000"}\n'
+        ),
+        "word-count-bool": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "word_count": true}\n'
+        ),
+        "word-count-fraction": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "word_count": 3.7}\n'
+        ),
+        "alignment-string": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "alignment_score": "1.5"}\n'
+        ),
         "duplicate": (
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000}\n'
             '{"id": "a", "audio_path": "b.wav", "duration": 1.0, "sample_rate": 16000}\n'

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from foagen.audio_io import (
 from foagen.cleaning import ClipManifestEntry, write_manifest
 from foagen.cli import main
 from foagen.foa import MonoSignal, StereoSignal
-from foagen.panorama import read_frame, write_frame
+from foagen.panorama import make_fov_cuts, read_frame, write_frame
 
 RATE = 16000
 
@@ -188,9 +189,12 @@ def test_cut_fov_six_cuts(tmp_path, capsys):
     assert kv["frames"] == "6"
     assert kv["frame.4.pitch"] == "90.000"
     assert kv["frame.5.pitch"] == "-90.000"
+    # the CLI renders exactly the library's cuts for the preset
+    expected = make_fov_cuts(frame, "6cuts", math.radians(120.0), 16, 16)
     for i in range(6):
         cut = read_frame(outdir / f"erp_cut{i}.fframe")
         assert cut.shape == (16, 16, 1)
+        np.testing.assert_array_equal(cut, expected[i])
 
 
 def test_clean_pipeline(tmp_path, capsys):
@@ -345,11 +349,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()  # swallow argparse noise
 
 
-def test_jobs_default_from_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FOAGEN_JOBS", "4")
+def test_jobs_default_is_usable_cpu_count(tmp_path, capsys):
     src = _mono_wav(tmp_path / "m.wav", seed=8)
     a = tmp_path / "a.wav"
     run_cli(capsys, "spatialize", src, a, "--theta", "0")
     code, kv = run_cli(capsys, "eval-doa", a, a)
     assert code == 0
-    assert kv["config.jobs"] == "4"
+    assert kv["config.jobs"] == str(len(os.sched_getaffinity(0)))

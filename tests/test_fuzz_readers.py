@@ -148,22 +148,45 @@ def test_frame_check_raises_exactly_when_read_frame_does(scratch, valid):
     run()
 
 
+# NaN and the infinities are written as JSON extensions
+_EDGE_VALUES = [
+    None, True, 0, -1, 2**70, 1.5, 3.7, math.inf, -math.inf, math.nan, "", "8000", [1, 2], ["a"]
+]
 _JSON_VALUES = st.one_of(
-    # edge values first: NaN and the infinities are written as JSON extensions
-    st.sampled_from(
-        [None, True, 0, -1, 2**70, 1.5, math.inf, -math.inf, math.nan, "", "8000", [1, 2]]
-    ),
+    st.sampled_from(_EDGE_VALUES),  # edge values first
     st.integers(),
     st.floats(),
     st.text(max_size=8),
     st.lists(st.text(max_size=4), max_size=2),
 )
-_RECORDS = st.fixed_dictionaries(
+_OPTIONAL = ("frames_pattern", "labels", "word_count", "alignment_score")
+# a valid value for each key, so that records with one arbitrary field are
+# often accepted and the types of their fields get checked
+_VALID = {
+    "id": st.text(min_size=1, max_size=8),
+    "audio_path": st.text(max_size=8),
+    "duration": st.integers(0, 100) | st.floats(0.0, 100.0),
+    "sample_rate": st.integers(1, 96000),
+    "frames_pattern": st.text(max_size=8),
+    "labels": st.lists(st.text(max_size=4), max_size=2),
+    "word_count": st.integers(0, 20),
+    "alignment_score": st.integers(0, 3) | st.floats(0.0, 3.0),
+}
+
+
+@st.composite
+def _one_arbitrary_field(draw):
+    record = draw(st.fixed_dictionaries(
+        {key: _VALID[key] for key in _VALID if key not in _OPTIONAL},
+        optional={key: _VALID[key] for key in _OPTIONAL},
+    ))
+    record[draw(st.sampled_from(sorted(_VALID)))] = draw(_JSON_VALUES)
+    return record
+
+
+_RECORDS = _one_arbitrary_field() | st.fixed_dictionaries(
     {key: _JSON_VALUES for key in ("id", "audio_path", "duration", "sample_rate")},
-    optional={
-        key: _JSON_VALUES
-        for key in ("frames_pattern", "labels", "word_count", "alignment_score")
-    },
+    optional={key: _JSON_VALUES for key in _OPTIONAL},
 )
 
 
@@ -179,6 +202,34 @@ def test_manifest_reader_on_arbitrary_field_values(scratch, records):
         return
     for entry in entries:
         assert entry.sample_rate > 0 and math.isfinite(entry.duration)
+        assert type(entry.duration) in (int, float) and type(entry.sample_rate) is int
+        assert type(entry.word_count) in (type(None), int)
+        assert type(entry.alignment_score) in (type(None), int, float)
         assert entry.frames_pattern is None or isinstance(entry.frames_pattern, str)
         assert isinstance(entry.id, str) and isinstance(entry.audio_path, str)
         assert all(isinstance(label, str) for label in entry.labels)
+
+
+def test_manifest_reader_on_each_edge_value(scratch):
+    # each edge value in each field of an otherwise valid record: rejected, or kept as written
+    kinds = {
+        "id": (str,), "audio_path": (str,), "frames_pattern": (str,), "labels": (tuple,),
+        "duration": (int, float), "sample_rate": (int,), "word_count": (int,),
+        "alignment_score": (int, float),
+    }
+    base = {"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000}
+    path = scratch / "edge.jsonl"
+    for key, kind in kinds.items():
+        for value in _EDGE_VALUES:
+            path.write_text(json.dumps({**base, key: value}) + "\n")
+            if value is None and key not in base:  # null on an optional key means absent
+                (entry,) = read_manifest(path)
+                assert getattr(entry, key) == ClipManifestEntry.__dataclass_fields__[key].default
+                continue
+            try:
+                (entry,) = read_manifest(path)
+            except FoagenError:
+                continue
+            got = getattr(entry, key)
+            assert type(got) in kind, (key, value)
+            assert json.dumps(list(got) if key == "labels" else got) == json.dumps(value)
