@@ -9,6 +9,7 @@ a single machine-parseable error line; argparse usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -332,14 +333,14 @@ def _resolve_train_config(args, fixture: bool) -> TrainConfig:
         mask_spec = MaskSpec(
             p_cond=args.p_cond, n_mask=args.mask_spans, l_mask=args.mask_min_len
         )
-    return TrainConfig(
+    return dataclasses.replace(
+        base,
         learning_rate=args.lr if args.lr is not None else base.learning_rate,
         batch_size=args.batch if args.batch is not None else base.batch_size,
         steps=args.steps if args.steps is not None else base.steps,
         seed=args.seed if args.seed is not None else base.seed,
         time_sampler=sampler,
         mask_spec=mask_spec,
-        masked_frames_only=base.masked_frames_only,
     )
 
 

@@ -183,7 +183,22 @@ def build_condition(
     a (frames, channels) block gives each row its own global channels,
     which is how a stack of several sequences carries one vector each.
     """
-    view = masked.condition_view()
+    return stack_condition(
+        masked.condition_view(), local, global_cond, fuse_local_features
+    )
+
+
+def stack_condition(
+    view: np.ndarray,
+    local: np.ndarray | None = None,
+    global_cond: np.ndarray | None = None,
+    fuse_local_features: bool = False,
+) -> np.ndarray:
+    """:func:`build_condition` from a latent view whose hidden frames are already zeroed.
+
+    Training builds that view from latents it checked once up front, so it
+    calls this directly rather than re-checking them through a MaskedLatent.
+    """
     frames = view.shape[0]
     blocks = []
     if local is not None:

@@ -90,11 +90,16 @@ class TimeSampler:
             raise ValueError("sigma must be positive and finite")
 
 
-def sample_time(sampler: TimeSampler, rng: np.random.Generator) -> float:
-    """Draw one path time according to the sampler's law."""
+def sample_time(sampler: TimeSampler, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` path times according to the sampler's law, in one call.
+
+    Logit-normal times lie strictly inside (0, 1) for any finite mu and
+    sigma: a draw far enough out that the sigmoid rounds to an endpoint,
+    or that exp overflows, is clamped to the nearest interior double.
+    """
     if sampler.kind == "uniform":
-        return float(rng.random())
-    z = rng.normal(sampler.mu, sampler.sigma)
-    t = 1.0 / (1.0 + math.exp(-z))
-    # Guard against rounding to the closed endpoints for extreme draws.
-    return min(max(t, math.ulp(0.0)), 1.0 - math.ulp(1.0) / 2)
+        return rng.random(size)
+    z = rng.normal(sampler.mu, sampler.sigma, size)
+    with np.errstate(over="ignore"):
+        t = 1.0 / (1.0 + np.exp(-z))
+    return np.minimum(np.maximum(t, math.ulp(0.0)), 1.0 - math.ulp(1.0) / 2)

@@ -6,6 +6,20 @@ displacement x1 - x0, taken over hidden frames during masked pretraining
 or over all frames during conditional fine-tuning, and averaged over the
 batch.
 
+:func:`train` checks and converts the whole dataset once, before the
+first step: every item's float64 latent, its shape and finiteness, and
+the kind and width of its external condition, so a bad item fails the
+run even if no batch would ever draw it. A step then draws its
+randomness in whole arrays, in this order, which fixes the RNG stream:
+
+1. ``integers(B)``: the batch's item indices;
+2. ``standard_normal((rows, dims))``: the noise of every frame of the batch;
+3. ``sample_time(sampler, rng, B)``: one path time per draw;
+4. ``random(B)``: condition dropout, only when the items carry an
+   external condition and ``cond_dropout > 0``;
+5. per draw, ``random_mask_spec`` (when ``span_choices`` is set) and
+   ``make_mask``, only when ``mask_spec`` is set.
+
 The velocity model acts on every frame independently and the objective
 is an expectation per sample, so a step is scored as a frame table rather
 than one forward and backward pass per draw: the draws are stacked
@@ -22,21 +36,23 @@ cap bounds peak memory: the activations kept for the backward pass grow
 with the table, and without the cap one table of 16 draws of 256 frames
 (hidden widths 128, 128) raised the peak resident memory of a training
 and sampling run from about 52 MB to 82 MB. Short draws, such as the one
-frame per sample of the mixture fixture, still share a table.
+frame per sample of the mixture fixture, still share a table. Latents
+and local features stay one array per item and are gathered per table,
+because stacking them up front would hold a second copy of the data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from ..conditioning import upsample_features
 from ..errors import DivergenceDetected, NoMaskedFrames, ShapeMismatch
-from .masking import MaskSpec, MaskedLatent, make_mask, random_mask_spec
-from .network import VelocityModel, build_condition
-from .path import TimeSampler, as_latent, interpolate, sample_time, velocity_target
+from .masking import MaskSpec, make_mask, random_mask_spec
+from .network import VelocityModel, stack_condition
+from .path import TimeSampler, _check_pair, _check_time, sample_time
 
 # Most rows one frame table may hold; see the module docstring.
 _TABLE_ROWS = 256
@@ -65,8 +81,10 @@ def cfm_loss(
         ShapeMismatch: when x0 and x1 disagree in shape, or ``t`` or
             ``weights`` does not hold one value per row.
     """
-    xt = interpolate(x0, x1, t)
-    target = velocity_target(x0, x1)
+    x0, x1 = _check_pair(x0, x1)
+    t_column = _check_time(t, x0.shape[0])
+    xt = t_column * x1 + (1.0 - t_column) * x0
+    target = x1 - x0
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (xt.shape[0],):
         raise ShapeMismatch(
@@ -92,6 +110,10 @@ class TrainConfig:
     the span count per draw when set; None keeps the mask spec's count fixed.
     ``cond_dropout`` is the probability of zeroing the external condition
     for a draw, which trains the guidance-ready unconditional branch.
+    ``lr_tail`` is the share of the steps, at the end of the run, over
+    which the learning rate decays linearly towards 0 (see :meth:`rate`);
+    0 keeps it constant. Averaging out the last iterates' SGD noise this
+    way is what lets the mixture recipe hit its targets with margin.
     """
 
     learning_rate: float = 0.05
@@ -104,6 +126,7 @@ class TrainConfig:
     span_choices: tuple[int, ...] | None = None
     cond_dropout: float = 0.0
     fuse_local_features: bool = False
+    lr_tail: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -112,114 +135,96 @@ class TrainConfig:
             raise ValueError("batch_size and steps must be >= 1")
         if not 0.0 <= self.cond_dropout <= 1.0:
             raise ValueError("cond_dropout must lie in [0, 1]")
+        if not 0.0 <= self.lr_tail <= 1.0:
+            raise ValueError("lr_tail must lie in [0, 1]")
+
+    def rate(self, step: int) -> float:
+        """Learning rate of ``step`` (0-based).
+
+        Constant until the last ``lr_tail * steps`` steps, then
+        ``learning_rate * remaining / (lr_tail * steps)`` with ``remaining``
+        = steps - step, which falls linearly and stays positive.
+        """
+        tail = self.lr_tail * self.steps
+        remaining = self.steps - step
+        if remaining >= tail:
+            return self.learning_rate
+        return self.learning_rate * remaining / tail
 
 
-class _Draw(NamedTuple):
-    """One sample of a step, ready to be stacked into a frame table."""
+def _check_dataset(dataset, latent_dim: int):
+    """Check and convert every item once; see the module docstring.
 
-    x1: np.ndarray
-    x0: np.ndarray
-    t: float
-    mask: np.ndarray | None  # None: no mask spec, every frame hidden
-    scale: float  # loss weight of each selected frame
-    local: np.ndarray | None  # (frames, channels), already stretched to the latent
-    global_cond: np.ndarray | None
-
-
-def _draw(x1, external, latent_dim: int, config: TrainConfig, rng) -> _Draw:
-    """Make one sample's random draws: noise, time, span count, mask, dropout.
-
-    The order of the draws fixes the RNG stream, so it must not change.
-    """
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x1.ndim != 2 or x1.shape[0] == 0 or x1.shape[1] != latent_dim:
-        raise ShapeMismatch(
-            f"x1 must be a non-empty (frames, {latent_dim}) latent, got shape {x1.shape}"
-        )
-    frames = x1.shape[0]
-    x0 = rng.standard_normal(x1.shape)
-    t = sample_time(config.time_sampler, rng)
-    mask = None
-    selected = frames
-    if config.mask_spec is not None:
-        spec = config.mask_spec
-        if config.span_choices is not None:
-            spec = random_mask_spec(spec, frames, rng, config.span_choices)
-        mask, _ = make_mask(frames, spec, rng)
-        if config.masked_frames_only:
-            selected = int(np.count_nonzero(mask))
-            if selected == 0:
-                raise NoMaskedFrames("mask hides no frames; nothing to train on")
-    local = global_cond = None
-    if external is not None:
-        arr = np.asarray(external, dtype=np.float64)
-        if config.cond_dropout > 0.0 and rng.random() < config.cond_dropout:
-            arr = np.zeros_like(arr)
-        if arr.ndim == 1:
-            global_cond = arr
-        elif arr.ndim == 2:
-            local = arr if arr.shape[0] == frames else upsample_features(arr, frames)
-        else:
-            raise ShapeMismatch("local features must be 2-D (frames, channels)")
-    scale = 1.0 / (config.batch_size * selected * latent_dim)
-    return _Draw(x1, x0, t, mask, scale, local, global_cond)
-
-
-def _layout(draw: _Draw) -> tuple:
-    """The external-condition kind and width a draw adds to its condition channels."""
-    if draw.local is not None:
-        return ("local", draw.local.shape[1])
-    if draw.global_cond is not None:
-        return ("global", draw.global_cond.size)
-    return ("none",)
-
-
-def _tables(draws):
-    """Pack a batch's draws greedily into tables of at most _TABLE_ROWS rows.
-
-    Draws are consumed one at a time, so only one table's draws are held.
+    Returns (x1s, frames, kind, conds): the float64 latents, their frame
+    counts, the external condition kind ("none", "global" or "local"),
+    and the conditions: None, the global vectors stacked as
+    (items, channels), or a list of float64 (rows, channels) local features.
 
     Raises:
-        ShapeMismatch: when the draws carry different external conditions,
-            whose condition channels could not be stacked.
+        ShapeMismatch: when a latent is not (frames, latent_dim), local
+            features are not 2-D, or items carry different external conditions.
+        ValueError: when the dataset is empty or a latent is not finite.
     """
-    table: list[_Draw] = []
-    rows = 0
+    if len(dataset) == 0:
+        raise ValueError("dataset must be non-empty")
+    x1s, conds = [], []
     layout = None
-    for draw in draws:
-        if layout is None:
-            layout = _layout(draw)
-        elif _layout(draw) != layout:
+    for x1, external in dataset:
+        x1 = np.asarray(x1, dtype=np.float64)
+        if x1.ndim != 2 or x1.shape[0] == 0 or x1.shape[1] != latent_dim:
             raise ShapeMismatch(
-                "draws of one batch carry different external conditions: "
-                f"{layout} and {_layout(draw)}"
+                f"x1 must be a non-empty (frames, {latent_dim}) latent, got shape {x1.shape}"
             )
-        frames = draw.x1.shape[0]
-        if table and rows + frames > _TABLE_ROWS:
-            yield table
-            table, rows = [], 0
-        table.append(draw)
-        rows += frames
-    yield table
+        if not np.isfinite(x1).all():
+            raise ValueError("x1 contains non-finite values")
+        if external is None:
+            item_layout = ("none",)
+        else:
+            external = np.asarray(external, dtype=np.float64)
+            if external.ndim == 1:
+                item_layout = ("global", external.size)
+            elif external.ndim == 2:
+                item_layout = ("local", external.shape[1])
+            else:
+                raise ShapeMismatch("local features must be 2-D (frames, channels)")
+        if layout is None:
+            layout = item_layout
+        elif item_layout != layout:
+            raise ShapeMismatch(
+                "dataset items carry different external conditions: "
+                f"{layout} and {item_layout}"
+            )
+        x1s.append(x1)
+        conds.append(external)
+    frames = np.array([x1.shape[0] for x1 in x1s])
+    kind = layout[0]
+    if kind == "none":
+        conds = None
+    elif kind == "global":
+        conds = np.stack(conds)
+    return x1s, frames, kind, conds
 
 
-def _table_loss(model: VelocityModel, table: list[_Draw], config: TrainConfig):
-    """Stack one table's draws row-wise and score them with a single cfm_loss call."""
-    x1s, x0s, ts, masks, scales, locals_, globals_ = zip(*table)
-    frames = [x.shape[0] for x in x1s]
-    x1 = as_latent(np.concatenate(x1s), "x1")
-    if masks[0] is None:
-        mask = np.ones(x1.shape[0], dtype=bool)
-    else:
-        mask = np.concatenate(masks)
-    selected = mask if config.masked_frames_only else 1.0
-    local = None if locals_[0] is None else np.concatenate(locals_)
-    global_cond = None if globals_[0] is None else np.repeat(np.stack(globals_), frames, axis=0)
-    cond = build_condition(
-        MaskedLatent(x1, mask), local, global_cond, config.fuse_local_features
-    )
-    weights = np.repeat(scales, frames) * selected
-    return cfm_loss(model, np.concatenate(x0s), x1, np.repeat(ts, frames), cond, weights)
+def _table_bounds(counts: list[int]):
+    """(first, stop) draw ranges of a step's tables, packed greedily under _TABLE_ROWS."""
+    first = rows = 0
+    for i, n in enumerate(counts):
+        if rows and rows + n > _TABLE_ROWS:
+            yield first, i
+            first, rows = i, 0
+        rows += n
+    yield first, len(counts)
+
+
+def _draw_masks(sizes: list[int], config: TrainConfig, rng) -> list[np.ndarray]:
+    """Each draw's span count (when ``span_choices`` is set) and mask, in draw order."""
+    masks = []
+    for n in sizes:
+        spec = config.mask_spec
+        if config.span_choices is not None:
+            spec = random_mask_spec(spec, n, rng, config.span_choices)
+        masks.append(make_mask(n, spec, rng)[0])
+    return masks
 
 
 def train(
@@ -232,25 +237,77 @@ def train(
     ``dataset`` is a sequence of (x1, cond) pairs where x1 is a
     (frames, dims) latent and cond is an external condition: None, a
     vector applied globally, or a (frames, channels) matrix of local
-    features. Every draw of a batch must carry the same kind and width
-    of external condition. Identical seeds give bit-identical traces.
+    features. Every item must carry the same kind and width of external
+    condition. The dataset is checked once, for every item, before the
+    first step; each step then draws its randomness in whole arrays, in
+    the order the module docstring lists. Identical seeds give
+    bit-identical traces.
 
     Raises:
         DivergenceDetected: as soon as a batch loss is non-finite.
         ShapeMismatch: when a latent is not (frames, model.latent_dim),
-            or the draws of a batch carry different external conditions.
+            or the items carry different external conditions.
+        ValueError: when the dataset is empty or a latent is not finite.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
+    x1s, frames, kind, conds = _check_dataset(dataset, model.latent_dim)
+    dims = model.latent_dim
+    batch = config.batch_size
+    dropout = kind != "none" and config.cond_dropout > 0.0
     rng = np.random.default_rng(config.seed)
     trace: list[float] = []
     for step in range(config.steps):
-        indices = rng.integers(0, len(dataset), size=config.batch_size)
-        draws = (_draw(*dataset[int(i)], model.latent_dim, config, rng) for i in indices)
+        indices = rng.integers(0, len(x1s), size=batch)
+        counts = frames[indices]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        noise = rng.standard_normal((int(offsets[-1]), dims))
+        times = sample_time(config.time_sampler, rng, batch)
+        dropped = rng.random(batch) < config.cond_dropout if dropout else None
+        picks, sizes = indices.tolist(), counts.tolist()
+        masks = None if config.mask_spec is None else _draw_masks(sizes, config, rng)
+
+        selected = counts
+        if masks is not None and config.masked_frames_only:
+            selected = np.array([np.count_nonzero(mask) for mask in masks])
+            if not selected.all():
+                raise NoMaskedFrames("mask hides no frames; nothing to train on")
+        scales = 1.0 / (batch * selected * dims)
+        if kind == "global":
+            globals_ = conds[indices]
+            if dropped is not None:
+                globals_[dropped] = 0.0
+
         batch_loss = 0.0
         batch_grads = None
-        for table in _tables(draws):
-            loss, grads = _table_loss(model, table, config)
+        for first, stop in _table_bounds(sizes):
+            n = counts[first:stop]
+            x1 = np.concatenate([x1s[i] for i in picks[first:stop]])
+            weights = np.repeat(scales[first:stop], n)
+            if masks is None:
+                view = np.zeros_like(x1)
+            else:
+                hidden = np.concatenate(masks[first:stop])
+                view = np.where(hidden[:, None], 0.0, x1)
+                if config.masked_frames_only:
+                    weights = weights * hidden
+            local = global_rows = None
+            if kind == "global":
+                global_rows = np.repeat(globals_[first:stop], n, axis=0)
+            elif kind == "local":
+                local = np.concatenate([
+                    conds[i] if conds[i].shape[0] == f else upsample_features(conds[i], f)
+                    for i, f in zip(picks[first:stop], sizes[first:stop])
+                ])
+                if dropped is not None:
+                    local[np.repeat(dropped[first:stop], n)] = 0.0
+            cond = stack_condition(view, local, global_rows, config.fuse_local_features)
+            loss, grads = cfm_loss(
+                model,
+                noise[offsets[first] : offsets[stop]],
+                x1,
+                np.repeat(times[first:stop], n),
+                cond,
+                weights,
+            )
             batch_loss += loss
             if batch_grads is None:
                 batch_grads = grads
@@ -258,10 +315,10 @@ def train(
                 for (total_w, total_b), (dw, db) in zip(batch_grads, grads):
                     total_w += dw
                     total_b += db
-        if not np.isfinite(batch_loss):
+        if not math.isfinite(batch_loss):
             raise DivergenceDetected(
                 f"non-finite loss {batch_loss!r} at step {step}"
             )
-        model.apply_gradients(batch_grads, config.learning_rate)
+        model.apply_gradients(batch_grads, config.rate(step))
         trace.append(batch_loss)
     return trace

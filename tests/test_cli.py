@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from foagen.audio_io import (
 )
 from foagen.cleaning import ClipManifestEntry, write_manifest
 from foagen.cli import main
+from foagen.flow import MIXTURE_TRAIN, mixture_dataset, mixture_model, train
 from foagen.foa import MonoSignal, StereoSignal
 from foagen.panorama import make_fov_cuts, read_frame, write_frame
 
@@ -297,6 +299,27 @@ def test_fm_train_on_matrix_data(tmp_path, capsys):
     samples = read_matrix(tmp_path / "samples.fmat")
     assert samples.shape == (32, 2)
     assert np.allclose(samples.mean(axis=0), [float(kv["mean.0"]), float(kv["mean.1"])])
+
+
+def test_fm_train_fixture_keeps_every_recipe_field(tmp_path, capsys):
+    code, kv = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "300",
+        "--trace", tmp_path / "loss.tsv",
+    )
+    assert code == 0
+    got = [float(line.split("\t")[1]) for line in open(tmp_path / "loss.tsv")]
+    want = train(mixture_model(), mixture_dataset(), replace(MIXTURE_TRAIN, steps=300))
+    assert got == want  # bit for bit, so the learning-rate tail reached the run
+
+
+def test_fm_train_logit_normal_far_location(capsys):
+    # exp(-z) overflows for every draw at this location
+    code, kv = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "20",
+        "--time-sampler", "logit_normal", "--mu", "-1000",
+    )
+    assert code == 0
+    assert math.isfinite(float(kv["lead_loss"])) and math.isfinite(float(kv["trail_loss"]))
 
 
 def test_fm_train_source_is_exclusive(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ def test_time_sampler_validation():
 def test_uniform_time_mean():
     rng = np.random.default_rng(10)
     sampler = TimeSampler("uniform")
-    draws = np.array([sample_time(sampler, rng) for _ in range(100_000)])
+    draws = sample_time(sampler, rng, 100_000)
     assert abs(draws.mean() - 0.5) < 0.01
     assert draws.min() >= 0.0 and draws.max() <= 1.0
 
@@ -71,7 +73,7 @@ def test_uniform_time_mean():
 def test_logit_normal_median_and_open_interval():
     rng = np.random.default_rng(11)
     sampler = TimeSampler("logit_normal")
-    draws = np.array([sample_time(sampler, rng) for _ in range(100_000)])
+    draws = sample_time(sampler, rng, 100_000)
     assert abs(np.median(draws) - 0.5) < 0.01
     assert draws.min() > 0.0 and draws.max() < 1.0
 
@@ -79,8 +81,18 @@ def test_logit_normal_median_and_open_interval():
 def test_logit_normal_location_shift():
     rng = np.random.default_rng(12)
     low = TimeSampler("logit_normal", mu=-1.0)
-    draws = np.array([sample_time(low, rng) for _ in range(20_000)])
+    draws = sample_time(low, rng, 20_000)
     assert np.median(draws) < 0.4  # sigmoid(-1) ~ 0.27
+
+
+@pytest.mark.parametrize("mu", [-1000.0, 1000.0])
+def test_logit_normal_stays_inside_the_open_interval_at_extreme_locations(mu):
+    # exp overflows for mu = -1000 and the sigmoid rounds to 1 for mu = 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_time(TimeSampler("logit_normal", mu=mu), np.random.default_rng(13), 1000)
+    assert draws.shape == (1000,)
+    assert draws.min() > 0.0 and draws.max() < 1.0
 
 
 def test_interpolate_per_row_times():

@@ -148,20 +148,30 @@ def test_cond_dropout_changes_training():
 def _reference_train(model, dataset, config):
     """The per-draw loop: one forward and one backward pass per sample.
 
-    Draws are made in the same RNG order as ``train``; each draw's loss is
-    the mean squared velocity error over its selected frames, and its
-    gradients are scaled by 1/B and summed before the SGD update.
+    Draws are made in the same RNG order as ``train``: the batch's
+    indices, then the noise of all its frames, its times and its
+    dropout draws in one call each, then each draw's span count and mask.
+    Each draw's loss is the mean squared velocity error over its selected
+    frames, and its gradients are scaled by 1/B and summed before the SGD
+    update.
     """
     rng = np.random.default_rng(config.seed)
     trace = []
     for _ in range(config.steps):
         indices = rng.integers(0, len(dataset), size=config.batch_size)
-        batch_loss, batch_grads = 0.0, None
-        for index in indices:
+        rows = sum(dataset[int(index)][0].shape[0] for index in indices)
+        noise = rng.standard_normal((rows, dataset[0][0].shape[1]))
+        times = sample_time(config.time_sampler, rng, config.batch_size)
+        dropped = np.zeros(config.batch_size, dtype=bool)
+        if dataset[0][1] is not None and config.cond_dropout > 0.0:
+            dropped = rng.random(config.batch_size) < config.cond_dropout
+        batch_loss, batch_grads, row = 0.0, None, 0
+        for draw, index in enumerate(indices):
             x1, external = dataset[int(index)]
             frames = x1.shape[0]
-            x0 = rng.standard_normal(x1.shape)
-            t = sample_time(config.time_sampler, rng)
+            x0 = noise[row : row + frames]
+            row += frames
+            t = times[draw]
             if config.mask_spec is not None:
                 spec = config.mask_spec
                 if config.span_choices is not None:
@@ -172,7 +182,7 @@ def _reference_train(model, dataset, config):
             local = global_cond = None
             if external is not None:
                 arr = np.asarray(external, dtype=np.float64)
-                if config.cond_dropout > 0.0 and rng.random() < config.cond_dropout:
+                if dropped[draw]:
                     arr = np.zeros_like(arr)
                 if arr.ndim == 1:
                     global_cond = arr
@@ -256,8 +266,8 @@ def test_mixed_condition_widths_raise_shape_mismatch(externals):
     seq = np.zeros((4, 2))
     dataset = [(seq, external) for external in externals]
     model = VelocityModel.initialize(2, 2 + 2, (4,), np.random.default_rng(0))
-    # a batch of 8 draws over the two items holds both of them for this seed
-    cfg = TrainConfig(batch_size=8, steps=1, seed=0)
+    # every item is checked before the first step, whatever the batches draw
+    cfg = TrainConfig(batch_size=1, steps=1, seed=0)
     with pytest.raises(ShapeMismatch, match="different external conditions") as info:
         train(model, dataset, cfg)
     assert isinstance(info.value, FoagenError)
@@ -274,3 +284,57 @@ def test_train_validates_latents():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="x1 contains non-finite values"):
         train(model, [(bad, None)], cfg)
+
+
+def _nan_latent():
+    bad = np.zeros((3, 2))
+    bad[1, 0] = np.nan
+    return bad
+
+
+@pytest.mark.parametrize(
+    "item, error, message",
+    [
+        ((_nan_latent(), None), ValueError, "x1 contains non-finite values"),
+        ((np.zeros((3, 5)), None), ShapeMismatch,
+         r"x1 must be a non-empty \(frames, 2\) latent, got shape \(3, 5\)"),
+        ((np.zeros(3), None), ShapeMismatch,
+         r"x1 must be a non-empty \(frames, 2\) latent, got shape \(3,\)"),
+        ((np.zeros((3, 2)), np.zeros((3, 1, 1))), ShapeMismatch,
+         r"local features must be 2-D \(frames, channels\)"),
+    ],
+    ids=["nan-latent", "wrong-width", "not-2d", "3d-local-features"],
+)
+def test_items_never_drawn_are_still_checked(item, error, message):
+    good = [(np.zeros((3, 2)), None if item[1] is None else np.zeros((3, 1)))] * 8
+    dataset = good + [item]
+    cfg = TrainConfig(batch_size=2, steps=1, seed=0)
+    # the one step's indices, drawn first from the seed, leave the bad item out
+    drawn = np.random.default_rng(cfg.seed).integers(0, len(dataset), size=cfg.batch_size)
+    assert len(dataset) - 1 not in drawn
+    model = VelocityModel.initialize(2, 2 + (item[1] is not None), (4,), np.random.default_rng(0))
+    with pytest.raises(error, match=message):
+        train(model, dataset, cfg)
+
+
+def test_learning_rate_tail():
+    base = TrainConfig(learning_rate=0.02, batch_size=4, steps=40, seed=2)
+    assert [base.rate(step) for step in range(base.steps)] == [0.02] * base.steps
+    tail = TrainConfig(learning_rate=0.02, batch_size=4, steps=40, seed=2, lr_tail=0.5)
+    rates = [tail.rate(step) for step in range(tail.steps)]
+    # linear from the rate at step 20 (half the steps remaining) towards 0
+    assert rates[:21] == [0.02] * 21
+    assert all(b < a for a, b in zip(rates[20:], rates[21:]))
+    assert min(rates) > 0.0 and rates[-1] == pytest.approx(0.02 / 20)
+
+    def run(config):
+        model = VelocityModel.initialize(2, 2, (6,), np.random.default_rng(1))
+        return train(model, _point_mass_dataset([1.0, -1.0]), config)
+
+    # a tail moves only the losses after its first reduced update (step 21)
+    plain, tailed = run(base), run(tail)
+    assert plain[:22] == tailed[:22]
+    assert plain[22] != tailed[22]
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="lr_tail"):
+            TrainConfig(lr_tail=bad)
