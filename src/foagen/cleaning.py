@@ -102,19 +102,13 @@ class ClipManifestEntry:
 
 # --- windowed level analysis --------------------------------------------------
 
-def window_dbfs(
-    samples,
-    window_ms: float,
-    sample_rate: int,
-    hop_ms: float | None = None,
-) -> np.ndarray:
+def window_dbfs(samples, window_ms: float, sample_rate: int) -> np.ndarray:
     """Peak level per analysis window, in dBFS.
 
     ``samples`` is (n,) or (channels, n); the peak is taken across
-    channels and samples inside each window. Windows are complete only
-    (a trailing partial window is dropped) and tile the signal without
-    overlap unless ``hop_ms`` says otherwise. An all-zero window yields
-    -inf.
+    channels and samples inside each window. Windows tile the signal
+    without overlap and are complete only (a trailing partial window is
+    dropped). An all-zero window yields -inf.
 
     Raises:
         EmptySignal: when not even one complete window fits.
@@ -129,16 +123,12 @@ def window_dbfs(
         raise ValueError(
             f"window of {window_ms} ms at {sample_rate} Hz holds no samples"
         )
-    hop = window if hop_ms is None else int(round(hop_ms * sample_rate / 1000.0))
-    if hop < 1:
-        raise ValueError(f"hop of {hop_ms} ms at {sample_rate} Hz holds no samples")
-    n = arr.shape[1]
-    if n < window:
+    channels, n = arr.shape
+    count = n // window
+    if count == 0:
         raise EmptySignal(f"{n} samples cannot fill a {window}-sample window")
-    peaks = []
-    for start in range(0, n - window + 1, hop):
-        peaks.append(float(np.max(np.abs(arr[:, start : start + window]))))
-    peaks = np.asarray(peaks)
+    windows = arr[:, : count * window].reshape(channels, count, window)
+    peaks = np.abs(windows).max(axis=(0, 2))
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(peaks)
 

@@ -23,15 +23,12 @@ def _as_feature_seq(features, name: str = "features") -> np.ndarray:
     return arr
 
 
-def upsample_features(
-    features, target_len: int, mode: str = "nearest"
-) -> np.ndarray:
+def upsample_features(features, target_len: int) -> np.ndarray:
     """Stretch an (F, C) feature sequence to ``target_len`` frames.
 
-    Nearest-neighbor mode maps output frame i to input frame
-    floor(i * F / target_len), which preserves the first and last frames
-    and repeats each input frame a near-equal number of times. Linear
-    mode interpolates between endpoint-aligned frame positions.
+    Output frame i is input frame floor(i * F / target_len), its nearest
+    neighbour, which preserves the first and last frames and repeats each
+    input frame a near-equal number of times.
 
     Raises:
         ShrinkNotSupported: when ``target_len`` is shorter than the input.
@@ -44,19 +41,8 @@ def upsample_features(
             f"cannot shrink {frames} frames to {target_len}; "
             "this op only stretches"
         )
-    if mode == "nearest":
-        indices = (np.arange(target_len) * frames) // target_len
-        return arr[indices]
-    if mode == "linear":
-        if frames == 1:
-            return np.repeat(arr, target_len, axis=0)
-        positions = np.arange(target_len) * (frames - 1) / (target_len - 1)
-        sources = np.arange(frames, dtype=np.float64)
-        return np.stack(
-            [np.interp(positions, sources, arr[:, c]) for c in range(arr.shape[1])],
-            axis=1,
-        )
-    raise ValueError(f"unknown upsample mode {mode!r}")
+    indices = (np.arange(target_len) * frames) // target_len
+    return arr[indices]
 
 
 def fuse_local(features_up, latent) -> np.ndarray:

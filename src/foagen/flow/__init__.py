@@ -2,13 +2,7 @@
 
 from .path import TimeSampler, interpolate, sample_time, velocity_target
 from .masking import MaskSpec, MaskedLatent, make_mask, max_spans, random_mask_spec
-from .network import (
-    VelocityModel,
-    build_condition,
-    load_model,
-    null_condition,
-    save_model,
-)
+from .network import VelocityModel, build_condition, load_model, save_model
 from .training import TrainConfig, cfm_loss, train
 from .sampling import CfgSpec, cfg_velocity, euler_sample
 from .fixtures import (
@@ -43,7 +37,6 @@ __all__ = [
     "mixture_condition",
     "mixture_dataset",
     "mixture_model",
-    "null_condition",
     "random_mask_spec",
     "sample_mixture",
     "sample_time",

@@ -23,7 +23,6 @@ import numpy as np
 from .. import container
 from ..errors import CorruptHeader, ShapeMismatch
 from ..conditioning import fuse_local, upsample_features
-from .masking import MaskedLatent
 
 CHECKPOINT_MAGIC = b"FGVM0001"
 
@@ -93,20 +92,19 @@ class VelocityModel:
                 f"path point must be (frames, {self.latent_dim}), got {x.shape}"
             )
         frames = x.shape[0]
-        if self.cond_dim == 0:
-            if cond is not None and np.asarray(cond).size:
+        if cond is None:  # the unconditional branch
+            cond_block = np.zeros((frames, self.cond_dim))
+        elif self.cond_dim == 0:
+            if np.asarray(cond).size:
                 raise ShapeMismatch("model takes no condition channels")
             cond_block = np.zeros((frames, 0))
         else:
-            if cond is None:
-                cond_block = np.zeros((frames, self.cond_dim))
-            else:
-                cond_block = np.asarray(cond, dtype=np.float64)
-                if cond_block.shape != (frames, self.cond_dim):
-                    raise ShapeMismatch(
-                        f"condition must be ({frames}, {self.cond_dim}), "
-                        f"got {cond_block.shape}"
-                    )
+            cond_block = np.asarray(cond, dtype=np.float64)
+            if cond_block.shape != (frames, self.cond_dim):
+                raise ShapeMismatch(
+                    f"condition must be ({frames}, {self.cond_dim}), "
+                    f"got {cond_block.shape}"
+                )
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
             t_column = np.full((frames, 1), float(t))
@@ -122,7 +120,10 @@ class VelocityModel:
         """Velocity for each frame; deterministic in its inputs.
 
         ``t`` is a scalar time shared by every frame, or a (frames,)
-        vector holding each row's own time.
+        vector holding each row's own time. ``cond`` None is the
+        unconditional branch: every condition channel reads zero, which is
+        what fully masked training draws without external features (or with
+        them dropped) show the model.
         """
         out, _ = self.forward_cached(t, cond, x)
         return out
@@ -168,36 +169,26 @@ class VelocityModel:
 
 
 def build_condition(
-    masked: MaskedLatent,
+    view: np.ndarray,
     local: np.ndarray | None = None,
     global_cond: np.ndarray | None = None,
     fuse_local_features: bool = False,
 ) -> np.ndarray:
     """Assemble per-frame condition channels for the velocity model.
 
-    The masked-latent view (hidden frames zeroed) always forms the first
-    block. Local features are stretched to the latent frame count and
-    either fused into the view by addition (when widths already match and
-    ``fuse_local_features`` is set) or appended as extra channels. The
-    global condition is appended last: a vector is tiled over frames, and
-    a (frames, channels) block gives each row its own global channels,
-    which is how a stack of several sequences carries one vector each.
-    """
-    return stack_condition(
-        masked.condition_view(), local, global_cond, fuse_local_features
-    )
+    ``view`` is the latent with its hidden frames zeroed, such as
+    ``MaskedLatent.condition_view()``, and forms the first block; a
+    fully hidden latent gives an all-zero view. Local features are
+    stretched to the latent frame count and either fused into the view by
+    addition (when widths already match and ``fuse_local_features`` is
+    set) or appended as extra channels. The global condition is appended
+    last: a vector is tiled over frames, and a (frames, channels) block
+    gives each row its own global channels, which is how a stack of
+    several sequences carries one vector each.
 
-
-def stack_condition(
-    view: np.ndarray,
-    local: np.ndarray | None = None,
-    global_cond: np.ndarray | None = None,
-    fuse_local_features: bool = False,
-) -> np.ndarray:
-    """:func:`build_condition` from a latent view whose hidden frames are already zeroed.
-
-    Training builds that view from latents it checked once up front, so it
-    calls this directly rather than re-checking them through a MaskedLatent.
+    The unconditional branch is not built here: it is
+    ``VelocityModel.forward(t, None, x)``, which sees every condition
+    channel as zero.
     """
     frames = view.shape[0]
     blocks = []
@@ -222,15 +213,6 @@ def stack_condition(
             )
         blocks.append(block)
     return np.concatenate([view, *blocks], axis=1)
-
-
-def null_condition(frames: int, cond_dim: int) -> np.ndarray:
-    """The unconditional branch: every condition channel zeroed.
-
-    Matches what the model sees on fully masked training draws with
-    absent external features.
-    """
-    return np.zeros((int(frames), int(cond_dim)))
 
 
 def save_model(model: VelocityModel, path) -> None:

@@ -2,9 +2,9 @@
 
 Sampling integrates the learned velocity field from noise at t = 0 to
 data at t = 1 with fixed-step Euler updates. Guidance blends two model
-evaluations: one with the condition channels populated and one with the
-unconditional (all-zero) condition, which is exactly what fully masked
-training draws taught the model.
+evaluations: one with the condition channels populated and one with
+``cond=None``, the model's unconditional branch whose channels read zero,
+which is exactly what fully masked training draws taught the model.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from .masking import MaskedLatent
-from .network import VelocityModel, build_condition, null_condition
+from .network import VelocityModel, build_condition
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,12 @@ def euler_sample(
 
     The state starts from ``start`` when given, otherwise from standard
     normal noise drawn with ``rng``. Updates are x += (1/steps) * v
-    evaluated at t = k/steps for k = 0 .. steps-1. When no masked
-    condition is supplied the model is conditioned on an entirely hidden
-    latent (all condition channels zero).
+    evaluated at t = k/steps for k = 0 .. steps-1. The condition
+    channels come from :func:`build_condition` over the masked latent's
+    view; external features without a masked condition get an all-zero
+    view (an entirely hidden latent). With no condition at all, and for
+    the unguided half of every guided step, the model is called with
+    ``cond=None``, its unconditional branch.
 
     Returns the final (frames, latent_dim) state.
     """
@@ -96,19 +99,15 @@ def euler_sample(
         raise ShapeMismatch(
             f"condition covers {masked_cond.n_frames} frames, state has {n_frames}"
         )
-    if masked_cond is None and (local is not None or global_cond is not None):
-        # External features without an infill condition: condition on a
-        # fully hidden latent of the right width.
-        masked_cond = MaskedLatent(
-            np.zeros((n_frames, model.latent_dim)), np.ones(n_frames, dtype=bool)
-        )
-    if masked_cond is not None:
-        cond_matrix = build_condition(
-            masked_cond, local, global_cond, fuse_local_features
-        )
-    else:
-        cond_matrix = null_condition(n_frames, model.cond_dim)
-    uncond_matrix = null_condition(n_frames, model.cond_dim)
+    cond_matrix = None
+    if masked_cond is not None or local is not None or global_cond is not None:
+        # External features without an infill condition see a fully hidden
+        # latent, whose view is all zero.
+        if masked_cond is None:
+            view = np.zeros((n_frames, model.latent_dim))
+        else:
+            view = masked_cond.condition_view()
+        cond_matrix = build_condition(view, local, global_cond, fuse_local_features)
 
     step_size = 1.0 / steps
     needs_uncond = cfg.scale != 1.0
@@ -116,7 +115,7 @@ def euler_sample(
         t = k / steps
         v_cond = model.forward(t, cond_matrix, x)
         if needs_uncond:
-            v_uncond = model.forward(t, uncond_matrix, x)
+            v_uncond = model.forward(t, None, x)
             v = cfg_velocity(v_cond, v_uncond, cfg)
         else:
             v = v_cond

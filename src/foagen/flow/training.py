@@ -7,9 +7,10 @@ or over all frames during conditional fine-tuning, and averaged over the
 batch.
 
 :func:`train` checks and converts the whole dataset once, before the
-first step: every item's float64 latent, its shape and finiteness, and
-the kind and width of its external condition, so a bad item fails the
-run even if no batch would ever draw it. A step then draws its
+first step: every item's float64 latent, its shape and finiteness, the
+kind and width of its external condition, and that local features are
+finite and no longer than their latent, so a bad item fails the run
+even if no batch would ever draw it. A step then draws its
 randomness in whole arrays, in this order, which fixes the RNG stream:
 
 1. ``integers(B)``: the batch's item indices;
@@ -51,7 +52,7 @@ import numpy as np
 from ..conditioning import upsample_features
 from ..errors import DivergenceDetected, NoMaskedFrames, ShapeMismatch
 from .masking import MaskSpec, make_mask, random_mask_spec
-from .network import VelocityModel, stack_condition
+from .network import VelocityModel, build_condition
 from .path import TimeSampler, _check_pair, _check_time, sample_time
 
 # Most rows one frame table may hold; see the module docstring.
@@ -163,7 +164,9 @@ def _check_dataset(dataset, latent_dim: int):
     Raises:
         ShapeMismatch: when a latent is not (frames, latent_dim), local
             features are not 2-D, or items carry different external conditions.
-        ValueError: when the dataset is empty or a latent is not finite.
+        ShrinkNotSupported: when local features have more rows than their latent.
+        ValueError: when the dataset is empty, or a latent or local
+            features are empty or not finite.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -194,6 +197,8 @@ def _check_dataset(dataset, latent_dim: int):
                 "dataset items carry different external conditions: "
                 f"{layout} and {item_layout}"
             )
+        if item_layout[0] == "local":
+            upsample_features(external, x1.shape[0])  # raises what a draw would
         x1s.append(x1)
         conds.append(external)
     frames = np.array([x1.shape[0] for x1 in x1s])
@@ -247,7 +252,9 @@ def train(
         DivergenceDetected: as soon as a batch loss is non-finite.
         ShapeMismatch: when a latent is not (frames, model.latent_dim),
             or the items carry different external conditions.
-        ValueError: when the dataset is empty or a latent is not finite.
+        ShrinkNotSupported: when local features have more rows than their latent.
+        ValueError: when the dataset is empty, or a latent or local
+            features are empty or not finite.
     """
     x1s, frames, kind, conds = _check_dataset(dataset, model.latent_dim)
     dims = model.latent_dim
@@ -299,7 +306,7 @@ def train(
                 ])
                 if dropped is not None:
                     local[np.repeat(dropped[first:stop], n)] = 0.0
-            cond = stack_condition(view, local, global_rows, config.fuse_local_features)
+            cond = build_condition(view, local, global_rows, config.fuse_local_features)
             loss, grads = cfm_loss(
                 model,
                 noise[offsets[first] : offsets[stop]],

@@ -135,8 +135,9 @@ def test_write_wav_spec_mismatch(tmp_path):
         write_wav(signal, tmp_path / "x.wav", WavSpec(1, 8000))
 
 
-def _wav_bytes(format_tag=1, channels=1, rate=8000, bits=16, data=b"\x00\x00"):
-    block = channels * bits // 8
+def _wav_bytes(format_tag=1, channels=1, rate=8000, bits=16, data=b"\x00\x00", block=None):
+    if block is None:
+        block = channels * bits // 8
     fmt = struct.pack("<HHIIHH", format_tag, channels, rate, rate * block, block, bits)
     body = b"WAVE"
     for fourcc, chunk in ((b"fmt ", fmt), (b"data", data)):
@@ -154,6 +155,7 @@ def test_read_wav_error_paths(tmp_path):
         (_wav_bytes(channels=3, data=b"\x00" * 6), ChannelCountUnsupported),
         (_wav_bytes(data=b""), CorruptHeader),  # no complete frame
         (_wav_bytes(rate=0), CorruptHeader),
+        (_wav_bytes(block=4), CorruptHeader),  # block align disagrees with 2-byte frames
         (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<ff", 0.5, math.nan)), ParseError),
         (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<f", -math.inf)), ParseError),
     ]

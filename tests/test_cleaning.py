@@ -51,11 +51,21 @@ def test_window_dbfs_peak_spans_channels():
 
 
 def test_window_dbfs_hop_and_trailing_window():
-    signal = np.ones(100)
-    # hop 10 ms = 10 samples: starts 0, 10, ..., 80
-    assert window_dbfs(signal, 20.0, RATE, hop_ms=10.0).shape == (9,)
+    # 20 ms = 20 samples: windows tile the signal, starting 0, 20, ..., 80
+    assert window_dbfs(np.ones(100), 20.0, RATE).shape == (5,)
     # 30 samples fit a single complete 20-sample window
     assert window_dbfs(np.ones(30), 20.0, RATE).shape == (1,)
+
+
+def test_window_dbfs_matches_per_window_loop():
+    rng = np.random.default_rng(4)
+    for channels, n in [(1, 20), (1, 59), (2, 100), (4, 997)]:
+        signal = rng.standard_normal((n, channels)).T  # (channels, n), not contiguous
+        signal[:, :20] = 0.0  # an all-zero first window reads -inf
+        peaks = [np.abs(signal[:, s : s + 20]).max() for s in range(0, n - 19, 20)]
+        with np.errstate(divide="ignore"):
+            want = 20.0 * np.log10(peaks)
+        assert np.array_equal(window_dbfs(signal, 20.0, RATE), want)
 
 
 def test_window_dbfs_validation():

@@ -312,6 +312,21 @@ def test_fm_train_fixture_keeps_every_recipe_field(tmp_path, capsys):
     assert got == want  # bit for bit, so the learning-rate tail reached the run
 
 
+def test_fm_sample_without_a_class_on_a_conditioned_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "m.fgvm"
+    code, _ = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "50", "--save", ckpt
+    )
+    assert code == 0
+    code, kv = run_cli(
+        capsys, "fm-sample", "--model", ckpt, "--frames", "16", "--steps", "8",
+        "--out", tmp_path / "samples.fmat",
+    )
+    assert code == 0, kv.get("error")
+    samples = read_matrix(tmp_path / "samples.fmat")
+    assert samples.shape == (16, 2) and np.isfinite(samples).all()
+
+
 def test_fm_train_logit_normal_far_location(capsys):
     # exp(-z) overflows for every draw at this location
     code, kv = run_cli(

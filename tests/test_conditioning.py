@@ -37,13 +37,6 @@ def test_upsample_monotone_and_endpoint_preserving():
         np.testing.assert_array_equal(up[-1], f[-1])
 
 
-def test_upsample_linear_mode():
-    f = np.array([[0.0], [2.0]])
-    up = upsample_features(f, 3, mode="linear")
-    assert up.shape == (3, 1)
-    np.testing.assert_allclose(up.ravel(), [0.0, 1.0, 2.0])
-
-
 def test_pool_commutes_with_upsampling():
     # repetition cannot introduce new maxima
     rng = np.random.default_rng(2)

@@ -8,7 +8,6 @@ from foagen.flow import (
     build_condition,
     cfm_loss,
     load_model,
-    null_condition,
     save_model,
 )
 
@@ -88,16 +87,16 @@ def test_forward_with_per_row_times_matches_per_draw_calls():
 
 
 def test_build_condition_per_row_global_block():
-    masked = MaskedLatent(np.zeros((3, 2)), np.ones(3, dtype=bool))
+    view = np.zeros((3, 2))
     g = np.array([0.5, -0.5])
     np.testing.assert_array_equal(
-        build_condition(masked, global_cond=np.tile(g, (3, 1))),
-        build_condition(masked, global_cond=g),
+        build_condition(view, global_cond=np.tile(g, (3, 1))),
+        build_condition(view, global_cond=g),
     )
     with pytest.raises(ShapeMismatch):
-        build_condition(masked, global_cond=np.ones((2, 2)))
+        build_condition(view, global_cond=np.ones((2, 2)))
     with pytest.raises(ShapeMismatch):
-        build_condition(masked, global_cond=np.ones(0))
+        build_condition(view, global_cond=np.ones(0))
 
 
 def test_gradients_match_finite_differences():
@@ -147,34 +146,26 @@ def test_apply_gradients_descends():
 def test_build_condition_layouts():
     latent = np.arange(6, dtype=float).reshape(3, 2)
     masked = MaskedLatent(latent, np.array([True, False, True]))
-    cond = build_condition(masked)
+    cond = build_condition(masked.condition_view())
     assert cond.shape == (3, 2)
     np.testing.assert_array_equal(cond[1], latent[1])
     np.testing.assert_array_equal(cond[0], 0.0)
 
     g = np.array([0.5, -0.5])
-    cond = build_condition(masked, global_cond=g)
+    cond = build_condition(masked.condition_view(), global_cond=g)
     assert cond.shape == (3, 4)
     np.testing.assert_array_equal(cond[:, 2:], np.tile(g, (3, 1)))
 
     local = np.array([[1.0], [2.0], [3.0]])
-    cond = build_condition(masked, local=local)
+    cond = build_condition(masked.condition_view(), local=local)
     assert cond.shape == (3, 3)
     np.testing.assert_array_equal(cond[:, 2], [1.0, 2.0, 3.0])
 
 
 def test_build_condition_upsamples_short_local():
-    latent = np.zeros((6, 2))
-    masked = MaskedLatent(latent, np.ones(6, dtype=bool))
     local = np.array([[1.0], [2.0], [3.0]])
-    cond = build_condition(masked, local=local)
+    cond = build_condition(np.zeros((6, 2)), local=local)
     np.testing.assert_array_equal(cond[:, 2], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
-
-
-def test_null_condition():
-    nc = null_condition(4, 3)
-    assert nc.shape == (4, 3)
-    assert not nc.any()
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -229,7 +220,7 @@ def test_cfm_loss_zero_at_oracle():
     w_out = np.zeros((4, latent))
     model = VelocityModel(latent, latent, [w_in, w_out], [np.zeros(4), np.zeros(latent)])
     weights = np.full(3, 1.0 / (3 * latent))
-    loss, grads = cfm_loss(model, x0, x1, t, build_condition(masked), weights)
+    loss, grads = cfm_loss(model, x0, x1, t, build_condition(masked.condition_view()), weights)
     # zero model on mean(x1^2)-style target: loss equals mean over frames/dims of u^2
     assert loss == pytest.approx(float(np.mean(np.sum(x1**2, axis=1) / latent)))
     assert len(grads) == 2
@@ -242,11 +233,11 @@ def test_cfm_loss_masked_frames_only():
     model = VelocityModel.initialize(2, 2, (4,), rng)
     mask = np.array([True, True, False, False])
     masked = MaskedLatent(x1, mask)
-    cond = build_condition(masked)
+    cond = build_condition(masked.condition_view())
     # one draw's weights: 1 / (selected terms) on the frames the loss covers
     loss_masked, _ = cfm_loss(model, x0, x1, 0.3, cond, mask / (mask.sum() * 2))
 
-    out = model.forward(0.3, build_condition(masked), 0.3 * x1 + 0.7 * x0)
+    out = model.forward(0.3, build_condition(masked.condition_view()), 0.3 * x1 + 0.7 * x0)
     diff = out - (x1 - x0)
     per_frame = np.sum(diff**2, axis=1) / 2
     assert loss_masked == pytest.approx(float(per_frame[mask].mean()))
@@ -260,4 +251,4 @@ def test_cfm_loss_requires_masked_frames():
     masked = MaskedLatent(x, np.zeros(3, dtype=bool))
     model = VelocityModel.initialize(2, 2, (4,), np.random.default_rng(10))
     with pytest.raises(NoMaskedFrames):
-        cfm_loss(model, x, x, 0.5, build_condition(masked), masked.mask / 6.0)
+        cfm_loss(model, x, x, 0.5, build_condition(masked.condition_view()), masked.mask / 6.0)

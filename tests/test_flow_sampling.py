@@ -142,18 +142,30 @@ def test_guided_sampling_matches_manual_blend():
         model, 2, CfgSpec(scale), global_cond=g, start=start.copy()
     )
 
-    from foagen.flow import build_condition, null_condition
+    from foagen.flow import build_condition
 
-    hidden = MaskedLatent(np.zeros((3, 2)), np.ones(3, dtype=bool))
-    cond = build_condition(hidden, None, g, False)
-    uncond = null_condition(3, model.cond_dim)
+    cond = build_condition(np.zeros((3, 2)), None, g, False)
     x = start.copy()
     for k in range(2):
         t = k / 2
-        v = uncond_v = model.forward(t, uncond, x)
+        uncond_v = model.forward(t, None, x)
         cond_v = model.forward(t, cond, x)
         v = uncond_v + scale * (cond_v - uncond_v)
         x = x + 0.5 * v
+    np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 5.0])
+def test_unconditioned_sampling_on_a_conditioned_model(scale):
+    """No condition at all feeds every condition channel zero, guided or not."""
+    model = VelocityModel.initialize(2, 6, (5,), np.random.default_rng(11))
+    start = np.random.default_rng(12).standard_normal((5, 2))
+    got = euler_sample(model, 3, CfgSpec(scale), start=start.copy())
+
+    zeros = np.zeros((5, model.cond_dim))
+    x = start.copy()
+    for k in range(3):
+        x = x + (1 / 3) * model.forward(k / 3, zeros, x)
     np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foagen.errors import DivergenceDetected, FoagenError, ShapeMismatch
+from foagen.errors import DivergenceDetected, FoagenError, ShapeMismatch, ShrinkNotSupported
 from foagen.flow import (
     MaskSpec,
     MaskedLatent,
@@ -189,7 +189,8 @@ def _reference_train(model, dataset, config):
                 else:
                     local = arr
             cond = build_condition(
-                MaskedLatent(x1, mask), local, global_cond, config.fuse_local_features
+                MaskedLatent(x1, mask).condition_view(), local, global_cond,
+                config.fuse_local_features,
             )
             predicted, cache = model.forward_cached(t, cond, t * x1 + (1.0 - t) * x0)
             residual = predicted - (x1 - x0)
@@ -292,6 +293,12 @@ def _nan_latent():
     return bad
 
 
+def _nan_local(rows):
+    bad = np.zeros((rows, 1))
+    bad[-1, 0] = np.nan
+    return bad
+
+
 @pytest.mark.parametrize(
     "item, error, message",
     [
@@ -302,8 +309,13 @@ def _nan_latent():
          r"x1 must be a non-empty \(frames, 2\) latent, got shape \(3,\)"),
         ((np.zeros((3, 2)), np.zeros((3, 1, 1))), ShapeMismatch,
          r"local features must be 2-D \(frames, channels\)"),
+        ((np.zeros((3, 2)), _nan_local(3)), ValueError, "features contains non-finite values"),
+        ((np.zeros((3, 2)), _nan_local(2)), ValueError, "features contains non-finite values"),
+        ((np.zeros((3, 2)), np.zeros((4, 1))), ShrinkNotSupported,
+         "cannot shrink 4 frames to 3"),
     ],
-    ids=["nan-latent", "wrong-width", "not-2d", "3d-local-features"],
+    ids=["nan-latent", "wrong-width", "not-2d", "3d-local-features",
+         "nan-local-features", "nan-short-local-features", "long-local-features"],
 )
 def test_items_never_drawn_are_still_checked(item, error, message):
     good = [(np.zeros((3, 2)), None if item[1] is None else np.zeros((3, 1)))] * 8

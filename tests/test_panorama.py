@@ -221,7 +221,16 @@ def test_corrupt_frame_files(tmp_path):
     with pytest.raises(UnsupportedFormat):
         read_frame(garbage)
 
-    bad_pnm = tmp_path / "bad.pgm"
-    bad_pnm.write_bytes(b"P5\n4 3\n255\n\x00\x00")  # pixel data cut short
-    with pytest.raises(CorruptHeader):
-        read_frame(bad_pnm)
+    for k, blob in enumerate([
+        b"P5\n4 3\n255\n\x00\x00",  # pixel data cut short
+        b"P5\n4 3\n# no end of line",  # unterminated comment
+        b"P5\n0 3\n255\n",  # no columns
+    ]):
+        bad_pnm = tmp_path / f"bad{k}.pgm"
+        bad_pnm.write_bytes(blob)
+        with pytest.raises(CorruptHeader):
+            read_frame(bad_pnm)
+
+    commented = tmp_path / "commented.pgm"
+    commented.write_bytes(b"P5\n# written by hand\n2 1 # width height\n255\n\x00\xff")
+    np.testing.assert_array_equal(read_frame(commented), [[[0.0], [1.0]]])
