@@ -70,9 +70,16 @@ def signal_from_channels(channels: np.ndarray, sample_rate: int):
 def pcm16_encode(samples: np.ndarray) -> np.ndarray:
     """Float samples to int16 codes: scale by 32768, round half away
     from zero, saturate at the int16 limits."""
-    scaled = np.asarray(samples, dtype=np.float64) * 32768.0
-    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-    return np.clip(rounded, -32768, 32767).astype("<i2")
+    codes = np.array(samples, dtype=np.float64, order="C")
+    codes *= 32768.0
+    # copysign(floor(|x| + 0.5), x) in place: negate where the sign bit was set
+    negative = np.signbit(codes)
+    np.abs(codes, out=codes)
+    codes += 0.5
+    np.floor(codes, out=codes)
+    np.negative(codes, out=codes, where=negative)
+    np.clip(codes, -32768, 32767, out=codes)
+    return codes.astype("<i2")
 
 
 def pcm16_decode(codes: np.ndarray) -> np.ndarray:
@@ -223,7 +230,8 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
         payload_arr = _float32_encode(matrix.T)
         bits = 32
         format_tag = _WAVE_FORMAT_IEEE_FLOAT
-    payload = np.ascontiguousarray(payload_arr).tobytes()
+    # The data chunk's bytes as a flat uint8 view, written without a copy.
+    payload = np.ascontiguousarray(payload_arr).reshape(-1).view(np.uint8)
 
     block_align = spec.channels * bits // 8
     byte_rate = spec.sample_rate * block_align
@@ -237,14 +245,15 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
         chunks.append((b"fact", struct.pack("<I", matrix.shape[1])))
     chunks.append((b"data", payload))
 
-    body = b"WAVE"
-    for fourcc, chunk in chunks:
-        body += fourcc + struct.pack("<I", len(chunk)) + chunk
-        if len(chunk) & 1:
-            body += b"\x00"
+    riff_size = 4 + sum(8 + len(chunk) + (len(chunk) & 1) for _, chunk in chunks)
     try:
         with open(path, "wb") as fh:
-            fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+            fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
+            for fourcc, chunk in chunks:
+                fh.write(fourcc + struct.pack("<I", len(chunk)))
+                fh.write(chunk)
+                if len(chunk) & 1:
+                    fh.write(b"\x00")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

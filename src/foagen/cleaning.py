@@ -333,7 +333,8 @@ def _evaluate_entry(
 
     Every frame the pattern matches is checked, so one unreadable frame
     anywhere skips the stationarity filter, but only frames 0, k, 2k, ...
-    (k = ``frame_interval``), the ones the verdict compares, are decoded.
+    (k = ``frame_interval``), the ones the verdict compares, are decoded;
+    the others are checked from their header and file length alone.
     """
     def resolve(path: str) -> str:
         if base_dir is not None and not os.path.isabs(path):
@@ -347,8 +348,8 @@ def _evaluate_entry(
         frame_paths = sorted(glob.glob(resolve(entry.frames_pattern)))
         interval = thresholds.frame_interval
         try:
-            # check_frame validates a frame the verdict never compares and
-            # leaves None in its place.
+            # check_frame checks the header and length of a frame the
+            # verdict never compares and leaves None in its place.
             frames = [
                 read_frame(p) if i % interval == 0 else check_frame(p)
                 for i, p in enumerate(frame_paths)

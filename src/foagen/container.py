@@ -45,30 +45,37 @@ def write(path, magic: bytes, header_fmt: str, header, arrays) -> None:
 
 
 class Reader:
-    """Cursor over one container's bytes, past its checked magic."""
+    """Cursor over one container's bytes, past its checked magic.
 
-    def __init__(self, blob: bytes, magic: bytes):
+    ``size`` is the length of the whole file when ``blob`` holds only its
+    leading bytes; then only the header fields inside ``blob`` can be
+    unpacked, and :meth:`take` and :meth:`end` still check against the
+    file's length.
+    """
+
+    def __init__(self, blob: bytes, magic: bytes, size: int | None = None):
         if not blob.startswith(magic):
             raise CorruptHeader(f"bad magic; expected {magic!r}")
         self._blob = blob
+        self._size = len(blob) if size is None else size
         self._pos = len(magic)
 
-    def _take(self, size: int) -> int:
+    def take(self, size: int) -> int:
         """Offset of the next ``size`` bytes, which must all be present."""
         start = self._pos
-        if size > len(self._blob) - start:
+        if size > self._size - start:
             raise CorruptHeader(f"container truncated at offset {start}")
         self._pos += size
         return start
 
     def ints(self, fmt: str) -> tuple[int, ...]:
         """The next header fields."""
-        return struct.unpack_from(fmt, self._blob, self._take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self._blob, self.take(struct.calcsize(fmt)))
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next ``<f8`` array of ``shape``, as a read-only view of the bytes."""
         count = math.prod(shape)
-        data = np.frombuffer(self._blob, "<f8", count, self._take(8 * count))
+        data = np.frombuffer(self._blob, "<f8", count, self.take(8 * count))
         try:
             return data.reshape(shape)
         except ValueError as exc:
@@ -80,5 +87,5 @@ class Reader:
 
     def end(self) -> None:
         """Check that nothing follows the last array."""
-        if self._pos != len(self._blob):
-            raise CorruptHeader(f"{len(self._blob) - self._pos} bytes follow the last array")
+        if self._pos != self._size:
+            raise CorruptHeader(f"{self._size - self._pos} bytes follow the last array")

@@ -72,7 +72,8 @@ def euler_sample(
     view; external features without a masked condition get an all-zero
     view (an entirely hidden latent). With no condition at all, and for
     the unguided half of every guided step, the model is called with
-    ``cond=None``, its unconditional branch.
+    ``cond=None``, its unconditional branch; with no condition, guidance
+    has nothing to blend, so each step makes one call at any scale.
 
     Returns the final (frames, latent_dim) state.
     """
@@ -110,7 +111,9 @@ def euler_sample(
         cond_matrix = build_condition(view, local, global_cond, fuse_local_features)
 
     step_size = 1.0 / steps
-    needs_uncond = cfg.scale != 1.0
+    # With no condition both halves of a guided step would be the same
+    # forward(t, None, x), and v + s * (v - v) = v for finite v.
+    needs_uncond = cfg.scale != 1.0 and cond_matrix is not None
     for k in range(steps):
         t = k / steps
         v_cond = model.forward(t, cond_matrix, x)

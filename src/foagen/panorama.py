@@ -16,6 +16,8 @@ in [-pi/2, pi/2] increasing upward.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,25 +110,45 @@ def _bilinear_wrap_clamp(erp: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.nd
     """Bilinear sample at area coordinates (u, v); horizontal wrap,
     vertical clamp.
 
-    Uses the nested-lerp form so sampling a constant image returns the
-    constant exactly.
+    Each channel is gathered with ``take`` from the flat interleaved
+    (height * width * channels) buffer at four corner indices, and the
+    lerps run in place on 1-D arrays. They keep the nested-lerp form,
+    so sampling a constant image returns the constant exactly.
     """
-    height, width = erp.shape[0], erp.shape[1]
-    x = u - 0.5
-    y = v - 0.5
+    height, width, channels = erp.shape
+    flat = np.ravel(erp)  # a C-order copy only for a non-contiguous view
+    x = (u - 0.5).ravel()
+    y = (v - 0.5).ravel()
     j0 = np.floor(x).astype(np.int64)
     i0 = np.floor(y).astype(np.int64)
-    fx = (x - j0)[..., None]
-    fy = (y - i0)[..., None]
-    j0w = j0 % width
-    j1w = (j0 + 1) % width
-    i0c = np.clip(i0, 0, height - 1)
-    i1c = np.clip(i0 + 1, 0, height - 1)
-    top = erp[i0c, j0w]
-    top = top + fx * (erp[i0c, j1w] - top)
-    bottom = erp[i1c, j0w]
-    bottom = bottom + fx * (erp[i1c, j1w] - bottom)
-    return top + fy * (bottom - top)
+    fx = x - j0
+    fy = y - i0
+    col0 = (j0 % width) * channels
+    col1 = ((j0 + 1) % width) * channels
+    row0 = np.clip(i0, 0, height - 1) * (width * channels)
+    row1 = np.clip(i0 + 1, 0, height - 1) * (width * channels)
+    i00, i01, i10, i11 = row0 + col0, row0 + col1, row1 + col0, row1 + col1
+
+    out = np.empty((x.size, channels))
+    top, bottom, step = np.empty((3, x.size))
+    for c in range(channels):
+        # flat[c:] is contiguous, so take gathers without a planar copy;
+        # every index is in range by construction.
+        plane = flat[c:]
+        plane.take(i00, out=top, mode="clip")
+        plane.take(i01, out=step, mode="clip")
+        step -= top
+        step *= fx
+        top += step
+        plane.take(i10, out=bottom, mode="clip")
+        plane.take(i11, out=step, mode="clip")
+        step -= bottom
+        step *= fx
+        bottom += step
+        bottom -= top
+        bottom *= fy
+        np.add(top, bottom, out=out[:, c])
+    return out.reshape(*np.shape(u), channels)
 
 
 def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
@@ -232,7 +254,9 @@ def frame_mse(a, b) -> float:
     fb = _as_frame(b, "b")
     if fa.shape != fb.shape:
         raise ShapeMismatch(f"frame shapes differ: {fa.shape} vs {fb.shape}")
-    return float(np.mean((fa - fb) ** 2))
+    diff = fa - fb
+    diff *= diff
+    return float(np.mean(diff))
 
 
 @dataclass(frozen=True)
@@ -302,29 +326,56 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
 
 def read_frame(path) -> np.ndarray:
     """Read a frame written by :func:`write_frame`."""
-    pixels, maxval = _stored_pixels(path)
-    frame = pixels.astype(np.float64)
-    if maxval is not None:  # anymap integers scale to [0, 1]
-        frame /= maxval
-    return frame
+    name = str(path)
+    blob = container.read_bytes(name)
+    offset, dtype, shape, maxval = _frame_layout(name, blob, len(blob))
+    pixels = np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
+    if maxval is None:
+        return pixels.astype(np.float64)
+    # Anymap integers scale to [0, 1] in one pass.
+    return np.divide(pixels, maxval, dtype=np.float64)
+
+
+# check_frame reads this many leading bytes; every header fits in them
+# unless an anymap pads it with comments or whitespace.
+_HEAD_BYTES = 4096
 
 
 def check_frame(path) -> None:
     """Raise what :func:`read_frame` would raise on ``path``, without
-    decoding the pixels; return None for a readable frame."""
-    _stored_pixels(path)
+    decoding the pixels; return None for a readable frame.
 
-
-def _stored_pixels(path) -> tuple[np.ndarray, int | None]:
-    """A frame file's pixels as a checked (height, width, channels) view
-    of its bytes in their stored type, and the anymap maxval (None for
-    the float container)."""
+    Only the header and the file length are checked: the first 4 KiB
+    and ``os.fstat``. The rest is read only when an anymap header runs
+    past those bytes or the path is not a regular file, so an OS read
+    error inside the pixels goes unnoticed.
+    """
     name = str(path)
-    blob = container.read_bytes(name)
-    if blob.startswith(FRAME_MAGIC):
-        return _parse_frame_raw(blob), None
-    if blob[:2] in (b"P5", b"P6"):
-        return _parse_pnm(blob)
+    try:
+        with open(name, "rb") as fh:
+            head = fh.read(_HEAD_BYTES)
+            info = os.fstat(fh.fileno())
+            size = info.st_size if stat.S_ISREG(info.st_mode) else None
+            if size is None or _frame_layout(name, head, size) is None:
+                head += fh.read()
+                _frame_layout(name, head, len(head))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {name}: {exc}") from exc
+
+
+_Layout = tuple[int, np.dtype, tuple[int, int, int], int | None]
+
+
+def _frame_layout(name: str, head: bytes, size: int) -> _Layout | None:
+    """Where a frame file's pixels lie: their byte offset, stored type,
+    (height, width, channels) shape and anymap maxval (None for the float
+    container), from the file's leading bytes ``head`` and its length
+    ``size``. Raises what a malformed file deserves; returns None when
+    ``head`` is shorter than the file and ends inside an anymap header."""
+    if head.startswith(FRAME_MAGIC):
+        return _raw_layout(head, size)
+    if head[:2] in (b"P5", b"P6"):
+        return _pnm_layout(head, size)
     raise UnsupportedFormat(f"{name!r} is neither a portable anymap nor a raw frame")
 
 
@@ -348,30 +399,37 @@ def _write_pnm(name: str, arr: np.ndarray, bit_depth: int) -> None:
         raise IoFailure(f"cannot write frame {name}: {exc}") from exc
 
 
-def _parse_pnm(blob: bytes) -> tuple[np.ndarray, int]:
+def _pnm_layout(head: bytes, size: int) -> _Layout | None:
     # Header: magic, width, height, maxval as whitespace-separated tokens
     # with optional '#' comments, then a single whitespace byte.
+    partial = len(head) < size
     tokens: list[int] = []
     pos = 2
     while len(tokens) < 3:
-        if pos >= len(blob):
+        if pos >= len(head):
+            if partial:
+                return None
             raise CorruptHeader("portable anymap header truncated")
-        byte = blob[pos : pos + 1]
+        byte = head[pos : pos + 1]
         if byte == b"#":
-            end = blob.find(b"\n", pos)
+            end = head.find(b"\n", pos)
             if end < 0:
+                if partial:
+                    return None
                 raise CorruptHeader("unterminated comment in anymap header")
             pos = end + 1
         elif byte.isspace():
             pos += 1
         else:
             end = pos
-            while end < len(blob) and not blob[end : end + 1].isspace():
+            while end < len(head) and not head[end : end + 1].isspace():
                 end += 1
+            if end == len(head) and partial:
+                return None
             try:
-                tokens.append(int(blob[pos:end]))
+                tokens.append(int(head[pos:end]))
             except ValueError as exc:
-                raise CorruptHeader(f"bad anymap header token {blob[pos:end]!r}") from exc
+                raise CorruptHeader(f"bad anymap header token {head[pos:end]!r}") from exc
             pos = end
     pos += 1  # single whitespace after maxval
     width, height, maxval = tokens
@@ -379,20 +437,18 @@ def _parse_pnm(blob: bytes) -> tuple[np.ndarray, int]:
         raise CorruptHeader(f"bad anymap dimensions {width}x{height}")
     if maxval not in (255, 65535):
         raise UnsupportedFormat(f"maxval {maxval} unsupported; use 255 or 65535")
-    channels = 1 if blob[:2] == b"P5" else 3
+    channels = 1 if head[:2] == b"P5" else 3
     dtype = np.dtype("u1") if maxval == 255 else np.dtype(">u2")
-    count = width * height * channels
-    if len(blob) - pos < count * dtype.itemsize:
+    if size - pos < width * height * channels * dtype.itemsize:
         raise CorruptHeader("anymap pixel data truncated")
-    data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-    return data.reshape(height, width, channels), maxval
+    return pos, dtype, (height, width, channels), maxval
 
 
-def _parse_frame_raw(blob: bytes) -> np.ndarray:
-    reader = container.Reader(blob, FRAME_MAGIC)
+def _raw_layout(head: bytes, size: int) -> _Layout:
+    reader = container.Reader(head, FRAME_MAGIC, size)
     height, width, channels = shape = reader.ints("<QQQ")
     if channels not in (1, 3) or height < 1 or width < 1:
         raise CorruptHeader(f"bad raw frame dims {height}x{width}x{channels}")
-    pixels = reader.array(shape)
+    offset = reader.take(8 * height * width * channels)
     reader.end()
-    return pixels
+    return offset, np.dtype("<f8"), shape, None

@@ -52,6 +52,30 @@ def test_pcm16_grid_round_trip_is_exact():
     assert np.array_equal(pcm16_encode(pcm16_decode(codes)), codes)
 
 
+def test_pcm16_encode_matches_rounding_formula():
+    def reference(samples):
+        scaled = np.asarray(samples, dtype=np.float64) * 32768.0
+        rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+        return np.clip(rounded, -32768, 32767).astype("<i2")
+
+    rng = np.random.default_rng(9)
+    ties = (np.arange(-40, 40) + 0.5) / 32768.0
+    edges = np.array([1.0, -1.0, 1.5, -1.5, 32767.5 / 32768, -32768.5 / 32768, 0.0, -0.0, 1e9])
+    frames = rng.uniform(-1.2, 1.2, (4, 300))
+    for samples in [
+        ties,
+        edges,
+        ties.astype(np.float32),
+        frames.astype(np.float32),
+        frames.T,  # transposed, as write_wav passes (frames, channels)
+        frames[:, ::3],
+    ]:
+        got = pcm16_encode(samples)
+        want = reference(samples)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_float32_wav_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     signals = [

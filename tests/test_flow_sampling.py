@@ -9,6 +9,7 @@ from foagen.flow import (
     VelocityModel,
     cfg_velocity,
     euler_sample,
+    mixture_model,
 )
 
 
@@ -167,6 +168,36 @@ def test_unconditioned_sampling_on_a_conditioned_model(scale):
     for k in range(3):
         x = x + (1 / 3) * model.forward(k / 3, zeros, x)
     np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
+
+
+class _CountingModel:
+    """Wraps a model and counts its forward calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.latent_dim = model.latent_dim
+        self.cond_dim = model.cond_dim
+        self.calls = 0
+
+    def forward(self, t, cond, x):
+        self.calls += 1
+        return self.model.forward(t, cond, x)
+
+
+def test_guidance_without_a_condition_makes_one_forward_per_step():
+    """With no condition a guided step would blend two identical fields."""
+    model = _CountingModel(mixture_model())
+    start = np.random.default_rng(13).standard_normal((4, 2))
+    got = euler_sample(model, 8, CfgSpec(5.0), start=start.copy())
+    assert model.calls == 8
+
+    # Two forwards per step, blended as cfg_velocity blends them.
+    x = start.copy()
+    for k in range(8):
+        v_cond = model.model.forward(k / 8, None, x)
+        v_uncond = model.model.forward(k / 8, None, x)
+        x = x + (1 / 8) * (v_uncond + 5.0 * (v_cond - v_uncond))
+    assert np.array_equal(got, x)
 
 
 class _ConditionEcho:

@@ -134,12 +134,33 @@ def _raised(reader, path):
     return None
 
 
+def _large_frame_files(root: Path) -> list[bytes]:
+    """Frames longer than the header prefix check_frame reads (4 KiB),
+    and anymaps whose header runs past it."""
+    rng = np.random.default_rng(1)
+    pgm, ppm, raw = root / "big.pgm", root / "big.ppm", root / "big.fframe"
+    write_frame(pgm, rng.random((64, 64, 1)))
+    write_frame(ppm, rng.random((64, 64, 3)), bit_depth=16)
+    write_frame(raw, rng.random((64, 64, 1)))
+    pixels = pgm.read_bytes()[len(b"P5\n64 64\n255\n"):]
+    long_comment = b"P5\n# " + b"c" * 5000 + b"\n64 64\n255\n" + pixels
+    # whitespace that makes the maxval, height and width tokens in turn
+    # straddle the end of the prefix, or pads past it
+    padded = [
+        b"P5" + b" " * pad + b"64 64\n255\n" + pixels
+        for pad in (4086, 4090, 4093, 4094, 4096, 5000)
+    ]
+    return [pgm.read_bytes(), ppm.read_bytes(), raw.read_bytes(), long_comment, *padded]
+
+
 def test_frame_check_raises_exactly_when_read_frame_does(scratch, valid):
     path = scratch / "input.checked"
+    large = _large_frame_files(scratch)
 
-    @FUZZ
+    @settings(FUZZ, max_examples=400)
     @given(blob=st.one_of(
-        st.sampled_from(valid["frame"]), st.binary(max_size=128), _mutated(valid["frame"])
+        st.sampled_from(valid["frame"]), st.binary(max_size=128), _mutated(valid["frame"]),
+        st.sampled_from(large), _mutated(large),
     ))
     def run(blob):
         path.write_bytes(blob)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import foagen.panorama
 from foagen.errors import (
     CorruptHeader,
     NotErpAspect,
@@ -13,7 +14,9 @@ from foagen.errors import (
 from foagen.panorama import (
     CameraSpec,
     FOV_PRESETS,
+    check_frame,
     erp_to_perspective,
+    fov_cameras,
     frame_mse,
     make_fov_cuts,
     pad_to_square,
@@ -123,6 +126,79 @@ def test_make_fov_cuts_counts():
         make_fov_cuts(erp, "8cuts")
 
 
+def _fancy_index_bilinear(erp, u, v):
+    """Reference sampler: 2-D fancy-index gathers and the nested lerp."""
+    height, width = erp.shape[0], erp.shape[1]
+    x = u - 0.5
+    y = v - 0.5
+    j0 = np.floor(x).astype(np.int64)
+    i0 = np.floor(y).astype(np.int64)
+    fx = (x - j0)[..., None]
+    fy = (y - i0)[..., None]
+    j0w = j0 % width
+    j1w = (j0 + 1) % width
+    i0c = np.clip(i0, 0, height - 1)
+    i1c = np.clip(i0 + 1, 0, height - 1)
+    top = erp[i0c, j0w]
+    top = top + fx * (erp[i0c, j1w] - top)
+    bottom = erp[i1c, j0w]
+    bottom = bottom + fx * (erp[i1c, j1w] - bottom)
+    return top + fy * (bottom - top)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
+    rng = np.random.default_rng(21)
+    base = rng.random((48, 192, 3))
+    erps = {
+        "contiguous": np.ascontiguousarray(base[:, :96, :channels]),
+        "strided view": base[:, ::2, 3 - channels :],
+    }
+    assert not erps["strided view"].flags.c_contiguous
+    cameras = fov_cameras("6cuts", 2.0 * math.pi / 3.0, 24, 16)
+    cameras += [  # at the seam, at the poles and anywhere
+        CameraSpec(math.pi, 0.0, 1.2, 9, 13),
+        CameraSpec(-math.pi + 1e-9, 0.3, 2.5, 16, 16),
+        CameraSpec(0.4, math.pi / 2, 3.0, 12, 8),
+        CameraSpec(-2.0, -math.pi / 2, 0.5, 7, 7),
+    ]
+    cameras += [
+        CameraSpec(rng.uniform(-4, 4), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0), 11, 5)
+        for _ in range(6)
+    ]
+
+    checked = []
+    sampler = foagen.panorama._bilinear_wrap_clamp
+
+    def compare(erp, u, v):
+        got = sampler(erp, u, v)
+        assert got.shape == u.shape + (channels,)
+        assert np.array_equal(got, _fancy_index_bilinear(erp, u, v))
+        checked.append(u.size)
+        return got
+
+    monkeypatch.setattr(foagen.panorama, "_bilinear_wrap_clamp", compare)
+    for erp in erps.values():
+        for camera in cameras:
+            erp_to_perspective(erp, camera)
+        # coordinates past every edge: wrap left and right, clamp top and bottom
+        u = rng.uniform(-300.0, 400.0, (5, 7))
+        v = rng.uniform(-20.0, 70.0, (5, 7))
+        compare(erp, u, v)
+    assert len(checked) == 2 * (len(cameras) + 1)
+
+
+def test_frame_mse_matches_squared_difference_mean():
+    rng = np.random.default_rng(22)
+    for shape in [(2, 4, 1), (17, 34, 3), (64, 128, 1)]:
+        a = rng.random(shape)
+        b = rng.random(shape)
+        assert frame_mse(a, b) == float(np.mean((a - b) ** 2))
+    rgb = rng.random((16, 64, 3))
+    a, b = rgb[:, ::2, :1], rgb[:, 1::2, 2:]  # non-contiguous views
+    assert frame_mse(a, b) == float(np.mean((a - b) ** 2))
+
+
 def test_frame_mse():
     a = np.zeros((2, 4, 1))
     b = np.full((2, 4, 1), 0.5)
@@ -188,6 +264,62 @@ def test_ppm_16_bit_round_trip(tmp_path):
     path = tmp_path / "cut.ppm"
     write_frame(path, frame, bit_depth=16)
     np.testing.assert_allclose(read_frame(path), frame, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+@pytest.mark.parametrize("suffix, channels", [(".pgm", 1), (".ppm", 3)])
+def test_read_frame_matches_integer_scaling(tmp_path, bit_depth, suffix, channels):
+    frame = np.random.default_rng(23).random((9, 14, channels))
+    path = tmp_path / f"cut{suffix}"
+    write_frame(path, frame, bit_depth=bit_depth)
+    maxval = (1 << bit_depth) - 1
+    blob = path.read_bytes()
+    offset = len(b"P5\n14 9\n%d\n" % maxval)
+    stored = np.frombuffer(blob, "u1" if bit_depth == 8 else ">u2", offset=offset)
+    want = stored.reshape(9, 14, channels).astype(np.float64) / maxval
+    assert np.array_equal(read_frame(path), want)
+
+
+class _CountingFile:
+    """File wrapper that records how many bytes each read returned."""
+
+    def __init__(self, fh, reads):
+        self._fh = fh
+        self._reads = reads
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self._reads.append(len(data))
+        return data
+
+
+def test_check_frame_reads_only_the_header(tmp_path, monkeypatch):
+    path = tmp_path / "big.pgm"
+    write_frame(path, np.random.default_rng(24).random((512, 1024, 1)))
+    reads = []
+    monkeypatch.setattr(
+        foagen.panorama, "open",
+        lambda *args, **kwargs: _CountingFile(open(*args, **kwargs), reads),
+        raising=False,
+    )
+    check_frame(path)
+    assert 0 < sum(reads) <= 4096
+
+    short = tmp_path / "short.pgm"
+    short.write_bytes(path.read_bytes()[:-1])
+    reads.clear()
+    with pytest.raises(CorruptHeader):
+        check_frame(short)
+    assert 0 < sum(reads) <= 4096
 
 
 def test_frame_format_errors(tmp_path):
