@@ -25,7 +25,6 @@ from . import container
 from .errors import (
     ChannelCountUnsupported,
     CorruptHeader,
-    IoFailure,
     ParseError,
     SpecMismatch,
     UnsupportedFormat,
@@ -85,10 +84,6 @@ def pcm16_encode(samples: np.ndarray) -> np.ndarray:
 def pcm16_decode(codes: np.ndarray) -> np.ndarray:
     """Int16 codes to floats on the [-1.0, 32767/32768] grid."""
     return np.asarray(codes, dtype=np.float64) / 32768.0
-
-
-def _float32_encode(samples: np.ndarray) -> np.ndarray:
-    return np.asarray(samples, dtype="<f4")
 
 
 class WavSpec:
@@ -227,11 +222,11 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
         bits = 16
         format_tag = _WAVE_FORMAT_PCM
     else:
-        payload_arr = _float32_encode(matrix.T)
+        payload_arr = np.ascontiguousarray(matrix.T, dtype="<f4")
         bits = 32
         format_tag = _WAVE_FORMAT_IEEE_FLOAT
     # The data chunk's bytes as a flat uint8 view, written without a copy.
-    payload = np.ascontiguousarray(payload_arr).reshape(-1).view(np.uint8)
+    payload = payload_arr.reshape(-1).view(np.uint8)
 
     block_align = spec.channels * bits // 8
     byte_rate = spec.sample_rate * block_align
@@ -246,16 +241,12 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
     chunks.append((b"data", payload))
 
     riff_size = 4 + sum(8 + len(chunk) + (len(chunk) & 1) for _, chunk in chunks)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
-            for fourcc, chunk in chunks:
-                fh.write(fourcc + struct.pack("<I", len(chunk)))
-                fh.write(chunk)
-                if len(chunk) & 1:
-                    fh.write(b"\x00")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    parts = [b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"]
+    for fourcc, chunk in chunks:
+        parts += [fourcc + struct.pack("<I", len(chunk)), chunk]
+        if len(chunk) & 1:
+            parts.append(b"\x00")
+    container.write_bytes(path, *parts)
 
 
 # --- matrix containers -----------------------------------------------------------
@@ -283,12 +274,8 @@ def write_matrix_text(path, matrix, fmt: str = "%.17g") -> None:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError("matrix must be 1-D or 2-D")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in arr:
-                fh.write(" ".join(fmt % value for value in row) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write matrix {path}: {exc}") from exc
+    text = "".join(" ".join(fmt % value for value in row) + "\n" for row in arr)
+    container.write_bytes(path, text.encode("utf-8"))
 
 
 def read_matrix_text(path) -> np.ndarray:
@@ -300,10 +287,7 @@ def read_matrix_text(path) -> np.ndarray:
     """
     rows: list[list[float]] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read matrix {path}: {exc}") from exc
+        lines = container.read_lines(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(lines, start=1):

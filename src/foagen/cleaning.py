@@ -24,8 +24,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from . import container
 from .audio_io import read_wav, signal_channels
-from .errors import EmptySignal, FoagenError, ManifestParseError, MissingScore
+from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
 from .panorama import check_frame, read_frame, stationarity_verdict
 
 
@@ -33,8 +34,8 @@ from .panorama import check_frame, read_frame, stationarity_verdict
 class FilterThresholds:
     """Cleaning thresholds; defaults follow the shipped recipe.
 
-    ``min_alignment`` defaults to the lenient 1.0 cut; the stricter 2.0
-    preset is available as :data:`STRICT_ALIGNMENT`.
+    ``min_alignment`` defaults to the lenient 1.0 cut; 2.0 is the
+    strict cut.
     """
 
     silence_dbfs: float = -35.0
@@ -55,9 +56,6 @@ class FilterThresholds:
             raise ValueError("window_ms must be positive")
         if self.frame_interval < 1:
             raise ValueError("frame_interval must be >= 1")
-
-
-STRICT_ALIGNMENT = 2.0
 
 
 @dataclass(frozen=True)
@@ -234,9 +232,8 @@ def read_manifest(path) -> list[ClipManifestEntry]:
     entries: list[ClipManifestEntry] = []
     seen: set[str] = set()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = container.read_lines(path)
+    except (IoFailure, UnicodeDecodeError) as exc:
         raise ManifestParseError(f"cannot read manifest {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -272,11 +269,8 @@ def read_manifest(path) -> list[ClipManifestEntry]:
 
 def write_manifest(path, entries) -> None:
     """Write entries as line-delimited JSON, one clip per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            record = asdict(entry)
-            record["labels"] = list(record["labels"])
-            fh.write(json.dumps(record) + "\n")
+    text = "".join(json.dumps(asdict(entry)) + "\n" for entry in entries)
+    container.write_bytes(path, text.encode("utf-8"))
 
 
 # --- the pipeline -----------------------------------------------------------------
@@ -311,17 +305,17 @@ class FilterReport:
 
 def write_report(path, report: FilterReport) -> None:
     """Write a report as line-delimited JSON plus a summary table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry_id in sorted(set(report.kept) | set(report.removed)):
-            record = {
-                "id": entry_id,
-                "status": "removed" if entry_id in report.removed else "kept",
-                "reasons": report.removed.get(entry_id, []),
-                "skipped": report.skipped.get(entry_id, []),
-            }
-            fh.write(json.dumps(record) + "\n")
-    with open(str(path) + ".summary", "w", encoding="utf-8") as fh:
-        fh.write(report.summary_table() + "\n")
+    lines = []
+    for entry_id in sorted(set(report.kept) | set(report.removed)):
+        record = {
+            "id": entry_id,
+            "status": "removed" if entry_id in report.removed else "kept",
+            "reasons": report.removed.get(entry_id, []),
+            "skipped": report.skipped.get(entry_id, []),
+        }
+        lines.append(json.dumps(record) + "\n")
+    container.write_bytes(path, "".join(lines).encode("utf-8"))
+    container.write_bytes(f"{path}.summary", (report.summary_table() + "\n").encode("utf-8"))
 
 
 def _evaluate_entry(
@@ -368,18 +362,15 @@ def _evaluate_entry(
     else:
         skipped.append("stationary")
 
-    audio_path = resolve(entry.audio_path)
-    if os.path.exists(audio_path):
-        try:
-            signal = read_wav(audio_path)
-            result = silence_verdict(
-                signal_channels(signal), signal.sample_rate, thresholds
-            )
-            if result.silent:
-                reasons.append("silent")
-        except FoagenError:
-            skipped.append("silent")
-    else:
+    try:
+        # A missing or unreadable WAV fails as IoFailure and is skipped.
+        signal = read_wav(resolve(entry.audio_path))
+        result = silence_verdict(
+            signal_channels(signal), signal.sample_rate, thresholds
+        )
+        if result.silent:
+            reasons.append("silent")
+    except FoagenError:
         skipped.append("silent")
 
     try:

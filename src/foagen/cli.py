@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .audio_io import (
     WavSpec,
     read_matrix_any,
@@ -28,7 +29,6 @@ from .audio_io import (
     write_wav,
 )
 from .cleaning import (
-    STRICT_ALIGNMENT,
     ClipManifestEntry,
     FilterThresholds,
     read_manifest,
@@ -245,13 +245,12 @@ def _cmd_cut_fov(args) -> int:
 
 def _cmd_clean(args) -> int:
     entries = read_manifest(args.manifest)
-    min_alignment = STRICT_ALIGNMENT if args.strict_alignment else args.min_alignment
     thresholds = FilterThresholds(
         silence_dbfs=args.silence_dbfs,
         silence_ratio=args.silence_ratio,
         stationary_ratio=args.stationary_ratio,
         max_words=args.max_words,
-        min_alignment=min_alignment,
+        min_alignment=args.min_alignment,
         window_ms=args.window_ms,
         frame_interval=args.frame_interval,
         frame_mse=args.frame_mse,
@@ -372,9 +371,8 @@ def _cmd_fm_train(args) -> int:
 
     trace = train(model, dataset, config)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for step, loss in enumerate(trace):
-                fh.write("%d\t%.17g\n" % (step, loss))
+        text = "".join("%d\t%.17g\n" % (step, loss) for step, loss in enumerate(trace))
+        container.write_bytes(args.trace, text.encode("utf-8"))
         _emit("trace", args.trace)
     if args.save:
         save_model(model, args.save)
@@ -505,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-mse", type=float, default=1e-3, help="MSE below which two frames count as identical")
     p.add_argument("--frame-interval", type=int, default=8, help="frame-pair comparison stride")
     p.add_argument("--max-words", type=int, default=5, help="clips with more transcribed words are removed")
-    p.add_argument("--min-alignment", type=float, default=1.0, help="clips scoring lower are removed")
-    p.add_argument("--strict-alignment", action="store_true", help=f"use the strict alignment cutoff ({STRICT_ALIGNMENT})")
+    p.add_argument("--min-alignment", type=float, default=1.0, help="clips scoring lower are removed; 2 is the strict cut")
     p.add_argument("--jobs", type=int, default=jobs_default, help="parallel entry evaluation")
 
     p = _add(subparsers, "segment", _cmd_segment, "Split a WAV into fixed-length clips (trailing remainder dropped).")

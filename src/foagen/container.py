@@ -1,4 +1,9 @@
-"""Binary container codec shared by ``.fmat``, ``.fframe`` and ``.fgvm`` files.
+"""Whole-file I/O and the binary container codec shared by ``.fmat``,
+``.fframe`` and ``.fgvm`` files.
+
+This module owns every whole-file read and write in foagen:
+:func:`read_bytes`, :func:`read_lines` and :func:`write_bytes` turn an
+OS failure into IoFailure, so no other module opens a file itself.
 
 A container holds an 8-byte magic naming its format and version, a header
 of little-endian unsigned integers, then its arrays as row-major
@@ -15,6 +20,7 @@ cannot hold, or leftover bytes, and IoFailure when the OS read fails.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 
@@ -24,24 +30,44 @@ from .errors import CorruptHeader, IoFailure
 
 
 def read_bytes(path) -> bytes:
-    """The whole file at ``path``."""
+    """The whole file at ``path``.
+
+    A path holding a NUL byte, which a manifest can give, fails as
+    IoFailure like a missing file.
+    """
     try:
         with open(path, "rb") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, split as text-mode
+    ``open(...).readlines()`` splits them (universal newlines).
+
+    Raises:
+        IoFailure: the read failed.
+        UnicodeDecodeError: the bytes are not UTF-8.
+    """
+    text = read_bytes(path).decode("utf-8")
+    return io.StringIO(text, newline=None).readlines()
+
+
+def write_bytes(path, *parts) -> None:
+    """Write the bytes-like ``parts`` back to back as the file at ``path``."""
+    try:
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def write(path, magic: bytes, header_fmt: str, header, arrays) -> None:
     """Write magic, the packed header, then each array as ``<f8``."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack(header_fmt, *header))
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    arrays = (np.ascontiguousarray(arr, dtype="<f8") for arr in arrays)
+    write_bytes(path, magic, struct.pack(header_fmt, *header), *arrays)
 
 
 class Reader:

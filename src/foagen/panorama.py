@@ -169,17 +169,17 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
 
     ndc_x = (np.arange(camera.out_width) + 0.5) / camera.out_width * 2.0 - 1.0
     ndc_y = (np.arange(camera.out_height) + 0.5) / camera.out_height * 2.0 - 1.0
-    cam_left = np.broadcast_to(ndc_x * half_w, (camera.out_height, camera.out_width))
-    cam_up = np.broadcast_to(
-        (-ndc_y * half_h)[:, None], (camera.out_height, camera.out_width)
-    )
-    cam_front = np.ones((camera.out_height, camera.out_width))
+    # The ray is (front, left, up) = (1, cam_left, cam_up): left varies
+    # along a row and up down a column, so the pitched components are
+    # (out_height, 1) columns until yaw mixes in the left component.
+    cam_left = ndc_x * half_w
+    cam_up = (-ndc_y * half_h)[:, None]
 
     cos_p, sin_p = math.cos(camera.pitch), math.sin(camera.pitch)
     cos_y, sin_y = math.cos(camera.yaw), math.sin(camera.yaw)
     # Pitch about the lateral axis, then yaw about the vertical axis.
-    x_p = cos_p * cam_front - sin_p * cam_up
-    z_w = sin_p * cam_front + cos_p * cam_up
+    x_p = cos_p - sin_p * cam_up
+    z_w = sin_p + cos_p * cam_up
     x_w = cos_y * x_p - sin_y * cam_left
     y_w = sin_y * x_p + cos_y * cam_left
 
@@ -346,9 +346,11 @@ def check_frame(path) -> None:
     decoding the pixels; return None for a readable frame.
 
     Only the header and the file length are checked: the first 4 KiB
-    and ``os.fstat``. The rest is read only when an anymap header runs
-    past those bytes or the path is not a regular file, so an OS read
-    error inside the pixels goes unnoticed.
+    and ``os.fstat``. When an anymap header runs past those bytes or the
+    path is not a regular file, the rest is read from the same handle.
+    Otherwise the pixels are never read, so an OS read error inside them
+    goes unnoticed. This is the one reader that opens its file itself,
+    not through :mod:`foagen.container`, because it reads a prefix.
     """
     name = str(path)
     try:
@@ -389,14 +391,10 @@ def _write_pnm(name: str, arr: np.ndarray, bit_depth: int) -> None:
         raise UnsupportedFormat("color .ppm needs a three-channel frame")
     maxval = (1 << bit_depth) - 1
     quantized = np.clip(np.rint(arr * maxval), 0, maxval)
-    payload = quantized.astype(">u2" if bit_depth == 16 else "u1").tobytes()
+    payload = np.ascontiguousarray(quantized, dtype=">u2" if bit_depth == 16 else "u1")
     magic = b"P5" if channels == 1 else b"P6"
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
-    try:
-        with open(name, "wb") as fh:
-            fh.write(header + payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write frame {name}: {exc}") from exc
+    container.write_bytes(name, header, payload)
 
 
 def _pnm_layout(head: bytes, size: int) -> _Layout | None:

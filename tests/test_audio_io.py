@@ -92,6 +92,40 @@ def test_float32_wav_round_trip_bit_exact(tmp_path):
         assert np.array_equal(signal_channels(back), signal_channels(signal))
 
 
+def _float32_wav_reference(matrix, rate):
+    """A float32 WAV of a (channels, n) matrix, packed sample by sample."""
+    channels, n = matrix.shape
+    data = struct.pack(f"<{channels * n}f", *(float(v) for v in matrix.T.ravel()))
+    fmt = struct.pack("<HHIIHH", 3, channels, rate, rate * 4 * channels, 4 * channels, 32)
+    body = (
+        b"WAVE"
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"fact" + struct.pack("<II", 4, n)
+        + b"data" + struct.pack("<I", len(data)) + data
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_float32_wav_matches_packed_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-2.0, 2.0, (4, 90))
+    cases = {
+        "mono": (MonoSignal(base[0, :31], 8000), False),
+        "stereo": (StereoSignal(base[0, :17], base[1, :17], 44100), False),
+        "foa": (FoaSignal(*base[:, :23], 48000), False),
+        "ambix": (FoaSignal(*base[:, :23], 48000), True),
+        "strided": (MonoSignal(base[1, ::3], 16000), False),
+    }
+    for name, (signal, ambix) in cases.items():
+        matrix = signal_channels(signal)
+        if ambix:
+            w, x, y, z = matrix
+            matrix = np.stack([w * math.sqrt(2.0), y, z, x])
+        path = tmp_path / f"{name}.wav"
+        write_wav(signal, path, ambix=ambix)
+        assert path.read_bytes() == _float32_wav_reference(matrix, signal.sample_rate), name
+
+
 def test_pcm16_wav_round_trip_on_grid(tmp_path):
     rng = np.random.default_rng(1)
     grid = rng.integers(-32768, 32768, size=60) / 32768.0

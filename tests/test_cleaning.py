@@ -11,7 +11,6 @@ from foagen.audio_io import write_wav
 from foagen.cleaning import (
     ClipManifestEntry,
     FilterThresholds,
-    STRICT_ALIGNMENT,
     alignment_filter,
     read_manifest,
     run_pipeline,
@@ -112,7 +111,7 @@ def test_speech_filter_boundary():
 def test_alignment_filter_boundary():
     entry = ClipManifestEntry("a", "a.wav", 1.0, RATE, alignment_score=1.0)
     assert alignment_filter(entry, min_alignment=1.0)  # at the floor: kept
-    assert not alignment_filter(entry, min_alignment=STRICT_ALIGNMENT)
+    assert not alignment_filter(entry, min_alignment=2.0)  # the strict cut
     missing = ClipManifestEntry("c", "c.wav", 1.0, RATE)
     with pytest.raises(MissingScore):
         alignment_filter(missing)
@@ -320,6 +319,17 @@ def test_run_pipeline_keeps_clip_with_non_finite_audio(tmp_path):
 def test_run_pipeline_keeps_clip_with_zero_sample_rate(tmp_path):
     samples = (_blocky_signal([0.5] * 50) * 32767).astype("<i2")
     _assert_unreadable_audio_kept(tmp_path, 1, 0, samples)
+
+
+def test_run_pipeline_skips_silence_for_an_audio_path_holding_a_nul(tmp_path):
+    entries, base = _pipeline_fixture(tmp_path)
+    entries.append(ClipManifestEntry(
+        "e_nul", "a\x00b.wav", 1.0, RATE, word_count=0, alignment_score=2.0,
+    ))
+    report = run_pipeline(entries, base_dir=base)
+    assert report.evaluated == 5
+    assert report.kept == ["b_loud_ok", "e_nul"]
+    assert report.skipped["e_nul"] == ["stationary", "silent"]
 
 
 def _write_moving_clip(clip_dir, frames, suffix=".fframe"):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from dataclasses import replace
@@ -14,7 +15,16 @@ from foagen.audio_io import (
 )
 from foagen.cleaning import ClipManifestEntry, write_manifest
 from foagen.cli import main
-from foagen.flow import MIXTURE_TRAIN, mixture_dataset, mixture_model, train
+from foagen.flow import (
+    MIXTURE_TRAIN,
+    CfgSpec,
+    euler_sample,
+    load_model,
+    mixture_condition,
+    mixture_dataset,
+    mixture_model,
+    train,
+)
 from foagen.foa import MonoSignal, StereoSignal
 from foagen.panorama import make_fov_cuts, read_frame, write_frame
 
@@ -243,6 +253,44 @@ def test_clean_rejects_unparsable_manifest(tmp_path, capsys):
         assert kv["error"].startswith("ManifestParseError ")
 
 
+def test_clean_min_alignment_two_is_the_strict_cut(tmp_path, capsys):
+    entries = [
+        ClipManifestEntry("low", "low.wav", 1.0, 1000, alignment_score=1.5),
+        ClipManifestEntry("edge", "edge.wav", 1.0, 1000, alignment_score=2.0),
+    ]
+    write_manifest(tmp_path / "m.jsonl", entries)
+    report = tmp_path / "r.jsonl"
+    code, kv = run_cli(
+        capsys, "clean", tmp_path / "m.jsonl", "--report", report, "--min-alignment", "2"
+    )
+    assert code == 0
+    assert kv["config.min_alignment"] == "2"
+    assert kv["removed.alignment"] == "1"
+    status = {r["id"]: r["status"] for r in map(json.loads, report.read_text().splitlines())}
+    assert status == {"low": "removed", "edge": "kept"}  # a score on the cut is kept
+
+    with pytest.raises(SystemExit) as err:
+        main(["clean", str(tmp_path / "m.jsonl"), "--strict-alignment"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_unwritable_outputs_fail_as_io_failure(tmp_path, capsys):
+    write_manifest(tmp_path / "m.jsonl", [ClipManifestEntry("a", "a.wav", 1.0, 1000)])
+    code, kv = run_cli(
+        capsys, "clean", tmp_path / "m.jsonl", "--report", tmp_path / "missing" / "r.jsonl"
+    )
+    assert code == 1
+    assert kv["error"].startswith("IoFailure ")
+
+    code, kv = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "2",
+        "--trace", tmp_path / "missing" / "t.tsv",
+    )
+    assert code == 1
+    assert kv["error"].startswith("IoFailure ")
+
+
 def test_segment(tmp_path, capsys):
     write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
     outdir = tmp_path / "segs"
@@ -325,6 +373,53 @@ def test_fm_sample_without_a_class_on_a_conditioned_checkpoint(tmp_path, capsys)
     assert code == 0, kv.get("error")
     samples = read_matrix(tmp_path / "samples.fmat")
     assert samples.shape == (16, 2) and np.isfinite(samples).all()
+
+
+@pytest.mark.parametrize("cfg_scale", ["1", "5"])
+@pytest.mark.parametrize("source", ["--mixture-class", "--cond"])
+def test_fm_sample_condition_matches_the_library(source, cfg_scale, tmp_path, capsys):
+    ckpt = tmp_path / "m.fgvm"
+    code, _ = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "20", "--save", ckpt
+    )
+    assert code == 0
+    condition = mixture_condition(1)
+    if source == "--cond":
+        condition = np.array([0.25, -1.5, 3.0, 1e-3])
+        write_matrix_text(tmp_path / "c.txt", condition)
+        flag = ["--cond", tmp_path / "c.txt"]
+    else:
+        flag = ["--mixture-class", "1"]
+    code, kv = run_cli(
+        capsys, "fm-sample", "--model", ckpt, "--frames", "12", "--steps", "6",
+        "--cfg-scale", cfg_scale, "--seed", "4", "--out", tmp_path / "s.fmat", *flag,
+    )
+    assert code == 0, kv.get("error")
+    want = euler_sample(
+        load_model(ckpt), 6, CfgSpec(float(cfg_scale)), global_cond=condition,
+        frames=12, rng=np.random.default_rng(4),
+    )
+    got = read_matrix(tmp_path / "s.fmat")
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fm_train_with_span_masking(tmp_path, capsys):
+    write_matrix(tmp_path / "x.fmat", np.random.default_rng(6).standard_normal((8, 2)))
+
+    def train_once(*mask):
+        return run_cli(
+            capsys, "fm-train", "--data", tmp_path / "x.fmat",
+            "--steps", "30", "--batch", "2", "--seed", "1", *mask,
+        )
+
+    code, kv = train_once("--mask-spans", "1", "--p-cond", "0.5")
+    assert code == 0, kv.get("error")
+    assert kv["config.mask_spans"] == "1"
+    assert kv["config.mask_min_len"] == "1"
+    assert kv["config.p_cond"] == "0.5"
+    assert kv["steps"] == "30" and math.isfinite(float(kv["final_loss"]))
+    _, unmasked = train_once()
+    assert unmasked["final_loss"] != kv["final_loss"]  # the mask reached training
 
 
 def test_fm_train_logit_normal_far_location(capsys):

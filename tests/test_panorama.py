@@ -188,6 +188,56 @@ def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
     assert len(checked) == 2 * (len(cameras) + 1)
 
 
+def _full_grid_perspective(erp, camera):
+    """Reference cut: every ray component as a full (out_height, out_width) grid."""
+    height, width = erp.shape[0], erp.shape[1]
+    half_w = math.tan(camera.hfov / 2.0)
+    half_h = half_w * camera.out_height / camera.out_width
+    shape = (camera.out_height, camera.out_width)
+    ndc_x = (np.arange(camera.out_width) + 0.5) / camera.out_width * 2.0 - 1.0
+    ndc_y = (np.arange(camera.out_height) + 0.5) / camera.out_height * 2.0 - 1.0
+    cam_left = np.broadcast_to(ndc_x * half_w, shape)
+    cam_up = np.broadcast_to((-ndc_y * half_h)[:, None], shape)
+    cam_front = np.ones(shape)
+    cos_p, sin_p = math.cos(camera.pitch), math.sin(camera.pitch)
+    cos_y, sin_y = math.cos(camera.yaw), math.sin(camera.yaw)
+    x_p = cos_p * cam_front - sin_p * cam_up
+    z_w = sin_p * cam_front + cos_p * cam_up
+    x_w = cos_y * x_p - sin_y * cam_left
+    y_w = sin_y * x_p + cos_y * cam_left
+    longitude = np.arctan2(y_w, x_w)
+    latitude = np.arctan2(z_w, np.hypot(x_w, y_w))
+    u = (longitude / (2.0 * math.pi) + 0.5) * width
+    v = (0.5 - latitude / math.pi) * height
+    return _fancy_index_bilinear(erp, u, v)
+
+
+def test_cut_geometry_matches_full_grid_reference():
+    rng = np.random.default_rng(23)
+    rgb = rng.random((32, 64, 3))
+    erps = [rgb, np.ascontiguousarray(rgb[:, :, :1]), rng.random((32, 128, 1))[:, ::2]]
+    cameras = [
+        camera
+        for width, height in [(16, 16), (24, 10), (7, 19), (1, 1)]
+        for camera in fov_cameras("6cuts", 2.0 * math.pi / 3.0, width, height)
+    ]
+    cameras += [
+        CameraSpec(math.pi, 0.0, 1.2, 9, 13),
+        CameraSpec(0.4, math.pi / 2, 3.0, 12, 8),
+        CameraSpec(-2.0, -math.pi / 2, 0.5, 7, 7),
+    ]
+    cameras += [
+        CameraSpec(rng.uniform(-4, 4), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0),
+                   int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+        for _ in range(20)
+    ]
+    for erp in erps:
+        for camera in cameras:
+            assert np.array_equal(
+                erp_to_perspective(erp, camera), _full_grid_perspective(erp, camera)
+            ), camera
+
+
 def test_frame_mse_matches_squared_difference_mean():
     rng = np.random.default_rng(22)
     for shape in [(2, 4, 1), (17, 34, 3), (64, 128, 1)]:
