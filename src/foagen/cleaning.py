@@ -27,7 +27,7 @@ import numpy as np
 from . import container
 from .audio_io import read_wav, signal_channels
 from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
-from .panorama import check_frame, read_frame, stationarity_verdict
+from .panorama import check_frame, read_frame, settle_stationarity
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class FilterThresholds:
             raise ValueError("silence_ratio must lie in [0, 1]")
         if not 0.0 <= self.stationary_ratio <= 1.0:
             raise ValueError("stationary_ratio must lie in [0, 1]")
-        if self.window_ms <= 0.0:
-            raise ValueError("window_ms must be positive")
+        if not 0.0 < self.window_ms < math.inf:
+            raise ValueError(f"window_ms must be positive and finite, got {self.window_ms!r}")
         if self.frame_interval < 1:
             raise ValueError("frame_interval must be >= 1")
 
@@ -198,8 +198,8 @@ def segment_clips(
     entry: ClipManifestEntry, clip_seconds: float = 10.0
 ) -> list[ClipSpan]:
     """Non-overlapping fixed-length spans; trailing remainder is dropped."""
-    if clip_seconds <= 0.0:
-        raise ValueError("clip_seconds must be positive")
+    if not 0.0 < clip_seconds < math.inf:
+        raise ValueError(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
     count = int(entry.duration / clip_seconds)
     samples_per_clip = int(round(clip_seconds * entry.sample_rate))
     return [
@@ -325,10 +325,12 @@ def _evaluate_entry(
 ) -> tuple[str, list[str], list[str]]:
     """Run every applicable filter; reasons and skip notes accumulate.
 
-    Every frame the pattern matches is checked, so one unreadable frame
-    anywhere skips the stationarity filter, but only frames 0, k, 2k, ...
-    (k = ``frame_interval``), the ones the verdict compares, are decoded;
-    the others are checked from their header and file length alone.
+    Every frame the pattern matches is checked from its header and file
+    length, and so is the shape of every compared pair: one unreadable
+    frame or mismatched pair anywhere skips the stationarity filter.
+    Only frames 0, k, 2k, ... (k = ``frame_interval``), the ones the
+    verdict compares, are decoded, in order and only until the verdict
+    is settled; see :func:`~foagen.panorama.settle_stationarity`.
     """
     def resolve(path: str) -> str:
         if base_dir is not None and not os.path.isabs(path):
@@ -340,21 +342,14 @@ def _evaluate_entry(
 
     if entry.frames_pattern:
         frame_paths = sorted(glob.glob(resolve(entry.frames_pattern)))
-        interval = thresholds.frame_interval
         try:
-            # check_frame checks the header and length of a frame the
-            # verdict never compares and leaves None in its place.
-            frames = [
-                read_frame(p) if i % interval == 0 else check_frame(p)
-                for i, p in enumerate(frame_paths)
-            ]
-            verdict = stationarity_verdict(
-                frames,
-                interval,
+            if settle_stationarity(
+                [check_frame(p) for p in frame_paths],
+                lambda i: read_frame(frame_paths[i]),
+                thresholds.frame_interval,
                 thresholds.frame_mse,
                 thresholds.stationary_ratio,
-            )
-            if verdict.stationary:
+            ):
                 reasons.append("stationary")
         except FoagenError:
             # Unreadable or too-short sequences cannot be judged.

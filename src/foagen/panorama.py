@@ -19,7 +19,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -279,31 +279,96 @@ def stationarity_verdict(
     Frames i and i + interval are compared for i = 0, interval,
     2*interval, ...; a comparison counts as stationary when its MSE falls
     strictly below ``mse_threshold``, and the sequence is stationary when
-    the stationary fraction strictly exceeds ``ratio_threshold``. No
-    other frame is read, so the others may be placeholders: ``clean``
-    checks every frame file but decodes only frames 0, interval,
-    2*interval, ... and passes None for the rest.
+    the stationary fraction strictly exceeds ``ratio_threshold``. Every
+    comparison is made, so ``ratio`` is exact. No other frame is read,
+    so the others may be placeholders. :func:`settle_stationarity` makes
+    the same decision and stops once it is settled.
 
     Raises:
         TooFewFrames: when fewer than two comparisons are available.
     """
+    compared = _compared_frames(len(frames), interval)
+    comparisons = len(compared) - 1
+    for count in _stationary_counts(frames.__getitem__, compared, mse_threshold):
+        pass
+    return StationarityResult(
+        _exceeds(count, comparisons, ratio_threshold), count / comparisons, comparisons
+    )
+
+
+def settle_stationarity(
+    shapes: Sequence[tuple[int, int, int]],
+    frame_at: Callable[[int], np.ndarray],
+    interval: int = 8,
+    mse_threshold: float = 1e-3,
+    ratio_threshold: float = 0.85,
+) -> bool:
+    """The verdict of :func:`stationarity_verdict` over all frames, from
+    the fewest decoded frames.
+
+    ``shapes`` holds the (height, width, channels) of every frame, as
+    :func:`check_frame` reports it, and ``frame_at(i)`` decodes frame i.
+    The shapes of every compared pair are checked first, so a mismatch
+    anywhere raises even when the verdict would be settled before it.
+    The comparisons then run in order, each compared frame decoded once
+    and at most two held, and stop as soon as the stationary count
+    already exceeds the ratio or can no longer reach it.
+
+    Raises:
+        TooFewFrames: when fewer than two comparisons are available.
+        ShapeMismatch: when the frames of a compared pair differ in shape.
+    """
+    compared = _compared_frames(len(shapes), interval)
+    comparisons = len(compared) - 1
+    for i, j in zip(compared, compared[1:]):
+        if shapes[i] != shapes[j]:
+            raise ShapeMismatch(f"frames {i} and {j} differ in shape: {shapes[i]} vs {shapes[j]}")
+    counts = _stationary_counts(frame_at, compared, mse_threshold)
+    for done, count in enumerate(counts, start=1):
+        # The count only grows, by at most one per remaining comparison.
+        remaining = comparisons - done
+        if _exceeds(count, comparisons, ratio_threshold) or not _exceeds(
+            count + remaining, comparisons, ratio_threshold
+        ):
+            break
+    return _exceeds(count, comparisons, ratio_threshold)
+
+
+def _compared_frames(frames: int, interval: int) -> range:
+    """Indices 0, interval, 2*interval, ... of the frames the verdict
+    compares, each with the next."""
     interval = int(interval)
     if interval < 1:
         raise ValueError(f"interval must be >= 1, got {interval!r}")
-    n = len(frames)
-    comparisons = max(0, (n - 1)) // interval
+    comparisons = max(0, (frames - 1)) // interval
     if comparisons < 2:
         raise TooFewFrames(
-            f"{n} frames at interval {interval} give {comparisons} comparisons; "
+            f"{frames} frames at interval {interval} give {comparisons} comparisons; "
             "need at least 2"
         )
-    stationary_count = 0
-    for k in range(comparisons):
-        i = k * interval
-        if frame_mse(frames[i], frames[i + interval]) < mse_threshold:
-            stationary_count += 1
-    ratio = stationary_count / comparisons
-    return StationarityResult(ratio > ratio_threshold, ratio, comparisons)
+    return range(0, comparisons * interval + 1, interval)
+
+
+def _stationary_counts(
+    frame_at: Callable[[int], np.ndarray], compared: range, mse_threshold: float
+) -> Iterator[int]:
+    """Running count of stationary comparisons, yielded after each one.
+
+    Each frame in ``compared`` is taken from ``frame_at`` once, compared
+    with the one before it and the one after, and then dropped.
+    """
+    count = 0
+    previous = frame_at(compared[0])
+    for i in compared[1:]:
+        current = frame_at(i)
+        if frame_mse(previous, current) < mse_threshold:
+            count += 1
+        previous = current
+        yield count
+
+
+def _exceeds(count: int, comparisons: int, ratio_threshold: float) -> bool:
+    return count / comparisons > ratio_threshold
 
 
 # --- frame file I/O ----------------------------------------------------------
@@ -341,9 +406,10 @@ def read_frame(path) -> np.ndarray:
 _HEAD_BYTES = 4096
 
 
-def check_frame(path) -> None:
+def check_frame(path) -> tuple[int, int, int]:
     """Raise what :func:`read_frame` would raise on ``path``, without
-    decoding the pixels; return None for a readable frame.
+    decoding the pixels; return the (height, width, channels) shape
+    that :func:`read_frame` would return for a readable frame.
 
     Only the header and the file length are checked: the first 4 KiB
     and ``os.fstat``. When an anymap header runs past those bytes or the
@@ -358,11 +424,13 @@ def check_frame(path) -> None:
             head = fh.read(_HEAD_BYTES)
             info = os.fstat(fh.fileno())
             size = info.st_size if stat.S_ISREG(info.st_mode) else None
-            if size is None or _frame_layout(name, head, size) is None:
+            layout = None if size is None else _frame_layout(name, head, size)
+            if layout is None:
                 head += fh.read()
-                _frame_layout(name, head, len(head))
+                layout = _frame_layout(name, head, len(head))
     except OSError as exc:
         raise IoFailure(f"cannot read {name}: {exc}") from exc
+    return layout[2]
 
 
 _Layout = tuple[int, np.dtype, tuple[int, int, int], int | None]

@@ -21,9 +21,17 @@ from foagen.cleaning import (
     write_manifest,
     write_report,
 )
-from foagen.errors import EmptySignal, ManifestParseError, MissingScore, TooFewFrames
+from foagen.errors import (
+    CorruptHeader,
+    EmptySignal,
+    FoagenError,
+    ManifestParseError,
+    MissingScore,
+    ShapeMismatch,
+    TooFewFrames,
+)
 from foagen.foa import MonoSignal
-from foagen.panorama import read_frame, stationarity_verdict, write_frame
+from foagen.panorama import StationarityResult, read_frame, stationarity_verdict, write_frame
 
 RATE = 1000  # 20 ms windows are 20 samples at this rate
 
@@ -377,24 +385,60 @@ def test_bad_frame_the_verdict_never_compares_still_skips(tmp_path, suffix, corr
 
 
 def test_run_pipeline_decodes_only_compared_frames(tmp_path, monkeypatch):
-    _write_moving_clip(tmp_path / "clip", 33)
+    # 33 frames at interval 8 compare frames 0, 8, 16, 24 and 32. The moving
+    # clip's first comparison settles its verdict; the static clip needs all.
+    _write_moving_clip(tmp_path / "moving", 33)
+    static = _write_moving_clip(tmp_path / "static", 33)
+    for path in static[1:]:
+        path.write_bytes(static[0].read_bytes())
     calls = []
 
     def counting_read_frame(path):
-        calls.append(path)
+        calls.append(os.path.relpath(path, tmp_path))
         return read_frame(path)
 
     monkeypatch.setattr(foagen.cleaning, "read_frame", counting_read_frame)
-    entry = ClipManifestEntry("a", "none.wav", 1.0, RATE, frames_pattern="clip/*.fframe")
-    report = run_pipeline([entry], FilterThresholds(frame_interval=8), base_dir=str(tmp_path))
-    assert [os.path.basename(p) for p in calls] == [
-        f"f{i:03d}.fframe" for i in (0, 8, 16, 24, 32)
+    entries = [
+        ClipManifestEntry(clip, "none.wav", 1.0, RATE, frames_pattern=f"{clip}/*.fframe")
+        for clip in ("moving", "static")
     ]
-    assert "stationary" not in report.skipped.get("a", [])
+    report = run_pipeline(entries, FilterThresholds(frame_interval=8), base_dir=str(tmp_path))
+    assert calls == [os.path.join("moving", f"f{i:03d}.fframe") for i in (0, 8)] + [
+        os.path.join("static", f"f{i:03d}.fframe") for i in (0, 8, 16, 24, 32)
+    ]
+    assert report.skipped["moving"] == report.skipped["static"] == ["silent", "speech", "alignment"]
+    assert report.kept == ["moving"]
+    assert report.removed == {"static": ["stationary"]}
+
+
+def _all_frames_outcome(paths, thresholds):
+    """stationarity_verdict over every decoded frame, or the error class
+    that reading or comparing them raises."""
+    try:
+        frames = [read_frame(p) for p in paths]
+        return stationarity_verdict(
+            frames, thresholds.frame_interval, thresholds.frame_mse, thresholds.stationary_ratio
+        )
+    except FoagenError as exc:
+        return type(exc)
+
+
+def _report_row(report, entry_id):
+    status = "removed" if entry_id in report.removed else "kept"
+    return status, report.removed.get(entry_id, []), report.skipped.get(entry_id, [])
+
+
+def _expected_row(outcome):
+    """The report row of a clip with no WAV and no scores, whose frames
+    give ``outcome``."""
+    judged = isinstance(outcome, StationarityResult)
+    reasons = ["stationary"] if judged and outcome.stationary else []
+    skipped = ([] if judged else ["stationary"]) + ["silent", "speech", "alignment"]
+    return ("removed" if reasons else "kept"), reasons, skipped
 
 
 @pytest.mark.parametrize("interval", [1, 3, 8])
-def test_stationarity_outcome_matches_all_frames_reference(tmp_path, monkeypatch, interval):
+def test_stationarity_outcome_matches_all_frames_reference(tmp_path, interval):
     # frames 0-11 are identical and the rest distinct, so the verdict
     # comes out both ways among the counts at every interval
     thresholds = FilterThresholds(frame_interval=interval, stationary_ratio=0.4)
@@ -412,32 +456,103 @@ def test_stationarity_outcome_matches_all_frames_reference(tmp_path, monkeypatch
             f"n{n:02d}", "none.wav", 1.0, RATE, frames_pattern=f"clip{n:02d}/*.fframe",
         ))
 
-    def outcome(frames):
-        try:
-            return stationarity_verdict(
-                frames, interval, thresholds.frame_mse, thresholds.stationary_ratio
-            )
-        except TooFewFrames:
-            return TooFewFrames
-
-    seen = {}
-
-    def recording_verdict(frames, *args):
-        seen[len(frames)] = outcome(frames)
-        return stationarity_verdict(frames, *args)
-
-    monkeypatch.setattr(foagen.cleaning, "stationarity_verdict", recording_verdict)
     report = run_pipeline(entries, thresholds, base_dir=str(tmp_path))
+    wants = {}
     for n in counts:
-        want = outcome([read_frame(p) for p in frame_paths[n]])
-        assert seen[n] == want, n
+        wants[n] = want = _all_frames_outcome(frame_paths[n], thresholds)
         entry_id = f"n{n:02d}"
+        assert _report_row(report, entry_id) == _expected_row(want), n
         assert ("stationary" in report.skipped[entry_id]) == (want is TooFewFrames)
         assert ("stationary" in report.removed.get(entry_id, [])) == (
             want is not TooFewFrames and want.stationary
         )
-    assert any(v is not TooFewFrames and v.stationary for v in seen.values())
-    assert any(v is not TooFewFrames and not v.stationary for v in seen.values())
+    assert any(v is not TooFewFrames and v.stationary for v in wants.values())
+    assert any(v is not TooFewFrames and not v.stationary for v in wants.values())
+
+
+def _settling_comparison(moves, ratio):
+    """1-based index of the comparison after which the stationary count
+    decides the verdict, given which comparisons move."""
+    comparisons, count = len(moves), 0
+    for done, moved in enumerate(moves, start=1):
+        count += not moved
+        if count / comparisons > ratio or (count + comparisons - done) / comparisons <= ratio:
+            return done
+    raise AssertionError("a verdict is settled by its last comparison")
+
+
+def test_settled_verdict_equals_the_all_frames_verdict(tmp_path):
+    # Random clips of 0-40 frames at intervals 1-9, some frames NaN, judged
+    # at ratios 0, 1, every exact tie j / comparisons and one random ratio.
+    # Some clips get a bad frame, or a compared frame of another shape,
+    # after the comparison that settles the verdict: the clip must still be
+    # skipped, as the all-frames verdict skips it.
+    rng = np.random.default_rng(10)
+    blobs = {}
+    for name, frame in [
+        *((f"scene{k}", rng.random((2, 3, 1))) for k in range(6)),
+        ("nan", np.full((2, 3, 1), np.nan)),
+        ("shape", rng.random((3, 2, 1))),
+    ]:
+        write_frame(tmp_path / "blob.fframe", frame)
+        blobs[name] = (tmp_path / "blob.fframe").read_bytes()
+    blobs["bad"] = blobs["scene0"][:-1]
+    scenes = [name for name in blobs if name.startswith("scene")]
+
+    groups, clips, seen = {}, {}, set()
+    for sequence in range(48):
+        n, interval = int(rng.integers(0, 41)), int(rng.integers(1, 10))
+        comparisons = max(0, n - 1) // interval
+        compared = range(0, comparisons * interval + 1, interval)
+        names = [scenes[k] for k in rng.integers(len(scenes), size=n)]
+        hold = rng.random()
+        for i in compared[1:]:
+            if rng.random() < hold:
+                names[i] = names[i - interval]
+        for i in np.flatnonzero(rng.random(n) < 0.08):
+            names[i] = "nan"
+        moves = [names[i] != names[j] or names[i] == "nan" for i, j in zip(compared, compared[1:])]
+        count = moves.count(False)
+        ratios = [0.0, 1.0, float(rng.random())]
+        ratios += [j / comparisons for j in range(comparisons + 1)] if comparisons else []
+        for ratio in ratios:
+            clip_names, fault = list(names), "none"
+            if comparisons >= 2:
+                settled = compared[_settling_comparison(moves, ratio)]
+                fault = str(rng.choice(["none", "bad", "shape"]))
+                later = [i for i in compared if i > settled] if fault == "shape" else []
+                later = later or list(range(settled + 1, n))
+                if fault != "none" and later:
+                    clip_names[int(rng.choice(later))] = fault
+                    seen.add((fault, settled < compared[-1]))
+            clip_id = f"c{len(clips):04d}"
+            clip = tmp_path / clip_id
+            clip.mkdir()
+            paths = [clip / f"f{i:03d}.fframe" for i in range(n)]
+            for path, name in zip(paths, clip_names):
+                path.write_bytes(blobs[name])
+            thresholds = FilterThresholds(frame_interval=interval, stationary_ratio=ratio)
+            groups.setdefault(thresholds, []).append(ClipManifestEntry(
+                clip_id, "none.wav", 1.0, RATE, frames_pattern=f"{clip_id}/*.fframe",
+            ))
+            clips[clip_id] = paths, thresholds, count
+
+    outcomes = []
+    for thresholds, entries in groups.items():
+        report = run_pipeline(entries, thresholds, base_dir=str(tmp_path))
+        for entry in entries:
+            paths, _, count = clips[entry.id]
+            want = _all_frames_outcome(paths, thresholds)
+            assert _report_row(report, entry.id) == _expected_row(want), entry.id
+            if isinstance(want, StationarityResult):  # the reference itself is strict
+                ratio = count / want.comparisons
+                assert (want.ratio, want.stationary) == (ratio, ratio > thresholds.stationary_ratio)
+            outcomes.append(want)
+    # every branch was taken: both verdicts, each way to skip, and tail
+    # faults behind an early decision
+    assert {True, False} <= {v.stationary for v in outcomes if isinstance(v, StationarityResult)}
+    assert {TooFewFrames, CorruptHeader, ShapeMismatch} <= set(outcomes)
+    assert {("bad", True), ("shape", True)} <= seen
 
 
 def test_run_pipeline_worker_count_irrelevant(tmp_path):

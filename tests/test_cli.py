@@ -305,6 +305,24 @@ def test_segment(tmp_path, capsys):
     assert read_wav(outdir / "long_seg000.wav").n_samples == 1000
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_clean_and_segment_reject_a_non_finite_duration(tmp_path, capsys, value):
+    write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
+    write_manifest(tmp_path / "m.jsonl", [ClipManifestEntry("a", "long.wav", 2.5, 1000)])
+    report = tmp_path / "r.jsonl"
+    outdir = tmp_path / "segs"
+    for argv, flag in (
+        (("clean", tmp_path / "m.jsonl", "--report", report, "--base-dir", tmp_path), "window_ms"),
+        (("segment", tmp_path / "long.wav", "--outdir", outdir), "clip_seconds"),
+    ):
+        code = main([str(a) for a in argv] + [f"--{flag.replace('_', '-')}", value])
+        errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
+        assert code == 1
+        assert errors == [f"error=ValueError {flag} must be positive and finite, got {value}"]
+    assert not report.exists()
+    assert not outdir.exists()
+
+
 def test_mask_stats(capsys):
     code, kv = run_cli(
         capsys, "mask-stats", "--frames", "30", "--draws", "400",
