@@ -330,7 +330,9 @@ def _evaluate_entry(
     frame or mismatched pair anywhere skips the stationarity filter.
     Only frames 0, k, 2k, ... (k = ``frame_interval``), the ones the
     verdict compares, are decoded, in order and only until the verdict
-    is settled; see :func:`~foagen.panorama.settle_stationarity`.
+    is settled; see :func:`~foagen.panorama.settle_stationarity`. An
+    OS read error inside the pixels of a frame that is never decoded,
+    uncompared or compared after the decision, goes unnoticed.
     """
     def resolve(path: str) -> str:
         if base_dir is not None and not os.path.isabs(path):
