@@ -27,7 +27,7 @@ import numpy as np
 from . import container
 from .audio_io import read_wav, signal_channels
 from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
-from .panorama import check_frame, read_frame, settle_stationarity
+from .panorama import _read_stored, check_frame, settle_stationarity
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class FilterThresholds:
             raise ValueError("silence_ratio must lie in [0, 1]")
         if not 0.0 <= self.stationary_ratio <= 1.0:
             raise ValueError("stationary_ratio must lie in [0, 1]")
+        for name in ("silence_dbfs", "min_alignment", "frame_mse"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if not 0.0 < self.window_ms < math.inf:
             raise ValueError(f"window_ms must be positive and finite, got {self.window_ms!r}")
         if self.frame_interval < 1:
@@ -329,10 +332,11 @@ def _evaluate_entry(
     length, and so is the shape of every compared pair: one unreadable
     frame or mismatched pair anywhere skips the stationarity filter.
     Only frames 0, k, 2k, ... (k = ``frame_interval``), the ones the
-    verdict compares, are decoded, in order and only until the verdict
-    is settled; see :func:`~foagen.panorama.settle_stationarity`. An
-    OS read error inside the pixels of a frame that is never decoded,
-    uncompared or compared after the decision, goes unnoticed.
+    verdict compares, are read, in order and only until the verdict is
+    settled; see :func:`~foagen.panorama.settle_stationarity`. They are
+    compared in their stored integers. An OS read error inside the
+    pixels of a frame that is never read, uncompared or compared after
+    the decision, goes unnoticed.
     """
     def resolve(path: str) -> str:
         if base_dir is not None and not os.path.isabs(path):
@@ -347,7 +351,7 @@ def _evaluate_entry(
         try:
             if settle_stationarity(
                 [check_frame(p) for p in frame_paths],
-                lambda i: read_frame(frame_paths[i]),
+                lambda i: _read_stored(frame_paths[i]),
                 thresholds.frame_interval,
                 thresholds.frame_mse,
                 thresholds.stationary_ratio,

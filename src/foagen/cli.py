@@ -55,7 +55,15 @@ from .flow import (
     train,
 )
 from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance
-from .panorama import FOV_PRESETS, erp_to_perspective, fov_cameras, pad_to_square, read_frame, write_frame
+from .panorama import (
+    FOV_PRESETS,
+    _read_stored,
+    erp_to_perspective,
+    fov_cameras,
+    pad_to_square,
+    read_frame,
+    write_frame,
+)
 
 DEGREES = 180.0 / math.pi
 
@@ -149,18 +157,21 @@ def _cmd_doa(args) -> int:
 
 
 def _wav_pair_paths(truth: str, estimate: str) -> list[tuple[str, str]]:
+    """The (truth, estimate) files to compare: the two arguments, or the
+    .wav files of two directories paired by file name."""
     t_path, e_path = Path(truth), Path(estimate)
     if t_path.is_dir() != e_path.is_dir():
         raise DimensionMismatch("both arguments must be files or both directories")
     if not t_path.is_dir():
         return [(truth, estimate)]
-    t_files = sorted(str(p) for p in t_path.glob("*.wav"))
-    e_files = sorted(str(p) for p in e_path.glob("*.wav"))
-    if len(t_files) != len(e_files):
+    t_files = {p.name: str(p) for p in t_path.glob("*.wav")}
+    e_files = {p.name: str(p) for p in e_path.glob("*.wav")}
+    unmatched = sorted(t_files.keys() ^ e_files.keys())
+    if unmatched:
         raise DimensionMismatch(
-            f"{len(t_files)} ground-truth files vs {len(e_files)} estimates"
+            f"no file of the same name in the other directory for {', '.join(unmatched)}"
         )
-    return list(zip(t_files, e_files))
+    return [(t_files[name], e_files[name]) for name in sorted(t_files)]
 
 
 def _cmd_eval_doa(args) -> int:
@@ -221,7 +232,8 @@ def _cmd_pad_erp(args) -> int:
 
 
 def _cmd_cut_fov(args) -> int:
-    frame = read_frame(args.input)
+    # Cuts sample the stored pixels; the ERP is never decoded whole.
+    frame = _read_stored(args.input)
     cameras = fov_cameras(args.preset, args.hfov / DEGREES, args.width, args.height)
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         cuts = list(pool.map(lambda cam: erp_to_perspective(frame, cam), cameras))

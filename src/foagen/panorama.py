@@ -19,7 +19,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,7 +106,9 @@ def pad_to_square(erp) -> np.ndarray:
     return out
 
 
-def _bilinear_wrap_clamp(erp: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _bilinear_wrap_clamp(
+    erp: np.ndarray, u: np.ndarray, v: np.ndarray, maxval: int | None = None
+) -> np.ndarray:
     """Bilinear sample at area coordinates (u, v); horizontal wrap,
     vertical clamp.
 
@@ -114,6 +116,12 @@ def _bilinear_wrap_clamp(erp: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.nd
     (height * width * channels) buffer at four corner indices, and the
     lerps run in place on 1-D arrays. They keep the nested-lerp form,
     so sampling a constant image returns the constant exactly.
+
+    ``erp`` holds float64 values, or, with ``maxval``, stored anymap
+    integers: each corner is then taken into an integer scratch and
+    divided by ``maxval`` into the float buffer, the same division
+    :func:`read_frame` makes, so the result is bit-identical to sampling
+    the decoded frame.
     """
     height, width, channels = erp.shape
     flat = np.ravel(erp)  # a C-order copy only for a non-contiguous view
@@ -131,17 +139,26 @@ def _bilinear_wrap_clamp(erp: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.nd
 
     out = np.empty((x.size, channels))
     top, bottom, step = np.empty((3, x.size))
+    scratch = None if maxval is None else np.empty(x.size, flat.dtype)
+
+    def take(plane, index, into):
+        # Every index is in range by construction.
+        if scratch is None:
+            plane.take(index, out=into, mode="clip")
+        else:
+            plane.take(index, out=scratch, mode="clip")
+            np.divide(scratch, maxval, out=into, dtype=np.float64)
+
     for c in range(channels):
-        # flat[c:] is contiguous, so take gathers without a planar copy;
-        # every index is in range by construction.
+        # flat[c:] is contiguous, so take gathers without a planar copy.
         plane = flat[c:]
-        plane.take(i00, out=top, mode="clip")
-        plane.take(i01, out=step, mode="clip")
+        take(plane, i00, top)
+        take(plane, i01, step)
         step -= top
         step *= fx
         top += step
-        plane.take(i10, out=bottom, mode="clip")
-        plane.take(i11, out=step, mode="clip")
+        take(plane, i10, bottom)
+        take(plane, i11, step)
         step -= bottom
         step *= fx
         bottom += step
@@ -159,10 +176,15 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
     longitude and latitude, and sampled from the ERP grid bilinearly with
     horizontal wraparound and vertical clamping.
 
+    ``erp`` is a float frame or a :class:`StoredFrame`; a stored anymap
+    is sampled from its integers, never decoded whole, and the cut is
+    bit-identical to the cut of its :func:`read_frame` decoding.
+
     Raises:
         NotErpAspect: when the input is not 2:1.
     """
-    frame = _check_erp(_as_frame(erp))
+    pixels, maxval = erp if isinstance(erp, StoredFrame) else (erp, None)
+    frame = _check_erp(pixels if maxval is not None else _as_frame(pixels))
     height, width = frame.shape[0], frame.shape[1]
     half_w = math.tan(camera.hfov / 2.0)
     half_h = half_w * camera.out_height / camera.out_width
@@ -187,7 +209,7 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
     latitude = np.arctan2(z_w, np.hypot(x_w, y_w))
     u = (longitude / (2.0 * math.pi) + 0.5) * width
     v = (0.5 - latitude / math.pi) * height
-    return _bilinear_wrap_clamp(frame, u, v)
+    return _bilinear_wrap_clamp(frame, u, v, maxval)
 
 
 # Preset cut directions as (yaw, pitch) pairs.
@@ -298,21 +320,23 @@ def stationarity_verdict(
 
 def settle_stationarity(
     shapes: Sequence[tuple[int, int, int]],
-    frame_at: Callable[[int], np.ndarray],
+    frame_at: Callable[[int], np.ndarray | StoredFrame],
     interval: int = 8,
     mse_threshold: float = 1e-3,
     ratio_threshold: float = 0.85,
 ) -> bool:
     """The verdict of :func:`stationarity_verdict` over all frames, from
-    the fewest decoded frames.
+    the fewest frames read.
 
     ``shapes`` holds the (height, width, channels) of every frame, as
-    :func:`check_frame` reports it, and ``frame_at(i)`` decodes frame i.
-    The shapes of every compared pair are checked first, so a mismatch
-    anywhere raises even when the verdict would be settled before it.
-    The comparisons then run in order, each compared frame decoded once
-    and at most two held, and stop as soon as the stationary count
-    already exceeds the ratio or can no longer reach it.
+    :func:`check_frame` reports it, and ``frame_at(i)`` reads frame i,
+    as a float frame or as a :class:`StoredFrame`; two stored anymaps
+    are compared from their integers, with the verdict their decoded
+    frames would give. The shapes of every compared pair are checked
+    first, so a mismatch anywhere raises even when the verdict would be
+    settled before it. The comparisons then run in order, each compared
+    frame read once and at most two held, and stop as soon as the
+    stationary count already exceeds the ratio or can no longer reach it.
 
     Raises:
         TooFewFrames: when fewer than two comparisons are available.
@@ -350,7 +374,7 @@ def _compared_frames(frames: int, interval: int) -> range:
 
 
 def _stationary_counts(
-    frame_at: Callable[[int], np.ndarray], compared: range, mse_threshold: float
+    frame_at: Callable[[int], np.ndarray | StoredFrame], compared: range, mse_threshold: float
 ) -> Iterator[int]:
     """Running count of stationary comparisons, yielded after each one.
 
@@ -361,10 +385,56 @@ def _stationary_counts(
     previous = frame_at(compared[0])
     for i in compared[1:]:
         current = frame_at(i)
-        if frame_mse(previous, current) < mse_threshold:
+        if _mse_below(previous, current, mse_threshold):
             count += 1
         previous = current
         yield count
+
+
+# Integer types of the difference and of its square, by anymap maxval.
+_DIFF_SQUARE = {255: (np.int16, np.int32), 65535: (np.int32, np.int64)}
+
+# Relative margin of the integer verdict. The float MSE of two anymaps
+# with maxval m and n samples has a relative error of at most about
+# 2(2m+1)u + (log2 n + 16)u (u = 2**-53): each decoded pixel is rounded,
+# so a difference d/m is off by up to (2m+1)u relative to |d|/m >= 1/m,
+# its square by twice that, and the pairwise mean adds its own. That is
+# about 3e-11 at m = 65535, well inside this margin, so outside it both
+# MSEs fall on the same side of the threshold.
+_MSE_MARGIN = 1e-9
+
+
+def _mse_below(a, b, threshold: float) -> bool:
+    """``frame_mse(a, b) < threshold`` for float or stored frames.
+
+    Two stored anymaps of one shape and maxval are compared from the
+    exact integer sum of squared differences; only when that MSE lies
+    within a relative 1e-9 of the threshold are both frames decoded and
+    the float MSE decides. The verdict is therefore always the one the
+    float MSE of the decoded frames gives.
+    """
+    if (
+        isinstance(a, StoredFrame)
+        and isinstance(b, StoredFrame)
+        and a.maxval in _DIFF_SQUARE
+        and a.maxval == b.maxval
+        and a.pixels.shape == b.pixels.shape
+        and a.pixels.size * a.maxval**2 < 2**63  # the int64 total cannot overflow
+    ):
+        diff_type, square_type = _DIFF_SQUARE[a.maxval]
+        diff = np.subtract(a.pixels, b.pixels, dtype=diff_type)
+        total = np.multiply(diff, diff, dtype=square_type).sum(dtype=np.int64)
+        # Python integers divide with one correct rounding.
+        mse = int(total) / (a.maxval**2 * a.pixels.size)
+        if mse * (1.0 + _MSE_MARGIN) < threshold:
+            return True
+        if mse * (1.0 - _MSE_MARGIN) >= threshold:
+            return False
+    if isinstance(a, StoredFrame):
+        a = _decoded(a)
+    if isinstance(b, StoredFrame):
+        b = _decoded(b)
+    return frame_mse(a, b) < threshold
 
 
 def _exceeds(count: int, comparisons: int, ratio_threshold: float) -> bool:
@@ -378,7 +448,13 @@ def _exceeds(count: int, comparisons: int, ratio_threshold: float) -> bool:
 # foagen.container, which preserves values exactly.
 
 def write_frame(path, frame, bit_depth: int = 8) -> None:
-    """Write a frame; format chosen by extension (.pgm/.ppm/.fframe)."""
+    """Write a frame; format chosen by extension (.pgm/.ppm/.fframe).
+
+    An anymap quantizes values in [0, 1] to its bit depth and clips any
+    value outside them, +-inf included; a frame holding NaN raises
+    ValueError before the file is created. ``.fframe`` keeps every value
+    exactly, NaN too.
+    """
     arr = _as_frame(frame)
     name = str(path)
     if name.endswith(".fframe"):
@@ -389,16 +465,35 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
         raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
 
 
-def read_frame(path) -> np.ndarray:
-    """Read a frame written by :func:`write_frame`."""
+class StoredFrame(NamedTuple):
+    """A frame as its file stores it: a read-only (height, width,
+    channels) view of the stored pixels, and the anymap maxval, or None
+    for the float container, whose pixels are already float64."""
+
+    pixels: np.ndarray
+    maxval: int | None
+
+
+def _read_stored(path) -> StoredFrame:
+    """Read a frame file without decoding its pixels."""
     name = str(path)
     blob = container.read_bytes(name)
     offset, dtype, shape, maxval = _frame_layout(name, blob, len(blob))
     pixels = np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
-    if maxval is None:
-        return pixels.astype(np.float64)
+    return StoredFrame(pixels, maxval)
+
+
+def _decoded(frame: StoredFrame) -> np.ndarray:
+    """The float64 frame that a stored frame holds, as a new array."""
+    if frame.maxval is None:
+        return frame.pixels.astype(np.float64)
     # Anymap integers scale to [0, 1] in one pass.
-    return np.divide(pixels, maxval, dtype=np.float64)
+    return np.divide(frame.pixels, frame.maxval, dtype=np.float64)
+
+
+def read_frame(path) -> np.ndarray:
+    """Read a frame written by :func:`write_frame`."""
+    return _decoded(_read_stored(path))
 
 
 # check_frame reads this many leading bytes; every header fits in them
@@ -457,6 +552,8 @@ def _write_pnm(name: str, arr: np.ndarray, bit_depth: int) -> None:
         raise UnsupportedFormat("grayscale .pgm needs a single-channel frame")
     if name.endswith(".ppm") and channels != 3:
         raise UnsupportedFormat("color .ppm needs a three-channel frame")
+    if np.isnan(arr).any():
+        raise ValueError(f"frame holds NaN, which {name!r} cannot store")
     maxval = (1 << bit_depth) - 1
     quantized = np.clip(np.rint(arr * maxval), 0, maxval)
     payload = np.ascontiguousarray(quantized, dtype=">u2" if bit_depth == 16 else "u1")

@@ -392,12 +392,13 @@ def test_run_pipeline_decodes_only_compared_frames(tmp_path, monkeypatch):
     for path in static[1:]:
         path.write_bytes(static[0].read_bytes())
     calls = []
+    read_stored = foagen.cleaning._read_stored
 
-    def counting_read_frame(path):
+    def counting_read_stored(path):
         calls.append(os.path.relpath(path, tmp_path))
-        return read_frame(path)
+        return read_stored(path)
 
-    monkeypatch.setattr(foagen.cleaning, "read_frame", counting_read_frame)
+    monkeypatch.setattr(foagen.cleaning, "_read_stored", counting_read_stored)
     entries = [
         ClipManifestEntry(clip, "none.wav", 1.0, RATE, frames_pattern=f"{clip}/*.fframe")
         for clip in ("moving", "static")
@@ -586,3 +587,7 @@ def test_filter_thresholds_validation():
         FilterThresholds(window_ms=0.0)
     with pytest.raises(ValueError):
         FilterThresholds(frame_interval=0)
+    for name in ("silence_dbfs", "min_alignment", "frame_mse"):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            FilterThresholds(**{name: math.nan})
+        FilterThresholds(**{name: math.inf})  # an infinite cut is a valid, if extreme, choice

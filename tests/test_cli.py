@@ -147,6 +147,27 @@ def test_eval_doa_pair_and_directory(tmp_path, capsys):
     assert kv["error"].startswith("DimensionMismatch")
 
 
+def test_eval_doa_pairs_directories_by_file_name(tmp_path, capsys):
+    src = _mono_wav(tmp_path / "m.wav", seed=4)
+    truth_dir, est_dir = tmp_path / "truth", tmp_path / "est"
+    truth_dir.mkdir()
+    est_dir.mkdir()
+    for name, theta in (("a", 0.0), ("b", 1.0)):
+        run_cli(capsys, "spatialize", src, truth_dir / f"{name}.wav", "--theta", theta)
+    for name, theta in (("a", 0.0), ("c", 1.0)):
+        run_cli(capsys, "spatialize", src, est_dir / f"{name}.wav", "--theta", theta)
+    # Sorted by position, b.wav would pair with c.wav and score zero error.
+    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir)
+    assert code == 1
+    assert kv["error"] == "DimensionMismatch no file of the same name in the other directory for b.wav, c.wav"
+
+    (est_dir / "c.wav").rename(est_dir / "b.wav")
+    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir)
+    assert code == 0
+    assert kv["evaluated"] == "2"
+    assert float(kv["d_angular"]) == 0.0
+
+
 def test_eval_fd_and_kl(tmp_path, capsys):
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, 3))
@@ -207,6 +228,45 @@ def test_cut_fov_six_cuts(tmp_path, capsys):
         cut = read_frame(outdir / f"erp_cut{i}.fframe")
         assert cut.shape == (16, 16, 1)
         np.testing.assert_array_equal(cut, expected[i])
+
+
+@pytest.mark.parametrize("suffix, channels, bit_depth", [(".pgm", 1, 8), (".ppm", 3, 8), (".ppm", 3, 16)])
+def test_cut_fov_of_an_anymap_matches_the_cuts_of_the_decoded_frame(tmp_path, capsys, suffix, channels, bit_depth):
+    # cut-fov samples the stored integers; the cuts must be the bytes that
+    # cutting the decoded float frame gives.
+    erp = tmp_path / f"erp{suffix}"
+    write_frame(erp, np.random.default_rng(8).random((16, 32, channels)), bit_depth=bit_depth)
+    outdir = tmp_path / "cuts"
+    code, kv = run_cli(
+        capsys, "cut-fov", erp, outdir, "--preset", "6cuts", "--width", "12", "--height", "10",
+        "--bit-depth", bit_depth,
+    )
+    assert code == 0
+    cuts = make_fov_cuts(read_frame(erp), "6cuts", math.radians(120.0), 12, 10)
+    for i, cut in enumerate(cuts):
+        want = tmp_path / f"want{i}{suffix}"
+        write_frame(want, cut, bit_depth=bit_depth)
+        assert (outdir / f"erp_cut{i}{suffix}").read_bytes() == want.read_bytes()
+
+
+def test_cut_fov_and_pad_erp_refuse_to_quantize_nan(tmp_path, capsys):
+    # A float-container ERP with no suffix is cut into .pgm files.
+    frame = np.random.default_rng(9).random((8, 16, 1))
+    frame[:, :8] = np.nan
+    erp = tmp_path / "erp"
+    write_frame(tmp_path / "erp.fframe", frame)
+    (tmp_path / "erp.fframe").rename(erp)
+    outdir = tmp_path / "cuts"
+    for argv, output in (
+        (("cut-fov", erp, outdir, "--width", "4", "--height", "4"), outdir / "erp_cut0.pgm"),
+        (("pad-erp", erp, tmp_path / "sq.pgm"), tmp_path / "sq.pgm"),
+    ):
+        code = main([str(a) for a in argv])
+        errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error=ValueError frame holds NaN")
+        assert not output.exists()
+    assert list(outdir.iterdir()) == []
 
 
 def test_clean_pipeline(tmp_path, capsys):
@@ -321,6 +381,21 @@ def test_clean_and_segment_reject_a_non_finite_duration(tmp_path, capsys, value)
         assert errors == [f"error=ValueError {flag} must be positive and finite, got {value}"]
     assert not report.exists()
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag", ["silence_dbfs", "min_alignment", "frame_mse"])
+def test_clean_rejects_a_nan_threshold(tmp_path, capsys, flag):
+    write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
+    write_manifest(tmp_path / "m.jsonl", [ClipManifestEntry("a", "long.wav", 2.5, 1000)])
+    report = tmp_path / "r.jsonl"
+    code = main([
+        "clean", str(tmp_path / "m.jsonl"), "--report", str(report), "--base-dir", str(tmp_path),
+        f"--{flag.replace('_', '-')}", "nan",
+    ])
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
+    assert code == 1
+    assert errors == [f"error=ValueError {flag} must be a number, got nan"]
+    assert not report.exists()
 
 
 def test_mask_stats(capsys):

@@ -14,6 +14,7 @@ from foagen.errors import (
 from foagen.panorama import (
     CameraSpec,
     FOV_PRESETS,
+    StoredFrame,
     check_frame,
     erp_to_perspective,
     fov_cameras,
@@ -155,6 +156,10 @@ def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
         "strided view": base[:, ::2, 3 - channels :],
     }
     assert not erps["strided view"].flags.c_contiguous
+    # Stored anymap pixels, as _read_stored returns them (16-bit is big-endian).
+    for maxval, dtype in ((255, "u1"), (65535, ">u2")):
+        pixels = np.rint(base[:, :96, :channels] * maxval).astype(dtype)
+        erps[f"stored {dtype}"] = StoredFrame(pixels, maxval)
     cameras = fov_cameras("6cuts", 2.0 * math.pi / 3.0, 24, 16)
     cameras += [  # at the seam, at the poles and anywhere
         CameraSpec(math.pi, 0.0, 1.2, 9, 13),
@@ -170,10 +175,11 @@ def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
     checked = []
     sampler = foagen.panorama._bilinear_wrap_clamp
 
-    def compare(erp, u, v):
-        got = sampler(erp, u, v)
+    def compare(erp, u, v, maxval=None):
+        got = sampler(erp, u, v, maxval)
         assert got.shape == u.shape + (channels,)
-        assert np.array_equal(got, _fancy_index_bilinear(erp, u, v))
+        decoded = erp if maxval is None else np.divide(erp, maxval, dtype=np.float64)
+        assert np.array_equal(got, _fancy_index_bilinear(decoded, u, v))
         checked.append(u.size)
         return got
 
@@ -184,8 +190,9 @@ def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
         # coordinates past every edge: wrap left and right, clamp top and bottom
         u = rng.uniform(-300.0, 400.0, (5, 7))
         v = rng.uniform(-20.0, 70.0, (5, 7))
-        compare(erp, u, v)
-    assert len(checked) == 2 * (len(cameras) + 1)
+        pixels, maxval = erp if isinstance(erp, StoredFrame) else (erp, None)
+        compare(pixels, u, v, maxval)
+    assert len(checked) == 4 * (len(cameras) + 1)
 
 
 def _full_grid_perspective(erp, camera):
@@ -256,6 +263,73 @@ def test_frame_mse():
     assert frame_mse(a, a) == 0.0
     with pytest.raises(ShapeMismatch):
         frame_mse(a, np.zeros((4, 2, 1)))
+
+
+def _stored_pair_cases(tmp_path):
+    """(stored a, stored b, expected verdict, threshold) over seeded random
+    anymap pairs: 8- and 16-bit, 1 and 3 channels, odd shapes, pairs from
+    identical to unrelated, and thresholds on, just below and just above
+    the float MSE of the decoded frames."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in range(240):
+        bit_depth = (8, 16)[k % 2]
+        channels = (1, 3)[(k // 2) % 2]
+        shape = (int(rng.integers(1, 24)), int(rng.integers(1, 40)), channels)
+        suffix = ".pgm" if channels == 1 else ".ppm"
+        a = rng.random(shape)
+        # Identical, a few levels apart, or unrelated (8-bit differences past 181).
+        scale = (0.0, 1.0 / 255, 0.03, 1.0)[(k // 4) % 4]
+        b = np.clip(a + scale * rng.standard_normal(shape), 0.0, 1.0)
+        paths = tmp_path / f"a{k}{suffix}", tmp_path / f"b{k}{suffix}"
+        for path, frame in zip(paths, (a, b)):
+            write_frame(path, frame, bit_depth=bit_depth)
+        mse = frame_mse(read_frame(paths[0]), read_frame(paths[1]))
+        thresholds = [0.0, 1e-3, mse, float(np.nextafter(mse, -1.0)), float(np.nextafter(mse, 2.0))]
+        thresholds.append(float(rng.uniform(0.0, 2.0 * mse + 1e-9)))
+        stored = [foagen.panorama._read_stored(path) for path in paths]
+        cases += [(*stored, mse < t, t) for t in thresholds]
+    return cases
+
+
+def test_stored_comparison_gives_the_float_verdict(tmp_path, monkeypatch):
+    cases = _stored_pair_cases(tmp_path)
+    decoded = []
+    decode = foagen.panorama._decoded
+
+    def counting_decode(frame):
+        decoded.append(frame.maxval)
+        return decode(frame)
+
+    monkeypatch.setattr(foagen.panorama, "_decoded", counting_decode)
+    for a, b, want, threshold in cases:
+        assert foagen.panorama._mse_below(a, b, threshold) is want, (a.pixels.shape, a.maxval, threshold)
+    # Both bit depths hit the threshold closely enough to fall back to the float MSE.
+    assert {255, 65535} <= set(decoded)
+    assert len(decoded) < len(cases)  # the rest was decided from integers
+
+
+def test_stored_comparison_falls_back_to_floats(tmp_path):
+    # .fframe pairs, mixed maxvals and float frames take the float MSE.
+    rng = np.random.default_rng(32)
+    frames = {}
+    for name, bit_depth in (("a.fframe", None), ("b.fframe", None), ("c.pgm", 8), ("d.pgm", 16)):
+        frame = rng.random((5, 7, 1))
+        if bit_depth is None:
+            write_frame(tmp_path / name, frame)
+        else:
+            write_frame(tmp_path / name, frame, bit_depth=bit_depth)
+        frames[name] = read_frame(tmp_path / name)
+    read_stored = foagen.panorama._read_stored
+    for x, y in (("a.fframe", "b.fframe"), ("c.pgm", "d.pgm"), ("a.fframe", "c.pgm")):
+        mse = frame_mse(frames[x], frames[y])
+        for threshold in (mse, float(np.nextafter(mse, 1.0))):
+            want = mse < threshold
+            a, b = read_stored(tmp_path / x), read_stored(tmp_path / y)
+            assert foagen.panorama._mse_below(a, b, threshold) is want
+            assert foagen.panorama._mse_below(frames[x], b, threshold) is want
+    with pytest.raises(ShapeMismatch):
+        foagen.panorama._mse_below(read_stored(tmp_path / "c.pgm"), np.zeros((7, 5, 1)), 1.0)
 
 
 def test_stationarity_all_static():
