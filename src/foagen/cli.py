@@ -58,6 +58,7 @@ from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence
 from .panorama import (
     FOV_PRESETS,
     _read_stored,
+    encode_frame,
     erp_to_perspective,
     fov_cameras,
     pad_to_square,
@@ -235,17 +236,23 @@ def _cmd_cut_fov(args) -> int:
     # Cuts sample the stored pixels; the ERP is never decoded whole.
     frame = _read_stored(args.input)
     cameras = fov_cameras(args.preset, args.hfov / DEGREES, args.width, args.height)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        cuts = list(pool.map(lambda cam: erp_to_perspective(frame, cam), cameras))
-
     stem = Path(args.input).stem
     suffix = Path(args.input).suffix or ".pgm"
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _emit("frames", len(cuts))
-    for i, (cam, cut) in enumerate(zip(cameras, cuts)):
-        path = outdir / f"{stem}_cut{i}{suffix}"
-        write_frame(path, cut, bit_depth=args.bit_depth)
+    paths = [outdir / f"{stem}_cut{i}{suffix}" for i in range(len(cameras))]
+    container.make_dirs(outdir)
+
+    def encode_cut(i):
+        # Each task holds one float cut; only its file's bytes come back.
+        return encode_frame(paths[i], erp_to_perspective(frame, cameras[i]), args.bit_depth)
+
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        encoded = list(pool.map(encode_cut, range(len(cameras))))
+
+    # Every cut has encoded, so a cut that cannot be stored leaves no file.
+    _emit("frames", len(cameras))
+    for i, (cam, path, parts) in enumerate(zip(cameras, paths, encoded)):
+        container.write_bytes(path, *parts)
         _emit(f"frame.{i}", path)
         _emit_angle(f"frame.{i}.yaw", cam.yaw, degrees=True)
         _emit_angle(f"frame.{i}.pitch", cam.pitch, degrees=True)
@@ -294,7 +301,7 @@ def _cmd_segment(args) -> int:
     _emit("segments", len(spans))
     outdir = Path(args.outdir) if args.outdir else None
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+        container.make_dirs(outdir)
     for span in spans:
         _emit(f"segment.{span.index}", f"{span.start_sample}:{span.end_sample}")
         if outdir is not None:

@@ -2,8 +2,9 @@
 ``.fframe`` and ``.fgvm`` files.
 
 This module owns every whole-file read and write in foagen:
-:func:`read_bytes`, :func:`read_lines` and :func:`write_bytes` turn an
-OS failure into IoFailure, so no other module opens a file itself.
+:func:`read_bytes`, :func:`read_lines`, :func:`write_bytes` and
+:func:`make_dirs` turn an OS failure into IoFailure, so no other module
+opens a file or makes a directory itself.
 
 A container holds an 8-byte magic naming its format and version, a header
 of little-endian unsigned integers, then its arrays as row-major
@@ -23,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -64,10 +66,25 @@ def write_bytes(path, *parts) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def make_dirs(path) -> None:
+    """Create the directory ``path`` and its missing parents; an existing
+    directory is kept."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
+
+
+def encode(magic: bytes, header_fmt: str, header, arrays) -> list:
+    """The byte parts of a container: magic, the packed header, then each
+    array as ``<f8``."""
+    arrays = [np.ascontiguousarray(arr, dtype="<f8") for arr in arrays]
+    return [magic, struct.pack(header_fmt, *header), *arrays]
+
+
 def write(path, magic: bytes, header_fmt: str, header, arrays) -> None:
-    """Write magic, the packed header, then each array as ``<f8``."""
-    arrays = (np.ascontiguousarray(arr, dtype="<f8") for arr in arrays)
-    write_bytes(path, magic, struct.pack(header_fmt, *header), *arrays)
+    """Write the container that :func:`encode` lays out."""
+    write_bytes(path, *encode(magic, header_fmt, header, arrays))
 
 
 class Reader:

@@ -107,15 +107,17 @@ def pad_to_square(erp) -> np.ndarray:
 
 
 def _bilinear_wrap_clamp(
-    erp: np.ndarray, u: np.ndarray, v: np.ndarray, maxval: int | None = None
-) -> np.ndarray:
-    """Bilinear sample at area coordinates (u, v); horizontal wrap,
-    vertical clamp.
+    erp: np.ndarray, u: np.ndarray, v: np.ndarray, maxval: int | None, out: np.ndarray
+) -> None:
+    """Bilinear samples at area coordinates (u, v), written into ``out``;
+    horizontal wrap, vertical clamp.
 
-    Each channel is gathered with ``take`` from the flat interleaved
-    (height * width * channels) buffer at four corner indices, and the
-    lerps run in place on 1-D arrays. They keep the nested-lerp form,
-    so sampling a constant image returns the constant exactly.
+    ``out`` is a C-contiguous float64 array of shape ``u.shape +
+    (channels,)``. Each channel is gathered with ``take`` from the flat
+    interleaved (height * width * channels) buffer at four corner
+    indices, and the lerps run in place on 1-D arrays. They keep the
+    nested-lerp form, so sampling a constant image returns the constant
+    exactly.
 
     ``erp`` holds float64 values, or, with ``maxval``, stored anymap
     integers: each corner is then taken into an integer scratch and
@@ -137,7 +139,7 @@ def _bilinear_wrap_clamp(
     row1 = np.clip(i0 + 1, 0, height - 1) * (width * channels)
     i00, i01, i10, i11 = row0 + col0, row0 + col1, row1 + col0, row1 + col1
 
-    out = np.empty((x.size, channels))
+    samples = out.reshape(x.size, channels)  # a view, since out is contiguous
     top, bottom, step = np.empty((3, x.size))
     scratch = None if maxval is None else np.empty(x.size, flat.dtype)
 
@@ -164,8 +166,12 @@ def _bilinear_wrap_clamp(
         bottom += step
         bottom -= top
         bottom *= fy
-        np.add(top, bottom, out=out[:, c])
-    return out.reshape(*np.shape(u), channels)
+        np.add(top, bottom, out=samples[:, c])
+
+
+# Output pixels per block of erp_to_perspective. Each per-pixel temporary
+# of a block then holds 16384 float64 values, 128 KiB, and stays in cache.
+_BLOCK_PIXELS = 1 << 14
 
 
 def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
@@ -180,12 +186,18 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
     is sampled from its integers, never decoded whole, and the cut is
     bit-identical to the cut of its :func:`read_frame` decoding.
 
+    The cut is rendered in blocks of whole output rows, about
+    ``_BLOCK_PIXELS`` pixels each (one row when a row is wider). Every
+    step is elementwise per output pixel, so the cut does not depend on
+    the block size.
+
     Raises:
         NotErpAspect: when the input is not 2:1.
     """
     pixels, maxval = erp if isinstance(erp, StoredFrame) else (erp, None)
     frame = _check_erp(pixels if maxval is not None else _as_frame(pixels))
-    height, width = frame.shape[0], frame.shape[1]
+    frame = np.ascontiguousarray(frame)  # so each block gathers from one flat view
+    height, width, channels = frame.shape
     half_w = math.tan(camera.hfov / 2.0)
     half_h = half_w * camera.out_height / camera.out_width
 
@@ -202,14 +214,19 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
     # Pitch about the lateral axis, then yaw about the vertical axis.
     x_p = cos_p - sin_p * cam_up
     z_w = sin_p + cos_p * cam_up
-    x_w = cos_y * x_p - sin_y * cam_left
-    y_w = sin_y * x_p + cos_y * cam_left
 
-    longitude = np.arctan2(y_w, x_w)
-    latitude = np.arctan2(z_w, np.hypot(x_w, y_w))
-    u = (longitude / (2.0 * math.pi) + 0.5) * width
-    v = (0.5 - latitude / math.pi) * height
-    return _bilinear_wrap_clamp(frame, u, v, maxval)
+    out = np.empty((camera.out_height, camera.out_width, channels))
+    rows = max(1, _BLOCK_PIXELS // camera.out_width)
+    for r0 in range(0, camera.out_height, rows):
+        block = slice(r0, r0 + rows)
+        x_w = cos_y * x_p[block] - sin_y * cam_left
+        y_w = sin_y * x_p[block] + cos_y * cam_left
+        longitude = np.arctan2(y_w, x_w)
+        latitude = np.arctan2(z_w[block], np.hypot(x_w, y_w))
+        u = (longitude / (2.0 * math.pi) + 0.5) * width
+        v = (0.5 - latitude / math.pi) * height
+        _bilinear_wrap_clamp(frame, u, v, maxval, out[block])
+    return out
 
 
 # Preset cut directions as (yaw, pitch) pairs.
@@ -447,6 +464,21 @@ def _exceeds(count: int, comparisons: int, ratio_threshold: float) -> bool:
 # 8- or 16-bit) and the ``.fframe`` float container laid out in
 # foagen.container, which preserves values exactly.
 
+def encode_frame(path, frame, bit_depth: int = 8) -> list:
+    """The byte parts of the file :func:`write_frame` writes at ``path``,
+    in order; the format is chosen by extension (.pgm/.ppm/.fframe).
+
+    Raises what :func:`write_frame` raises before it creates the file.
+    """
+    arr = _as_frame(frame)
+    name = str(path)
+    if name.endswith(".fframe"):
+        return container.encode(FRAME_MAGIC, "<QQQ", arr.shape, [arr])
+    if name.endswith(".pgm") or name.endswith(".ppm"):
+        return _encode_pnm(name, arr, bit_depth)
+    raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
+
+
 def write_frame(path, frame, bit_depth: int = 8) -> None:
     """Write a frame; format chosen by extension (.pgm/.ppm/.fframe).
 
@@ -455,14 +487,7 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
     ValueError before the file is created. ``.fframe`` keeps every value
     exactly, NaN too.
     """
-    arr = _as_frame(frame)
-    name = str(path)
-    if name.endswith(".fframe"):
-        container.write(name, FRAME_MAGIC, "<QQQ", arr.shape, [arr])
-    elif name.endswith(".pgm") or name.endswith(".ppm"):
-        _write_pnm(name, arr, bit_depth)
-    else:
-        raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
+    container.write_bytes(path, *encode_frame(path, frame, bit_depth))
 
 
 class StoredFrame(NamedTuple):
@@ -544,7 +569,7 @@ def _frame_layout(name: str, head: bytes, size: int) -> _Layout | None:
     raise UnsupportedFormat(f"{name!r} is neither a portable anymap nor a raw frame")
 
 
-def _write_pnm(name: str, arr: np.ndarray, bit_depth: int) -> None:
+def _encode_pnm(name: str, arr: np.ndarray, bit_depth: int) -> list:
     if bit_depth not in (8, 16):
         raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
     height, width, channels = arr.shape
@@ -555,11 +580,13 @@ def _write_pnm(name: str, arr: np.ndarray, bit_depth: int) -> None:
     if np.isnan(arr).any():
         raise ValueError(f"frame holds NaN, which {name!r} cannot store")
     maxval = (1 << bit_depth) - 1
-    quantized = np.clip(np.rint(arr * maxval), 0, maxval)
+    quantized = arr * maxval
+    np.rint(quantized, out=quantized)
+    np.clip(quantized, 0, maxval, out=quantized)
     payload = np.ascontiguousarray(quantized, dtype=">u2" if bit_depth == 16 else "u1")
     magic = b"P5" if channels == 1 else b"P6"
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
-    container.write_bytes(name, header, payload)
+    return [header, payload]
 
 
 def _pnm_layout(head: bytes, size: int) -> _Layout | None:

@@ -269,6 +269,44 @@ def test_cut_fov_and_pad_erp_refuse_to_quantize_nan(tmp_path, capsys):
     assert list(outdir.iterdir()) == []
 
 
+def test_cut_fov_writes_no_cut_when_a_later_cut_cannot_be_stored(tmp_path, capsys):
+    # NaN only at the seam: the front cut encodes, the rear cut cannot.
+    frame = np.random.default_rng(10).random((64, 128, 1))
+    frame[:, :4] = np.nan
+    frame[:, 124:] = np.nan
+    erp = tmp_path / "erp2"
+    write_frame(tmp_path / "erp2.fframe", frame)
+    (tmp_path / "erp2.fframe").rename(erp)
+    outdir = tmp_path / "cuts"
+    code = main([str(a) for a in (
+        "cut-fov", erp, outdir, "--preset", "4cuts", "--width", "8", "--height", "8",
+    )])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("frame")] == []
+    errors = [line for line in lines if line.startswith("error=")]
+    assert len(errors) == 1 and errors[0].startswith("error=ValueError frame holds NaN")
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("under_the_file", [False, True])
+def test_cut_fov_and_segment_report_an_unusable_outdir_as_io_failure(tmp_path, capsys, under_the_file):
+    write_frame(tmp_path / "erp.fframe", np.random.default_rng(11).random((8, 16, 1)))
+    write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory")
+    outdir = blocker / "sub" if under_the_file else blocker
+    for argv in (
+        ("cut-fov", tmp_path / "erp.fframe", outdir, "--width", "4", "--height", "4"),
+        ("segment", tmp_path / "long.wav", "--clip-seconds", "1.0", "--outdir", outdir),
+    ):
+        code = main([str(a) for a in argv])
+        errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error=IoFailure cannot create directory")
+    assert blocker.read_bytes() == b"not a directory"
+
+
 def test_clean_pipeline(tmp_path, capsys):
     quiet = np.repeat([0.001] * 50, 20)
     loud = np.repeat([0.5] * 50, 20)

@@ -20,8 +20,11 @@ from foagen.panorama import write_frame
 
 PACKAGE = Path(container.__file__).resolve().parent
 
-# Calls that open a file, by the name they are called through.
-OPENERS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "tofile", "fromfile"}
+# Calls that open a file or make a directory, by the name they are called through.
+OPENERS = {
+    "open", "read_text", "write_text", "read_bytes", "write_bytes", "tofile", "fromfile",
+    "mkdir", "makedirs",
+}
 
 
 def _opener_calls(tree):
@@ -84,6 +87,16 @@ WRITERS = {
 def test_writer_into_missing_directory_fails_as_io_failure(writer, tmp_path):
     with pytest.raises(IoFailure):
         WRITERS[writer](tmp_path / "missing")
+
+
+def test_make_dirs_keeps_a_directory_and_fails_on_a_file_as_io_failure(tmp_path):
+    container.make_dirs(tmp_path / "a" / "b")
+    container.make_dirs(tmp_path / "a" / "b")  # an existing directory is kept
+    assert (tmp_path / "a" / "b").is_dir()
+    (tmp_path / "f").write_bytes(b"")
+    for path in (tmp_path / "f", tmp_path / "f" / "sub"):
+        with pytest.raises(IoFailure):
+            container.make_dirs(path)
 
 
 def test_write_report_summary_failure_is_io_failure(tmp_path):

@@ -175,13 +175,12 @@ def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
     checked = []
     sampler = foagen.panorama._bilinear_wrap_clamp
 
-    def compare(erp, u, v, maxval=None):
-        got = sampler(erp, u, v, maxval)
-        assert got.shape == u.shape + (channels,)
+    def compare(erp, u, v, maxval, out):
+        assert out.shape == u.shape + (channels,)
+        sampler(erp, u, v, maxval, out)
         decoded = erp if maxval is None else np.divide(erp, maxval, dtype=np.float64)
-        assert np.array_equal(got, _fancy_index_bilinear(decoded, u, v))
+        assert np.array_equal(out, _fancy_index_bilinear(decoded, u, v))
         checked.append(u.size)
-        return got
 
     monkeypatch.setattr(foagen.panorama, "_bilinear_wrap_clamp", compare)
     for erp in erps.values():
@@ -191,7 +190,7 @@ def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
         u = rng.uniform(-300.0, 400.0, (5, 7))
         v = rng.uniform(-20.0, 70.0, (5, 7))
         pixels, maxval = erp if isinstance(erp, StoredFrame) else (erp, None)
-        compare(pixels, u, v, maxval)
+        compare(pixels, u, v, maxval, np.empty(u.shape + (channels,)))
     assert len(checked) == 4 * (len(cameras) + 1)
 
 
@@ -243,6 +242,40 @@ def test_cut_geometry_matches_full_grid_reference():
             assert np.array_equal(
                 erp_to_perspective(erp, camera), _full_grid_perspective(erp, camera)
             ), camera
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_cut_does_not_depend_on_the_block_size(block, monkeypatch):
+    # 1 pixel and 7 pixels (which divides no width below) split every cut,
+    # and 2**20 holds each one whole.
+    monkeypatch.setattr(foagen.panorama, "_BLOCK_PIXELS", block)
+    rng = np.random.default_rng(24)
+    base = rng.random((32, 128, 3))
+    erps = {
+        "float rgb": np.ascontiguousarray(base[:, :64]),
+        "float grey strided view": base[:, ::2, 1:2],
+    }
+    assert not erps["float grey strided view"].flags.c_contiguous
+    for maxval, dtype in ((255, "u1"), (65535, ">u2")):
+        for channels in (1, 3):
+            pixels = np.rint(base[:, :64, :channels] * maxval).astype(dtype)
+            erps[f"stored {dtype} x{channels}"] = StoredFrame(pixels, maxval)
+    cameras = [
+        CameraSpec(math.pi, 0.0, 1.2, 9, 13),  # the seam; one row per 7-pixel block
+        CameraSpec(-math.pi + 1e-9, 0.3, 2.5, 20, 6),
+        CameraSpec(0.4, math.pi / 2, 3.0, 3, 8),  # a pole; two rows per 7-pixel block
+        CameraSpec(-2.0, -math.pi / 2, 0.5, 5, 11),
+        CameraSpec(0.0, 0.0, 2.0, 1, 1),
+    ]
+    for name, erp in erps.items():
+        if isinstance(erp, StoredFrame):
+            decoded = np.divide(erp.pixels, erp.maxval, dtype=np.float64)
+        else:
+            decoded = erp
+        for camera in cameras:
+            got = erp_to_perspective(erp, camera)
+            want = _full_grid_perspective(decoded, camera)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, camera)
 
 
 def test_frame_mse_matches_squared_difference_mean():
