@@ -200,11 +200,23 @@ class ClipSpan:
 def segment_clips(
     entry: ClipManifestEntry, clip_seconds: float = 10.0
 ) -> list[ClipSpan]:
-    """Non-overlapping fixed-length spans; trailing remainder is dropped."""
+    """Non-overlapping fixed-length spans; trailing remainder is dropped.
+
+    Each span holds ``round(clip_seconds * sample_rate)`` samples, and the
+    count is taken in whole samples, so every span lies inside the signal.
+
+    Raises:
+        ValueError: when ``clip_seconds`` is not positive and finite, or
+            is shorter than one sample at the entry's rate.
+    """
     if not 0.0 < clip_seconds < math.inf:
         raise ValueError(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
-    count = int(entry.duration / clip_seconds)
     samples_per_clip = int(round(clip_seconds * entry.sample_rate))
+    if samples_per_clip < 1:
+        raise ValueError(
+            f"clip_seconds {clip_seconds!r} is shorter than one sample at {entry.sample_rate} Hz"
+        )
+    count = int(round(entry.duration * entry.sample_rate)) // samples_per_clip
     return [
         ClipSpan(
             index=k,

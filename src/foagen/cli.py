@@ -13,7 +13,9 @@ import dataclasses
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from .cleaning import (
     segment_clips,
     write_report,
 )
-from .errors import ChannelCountUnsupported, DimensionMismatch, FoagenError
+from .errors import ChannelCountUnsupported, DimensionMismatch, EmptyBatch, FoagenError
 from .foa import Direction, FoaSignal, MonoSignal, StereoSignal, estimate_doa, spatialize_mono, stereo_to_foa
 from .flow import (
     MIXTURE_TRAIN,
@@ -175,8 +177,40 @@ def _wav_pair_paths(truth: str, estimate: str) -> list[tuple[str, str]]:
     return [(t_files[name], e_files[name]) for name in sorted(t_files)]
 
 
+def _loaded_pairs(pool, load, paths, window: int, failed: dict[str, str]):
+    """Yield ``load(pair)`` for each pair of ``paths``, in order.
+
+    At most ``window`` loads run ahead of the pair in hand, so at most
+    ``window + 1`` loaded pairs are alive once the consumer drops each
+    pair before it asks for the next. A pair whose load raises a
+    FoagenError is skipped, and its error type is recorded in ``failed``
+    under the truth file's name.
+    """
+    todo = iter(paths)
+    ahead = deque((pair, pool.submit(load, pair)) for pair in islice(todo, window))
+    while ahead:
+        pair, future = ahead.popleft()
+        try:
+            loaded = future.result()
+        except FoagenError as exc:
+            failed[Path(pair[0]).name] = type(exc).__name__
+            loaded = None
+        following = next(todo, None)
+        if following is not None:
+            ahead.append((following, pool.submit(load, following)))
+        if loaded is not None:
+            yield loaded
+
+
+def _emit_failed(failed: dict[str, str]) -> None:
+    _emit("failed", len(failed))
+    for name in sorted(failed):
+        _emit(f"failed.{name}", failed[name])
+
+
 def _cmd_eval_doa(args) -> int:
     paths = _wav_pair_paths(args.truth, args.estimate)
+    jobs = max(1, args.jobs)
 
     def load(pair):
         return (
@@ -184,14 +218,19 @@ def _cmd_eval_doa(args) -> int:
             _require_foa(read_wav(pair[1], ambix=args.ambix)),
         )
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        pairs = list(pool.map(load, paths))
-    result = eval_doa_batch(pairs)
+    failed: dict[str, str] = {}
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        try:
+            result = eval_doa_batch(_loaded_pairs(pool, load, paths, jobs, failed))
+        except EmptyBatch:
+            _emit_failed(failed)  # say why no pair was left to evaluate
+            raise
     _emit_angle("d_theta", result.errors.d_theta, args.degrees)
     _emit_angle("d_phi", result.errors.d_phi, args.degrees)
     _emit_angle("d_angular", result.errors.d_angular, args.degrees)
     _emit("evaluated", result.pairs_evaluated)
     _emit("excluded", result.pairs_excluded)
+    _emit_failed(failed)
     return 0
 
 
@@ -318,6 +357,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_mask_stats(args) -> int:
+    if args.draws < 1:
+        raise ValueError(f"draws must be at least 1, got {args.draws}")
     spec = MaskSpec(p_cond=args.p_cond, n_mask=args.spans, l_mask=args.min_len)
     rng = np.random.default_rng(args.seed)
     partial = 0
@@ -479,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("estimate", help="matching file or directory")
     p.add_argument("--degrees", action="store_true", help="print errors in degrees")
     p.add_argument("--ambix", action="store_true")
-    p.add_argument("--jobs", type=int, default=jobs_default, help="parallel file loads")
+    p.add_argument("--jobs", type=int, default=jobs_default, help="parallel file loads; at most jobs + 1 pairs are held at once")
 
     p = _add(subparsers, "eval-fd", _cmd_eval_fd, "Frechet distance between two feature matrices.")
     p.add_argument("a", help=".fmat container or delimited text")

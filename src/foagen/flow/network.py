@@ -73,6 +73,8 @@ class VelocityModel:
         """Random init with 1/sqrt(fan_in) scaling; at least one hidden layer."""
         if not hidden:
             raise ValueError("at least one hidden layer is required")
+        if min(hidden) < 1:
+            raise ValueError(f"hidden widths must be at least 1, got {min(hidden)}")
         widths = [latent_dim + cond_dim + 1, *hidden, latent_dim]
         weights = []
         biases = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -95,33 +95,43 @@ class BatchDoaResult:
     pairs_excluded: int
 
 
+def _pair_directions(pair: tuple[FoaSignal, FoaSignal]) -> tuple[Direction, Direction] | None:
+    """Both directions of a (reference, estimate) pair, or None when either
+    signal is too weak to define one."""
+    gt_signal, est_signal = pair
+    try:
+        return estimate_doa(gt_signal), estimate_doa(est_signal)
+    except ZeroEnergy:
+        return None
+
+
 def eval_doa_batch(
-    pairs: Sequence[tuple[FoaSignal, FoaSignal]],
+    pairs: Iterable[tuple[FoaSignal, FoaSignal]],
 ) -> BatchDoaResult:
     """Mean direction-of-arrival errors over (reference, estimate) pairs.
 
-    Pairs whose intensity is too weak to define a direction are excluded
-    from the means and counted in ``pairs_excluded``.
+    ``pairs`` is consumed once, in order, and no pair is held after its
+    directions are estimated, so a lazy iterable keeps only the pair in
+    hand alive. Pairs whose intensity is too weak to define a direction
+    are excluded from the means and counted in ``pairs_excluded``.
 
     Raises:
         EmptyBatch: when the batch is empty or every pair was excluded.
     """
-    if len(pairs) == 0:
-        raise EmptyBatch("no signal pairs to evaluate")
     d_thetas: list[float] = []
     d_phis: list[float] = []
     d_angulars: list[float] = []
     excluded = 0
-    for gt_signal, est_signal in pairs:
-        try:
-            gt = estimate_doa(gt_signal)
-            est = estimate_doa(est_signal)
-        except ZeroEnergy:
+    for directions in map(_pair_directions, pairs):
+        if directions is None:
             excluded += 1
             continue
+        gt, est = directions
         d_thetas.append(theta_error(gt.azimuth, est.azimuth))
         d_phis.append(phi_error(gt.elevation, est.elevation))
         d_angulars.append(spatial_angle_error(gt, est))
+    if not d_thetas and not excluded:
+        raise EmptyBatch("no signal pairs to evaluate")
     if not d_thetas:
         raise EmptyBatch(f"all {excluded} pairs were excluded as directionless")
     errors = AngleErrors(

@@ -138,6 +138,26 @@ def test_segment_clips_spans():
         segment_clips(entry, clip_seconds=0.0)
 
 
+def test_segment_clips_count_whole_samples():
+    # 1.5 samples per clip rounds to 2: 800 spans of a 1600-sample signal,
+    # where a count in seconds made 1066 and ran past its end.
+    entry = ClipManifestEntry("a", "a.wav", 1600 / 16000, 16000)
+    spans = segment_clips(entry, clip_seconds=1.5 / 16000)
+    assert len(spans) == 800
+    assert (spans[-1].start_sample, spans[-1].end_sample) == (1598, 1600)
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point
+    assert len(segment_clips(ClipManifestEntry("b", "b.wav", 0.3, 1000), clip_seconds=0.1)) == 3
+
+
+def test_segment_clips_refuse_a_clip_shorter_than_one_sample():
+    entry = ClipManifestEntry("a", "a.wav", 0.1, 16000)
+    with pytest.raises(ValueError, match="shorter than one sample at 16000 Hz"):
+        segment_clips(entry, clip_seconds=1e-9)
+    with pytest.raises(ValueError, match="shorter than one sample"):
+        segment_clips(entry, clip_seconds=0.4 / 16000)
+    assert len(segment_clips(entry, clip_seconds=0.6 / 16000)) == 1600  # rounds up to one
+
+
 def test_manifest_round_trip(tmp_path):
     entries = [
         ClipManifestEntry(

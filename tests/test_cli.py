@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from foagen.audio_io import (
     write_wav,
 )
 from foagen.cleaning import ClipManifestEntry, write_manifest
+from foagen import cli
 from foagen.cli import main
 from foagen.flow import (
     MIXTURE_TRAIN,
@@ -25,7 +28,8 @@ from foagen.flow import (
     mixture_model,
     train,
 )
-from foagen.foa import MonoSignal, StereoSignal
+from foagen.foa import Direction, MonoSignal, StereoSignal, spatialize_mono
+from foagen.metrics import eval_doa_batch
 from foagen.panorama import make_fov_cuts, read_frame, write_frame
 
 RATE = 16000
@@ -166,6 +170,97 @@ def test_eval_doa_pairs_directories_by_file_name(tmp_path, capsys):
     assert code == 0
     assert kv["evaluated"] == "2"
     assert float(kv["d_angular"]) == 0.0
+
+
+def _foa_pair_dirs(tmp_path, count):
+    """truth/ and est/ directories of ``count`` FOA pairs, each estimate
+    off its truth by a different direction."""
+    rng = np.random.default_rng(count)
+    truth_dir, est_dir = tmp_path / "truth", tmp_path / "est"
+    truth_dir.mkdir()
+    est_dir.mkdir()
+    for k in range(count):
+        mono = MonoSignal(0.3 * rng.standard_normal(400), RATE)
+        theta, phi = rng.uniform(-3.0, 3.0), rng.uniform(-1.2, 1.2)
+        write_wav(spatialize_mono(mono, Direction(theta, phi)), truth_dir / f"p{k:02d}.wav")
+        est = Direction(theta + 0.1 * (k + 1), phi / 2)
+        write_wav(spatialize_mono(mono, est), est_dir / f"p{k:02d}.wav")
+    return truth_dir, est_dir
+
+
+def test_eval_doa_counts_a_pair_it_cannot_load_and_scores_the_rest(tmp_path, capsys):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 3)
+    bad = est_dir / "p01.wav"
+    bad.write_bytes(bad.read_bytes()[:30])  # cut inside the fmt chunk
+    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", "2")
+    assert code == 0
+    assert kv["evaluated"] == "2"
+    assert kv["excluded"] == "0"
+    assert kv["failed"] == "1"
+    assert kv["failed.p01.wav"] == "CorruptHeader"
+    good = [(read_wav(truth_dir / n), read_wav(est_dir / n)) for n in ("p00.wav", "p02.wav")]
+    assert kv["d_angular"] == "%.12g" % eval_doa_batch(good).errors.d_angular
+
+
+def test_eval_doa_counts_a_mono_file_as_unsupported(tmp_path, capsys):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 2)
+    _mono_wav(truth_dir / "p00.wav")
+    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir)
+    assert code == 0
+    assert kv["evaluated"] == "1"
+    assert kv["failed"] == "1"
+    assert kv["failed.p00.wav"] == "ChannelCountUnsupported"
+
+
+def test_eval_doa_with_no_loadable_pair_is_an_empty_batch(tmp_path, capsys):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 2)
+    for path in est_dir.iterdir():
+        path.write_bytes(path.read_bytes()[:30])
+    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir)
+    assert code == 1
+    assert kv["error"] == "EmptyBatch no signal pairs to evaluate"
+    assert kv["failed"] == "2"
+    assert kv["failed.p00.wav"] == kv["failed.p01.wav"] == "CorruptHeader"
+    assert "evaluated" not in kv
+
+
+def test_eval_doa_output_does_not_depend_on_jobs(tmp_path, capsys):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 6)
+    outputs = set()
+    for jobs in ("1", "2", "3"):
+        assert main(["eval-doa", str(truth_dir), str(est_dir), "--jobs", jobs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        outputs.add(tuple(line for line in lines if not line.startswith("config.jobs=")))
+    assert len(outputs) == 1
+    lines = next(iter(outputs))
+    assert "evaluated=6" in lines and "failed=0" in lines
+
+
+def test_eval_doa_holds_at_most_jobs_plus_one_pairs(tmp_path, capsys, monkeypatch):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 10)
+    jobs = 2
+    lock = threading.RLock()  # a finalizer may run while its own thread holds it
+    alive = peak = 0
+
+    def released():
+        nonlocal alive
+        with lock:
+            alive -= 1
+
+    def counted_read_wav(*args, **kwargs):
+        nonlocal alive, peak
+        signal = read_wav(*args, **kwargs)
+        with lock:
+            alive += 1
+            peak = max(peak, alive)
+        weakref.finalize(signal, released)
+        return signal
+
+    monkeypatch.setattr(cli, "read_wav", counted_read_wav)
+    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", jobs)
+    assert code == 0
+    assert kv["evaluated"] == "10"
+    assert 0 < peak <= 2 * (jobs + 1)
 
 
 def test_eval_fd_and_kl(tmp_path, capsys):
@@ -403,6 +498,33 @@ def test_segment(tmp_path, capsys):
     assert read_wav(outdir / "long_seg000.wav").n_samples == 1000
 
 
+def test_segment_spans_stay_inside_the_signal_for_a_fractional_clip(tmp_path, capsys):
+    write_wav(MonoSignal(np.full(16, 0.1), RATE), tmp_path / "short.wav")
+    outdir = tmp_path / "segs"
+    # 1.5 samples per clip rounds to 2, so 16 samples make 8 spans
+    code, kv = run_cli(
+        capsys, "segment", tmp_path / "short.wav",
+        "--clip-seconds", 1.5 / RATE, "--outdir", outdir,
+    )
+    assert code == 0
+    assert kv["segments"] == "8"
+    assert kv["segment.7"] == "14:16"
+    assert len(list(outdir.iterdir())) == 8
+
+
+def test_segment_refuses_a_clip_shorter_than_one_sample(tmp_path, capsys):
+    write_wav(MonoSignal(np.full(1600, 0.1), RATE), tmp_path / "short.wav")
+    outdir = tmp_path / "segs"
+    code, kv = run_cli(
+        capsys, "segment", tmp_path / "short.wav",
+        "--clip-seconds", "1e-9", "--outdir", outdir,
+    )
+    assert code == 1
+    assert kv["error"] == "ValueError clip_seconds 1e-09 is shorter than one sample at 16000 Hz"
+    assert "segments" not in kv
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_clean_and_segment_reject_a_non_finite_duration(tmp_path, capsys, value):
     write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
@@ -445,6 +567,24 @@ def test_mask_stats(capsys):
     assert kv["spans_ok"] == "true"
     assert int(kv["partial"]) + int(kv["full"]) == 400
     assert abs(float(kv["partial_fraction"]) - 0.3) < 0.08
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_mask_stats_refuses_fewer_than_one_draw(capsys, draws):
+    code, kv = run_cli(capsys, "mask-stats", "--frames", "30", "--draws", draws)
+    assert code == 1
+    assert kv["error"] == f"ValueError draws must be at least 1, got {draws}"
+    assert "partial" not in kv
+
+
+def test_fm_train_refuses_a_zero_width_hidden_layer(tmp_path, capsys):
+    write_matrix(tmp_path / "x.fmat", np.tile([[2.0, -1.0]], (4, 1)))
+    code, kv = run_cli(
+        capsys, "fm-train", "--data", tmp_path / "x.fmat", "--steps", "2", "--hidden", "8,0",
+    )
+    assert code == 1
+    assert kv["error"] == "ValueError hidden widths must be at least 1, got 0"
+    assert "final_loss" not in kv
 
 
 def test_fm_train_on_matrix_data(tmp_path, capsys):

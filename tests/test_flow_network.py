@@ -55,6 +55,15 @@ def test_initialize_shapes_and_time_feature():
     assert not np.array_equal(out, out2)
 
 
+def test_initialize_refuses_a_missing_or_empty_hidden_layer():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="at least one hidden layer"):
+        VelocityModel.initialize(2, 1, (), rng)
+    for hidden in ((0,), (8, 0), (4, -3)):
+        with pytest.raises(ValueError, match=f"hidden widths must be at least 1, got {min(hidden)}"):
+            VelocityModel.initialize(2, 1, hidden, rng)
+
+
 def test_forward_validates_shapes():
     model = VelocityModel.initialize(2, 3, (4,), np.random.default_rng(1))
     with pytest.raises(ShapeMismatch):

@@ -238,3 +238,18 @@ def test_eval_doa_empty_batches():
         eval_doa_batch([])
     with pytest.raises(EmptyBatch):
         eval_doa_batch([(_silent(), _silent())])
+
+
+def test_eval_doa_consumes_a_generator_once_like_the_list():
+    pairs = [(_front(), _front()), (_front(), _left()), (_silent(), _front())]
+    consumed = []
+
+    def lazy():
+        for pair in pairs:
+            consumed.append(pair)
+            yield pair
+
+    assert eval_doa_batch(lazy()) == eval_doa_batch(pairs)
+    assert consumed == pairs
+    with pytest.raises(EmptyBatch, match="^no signal pairs to evaluate$"):
+        eval_doa_batch(pair for pair in [])
