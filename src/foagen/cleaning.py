@@ -206,12 +206,18 @@ def segment_clips(
     count is taken in whole samples, so every span lies inside the signal.
 
     Raises:
-        ValueError: when ``clip_seconds`` is not positive and finite, or
-            is shorter than one sample at the entry's rate.
+        ValueError: when ``clip_seconds`` is not positive and finite, is
+            shorter than one sample at the entry's rate, or is so long that
+            its sample count overflows a float.
     """
     if not 0.0 < clip_seconds < math.inf:
         raise ValueError(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
-    samples_per_clip = int(round(clip_seconds * entry.sample_rate))
+    clip_samples = clip_seconds * entry.sample_rate
+    if math.isinf(clip_samples):
+        raise ValueError(
+            f"clip_seconds {clip_seconds!r} overflows a sample count at {entry.sample_rate} Hz"
+        )
+    samples_per_clip = int(round(clip_samples))
     if samples_per_clip < 1:
         raise ValueError(
             f"clip_seconds {clip_seconds!r} is shorter than one sample at {entry.sample_rate} Hz"

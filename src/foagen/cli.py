@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -486,14 +487,17 @@ def _add(subparsers, name: str, func, help_text: str):
     return parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    about 4 ms, which a script calling main once per file would pay on
+    every call. ``--jobs`` defaults to None and main resolves it."""
     root = argparse.ArgumentParser(
         prog="foagen",
         description="Spatial-audio generation toolkit: FOA encoding, metrics, "
         "flow matching, panorama cuts, dataset cleaning.",
     )
     subparsers = root.add_subparsers(dest="command", required=True)
-    jobs_default = len(os.sched_getaffinity(0))
 
     p = _add(subparsers, "spatialize", _cmd_spatialize, "Encode a mono WAV into FOA at a given direction.")
     p.add_argument("input")
@@ -520,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("estimate", help="matching file or directory")
     p.add_argument("--degrees", action="store_true", help="print errors in degrees")
     p.add_argument("--ambix", action="store_true")
-    p.add_argument("--jobs", type=int, default=jobs_default, help="parallel file loads; at most jobs + 1 pairs are held at once")
+    p.add_argument("--jobs", type=int, help="parallel file loads; at most jobs + 1 pairs are held at once; unset: usable CPU count")
 
     p = _add(subparsers, "eval-fd", _cmd_eval_fd, "Frechet distance between two feature matrices.")
     p.add_argument("a", help=".fmat container or delimited text")
@@ -550,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=256)
     p.add_argument("--height", type=int, default=256)
     p.add_argument("--bit-depth", type=int, choices=(8, 16), default=8)
-    p.add_argument("--jobs", type=int, default=jobs_default, help="parallel cut rendering")
+    p.add_argument("--jobs", type=int, help="parallel cut rendering; unset: usable CPU count")
 
     p = _add(subparsers, "clean", _cmd_clean, "Run the cleaning filters over a JSONL manifest.")
     p.add_argument("manifest")
@@ -564,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-interval", type=int, default=8, help="frame-pair comparison stride")
     p.add_argument("--max-words", type=int, default=5, help="clips with more transcribed words are removed")
     p.add_argument("--min-alignment", type=float, default=1.0, help="clips scoring lower are removed; 2 is the strict cut")
-    p.add_argument("--jobs", type=int, default=jobs_default, help="parallel entry evaluation")
+    p.add_argument("--jobs", type=int, help="parallel entry evaluation; unset: usable CPU count")
 
     p = _add(subparsers, "segment", _cmd_segment, "Split a WAV into fixed-length clips (trailing remainder dropped).")
     p.add_argument("input")
@@ -613,6 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 0) is None:
+        args.jobs = len(os.sched_getaffinity(0))
     _print_config(args)
     try:
         return args.func(args)

@@ -158,6 +158,14 @@ def test_segment_clips_refuse_a_clip_shorter_than_one_sample():
     assert len(segment_clips(entry, clip_seconds=0.6 / 16000)) == 1600  # rounds up to one
 
 
+def test_segment_clips_refuse_a_clip_whose_sample_count_overflows():
+    entry = ClipManifestEntry("a", "a.wav", 0.1, 16000)
+    # 1e305 s times 16000 Hz is infinite in floating point
+    with pytest.raises(ValueError, match=r"clip_seconds 1e\+305 overflows a sample count at 16000 Hz"):
+        segment_clips(entry, clip_seconds=1e305)
+    assert segment_clips(entry, clip_seconds=1e300) == []  # finite, longer than the entry
+
+
 def test_manifest_round_trip(tmp_path):
     entries = [
         ClipManifestEntry(

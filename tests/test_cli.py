@@ -525,6 +525,19 @@ def test_segment_refuses_a_clip_shorter_than_one_sample(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_segment_refuses_a_clip_whose_sample_count_overflows(tmp_path, capsys):
+    write_wav(MonoSignal(np.full(1600, 0.1), RATE), tmp_path / "short.wav")
+    outdir = tmp_path / "segs"
+    code, kv = run_cli(
+        capsys, "segment", tmp_path / "short.wav",
+        "--clip-seconds", "1e305", "--outdir", outdir,
+    )
+    assert code == 1
+    assert kv["error"] == "ValueError clip_seconds 1e+305 overflows a sample count at 16000 Hz"
+    assert "segments" not in kv
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_clean_and_segment_reject_a_non_finite_duration(tmp_path, capsys, value):
     write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from foagen.errors import (
     OutOfRange,
     SupportViolation,
 )
+from foagen import metrics
 from foagen.foa import Direction, FoaSignal, MonoSignal, spatialize_mono
 from foagen.metrics import (
     StftConfig,
@@ -193,6 +195,95 @@ def test_stft_short_signal_is_padded():
     assert multires_stft_distance(a, a) == 0.0
     b = _tone(220.0, 1.0, n=100)
     assert multires_stft_distance(a, b) > 0.0
+
+
+def _oracle_stft_distance(a: FoaSignal, b: FoaSignal, config: StftConfig) -> float:
+    """The distance computed channel by channel over whole spectrograms."""
+
+    def magnitudes(samples, window, hop):
+        if samples.shape[0] < window:
+            samples = np.concatenate([samples, np.zeros(window - samples.shape[0])])
+        starts = np.arange(0, samples.shape[0] - window + 1, hop)
+        frames = np.stack([samples[s : s + window] for s in starts])
+        taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+        return np.abs(np.fft.rfft(frames * taper, axis=1))
+
+    per_resolution = []
+    for window in config.window_sizes:
+        hop = max(1, int(round(window * config.hop_fraction)))
+        terms = []
+        for ca, cb in zip(a.channel_matrix(), b.channel_matrix()):
+            mag_a, mag_b = magnitudes(ca, window, hop), magnitudes(cb, window, hop)
+            log_term = np.mean(np.abs(np.log(mag_a + 1e-8) - np.log(mag_b + 1e-8)))
+            norm_a = max(float(np.linalg.norm(mag_a)), 1e-12)
+            terms.append(log_term + np.linalg.norm(mag_a - mag_b) / norm_a)
+        per_resolution.append(0.25 * float(np.sum(terms)))
+    return float(np.mean(per_resolution))
+
+
+def _noise_foa(n: int, seed: int, rate: int = 16000) -> FoaSignal:
+    channels = 0.3 * np.random.default_rng(seed).standard_normal((4, n))
+    return FoaSignal(*channels, rate)
+
+
+def _block_frames(window: int) -> int:
+    """Frames per block of one float64 FOA signal."""
+    return max(1, metrics._BLOCK_BYTES // (4 * window * 8))
+
+
+SMALL = StftConfig(window_sizes=(512, 1024))
+
+
+@pytest.mark.parametrize(
+    "n, config",
+    [
+        pytest.param(300, StftConfig(), id="shorter-than-every-window"),
+        pytest.param(700, SMALL, id="shorter-than-one-window"),
+        pytest.param(5000, SMALL, id="length-not-a-multiple-of-the-hop"),
+        pytest.param(9000, StftConfig(hop_fraction=1.0), id="hop-fraction-1"),
+        pytest.param(512 + 36 * 128, StftConfig(window_sizes=(512,)), id="partial-last-block"),
+        pytest.param(160000, StftConfig(), id="default-10s"),
+    ],
+)
+def test_stft_matches_the_whole_spectrogram_oracle(n, config):
+    a, b = _noise_foa(n, seed=1), _noise_foa(n, seed=2)
+    want = _oracle_stft_distance(a, b, config)
+    assert multires_stft_distance(a, b, config) == pytest.approx(want, rel=1e-12)
+    assert multires_stft_distance(a, a, config) == 0.0
+
+
+def test_stft_oracle_cases_end_in_a_partial_block():
+    def frame_count(n, window):
+        return (n - window) // (window // 4) + 1
+
+    assert frame_count(512 + 36 * 128, 512) % _block_frames(512) != 0
+    for window in StftConfig().window_sizes:
+        assert frame_count(160000, window) % _block_frames(window) != 0
+
+
+@pytest.mark.parametrize("silent", ["reference", "both"])
+def test_stft_silent_channel_matches_the_oracle(silent):
+    # A silent reference channel divides by the norm floor, not by zero.
+    a, b = _noise_foa(6000, seed=3), _noise_foa(6000, seed=4)
+    zero = np.zeros(6000)
+    a = FoaSignal(a.w, zero, a.y, a.z, a.sample_rate)
+    if silent == "both":
+        b = FoaSignal(b.w, zero, b.y, b.z, b.sample_rate)
+    want = _oracle_stft_distance(a, b, SMALL)
+    assert multires_stft_distance(a, b, SMALL) == pytest.approx(want, rel=1e-12)
+    assert multires_stft_distance(a, a, SMALL) == 0.0
+
+
+def test_stft_memory_is_bounded_by_the_block():
+    # Whole-spectrogram arrays of a 10 s, 16 kHz pair peaked at about 28 MB.
+    a, b = _noise_foa(160000, seed=5), _noise_foa(160000, seed=6)
+    tracemalloc.start()
+    try:
+        multires_stft_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --- doa batch evaluation -----------------------------------------------------------
