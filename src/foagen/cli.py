@@ -489,9 +489,10 @@ def _add(subparsers, name: str, func, help_text: str):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs
-    about 4 ms, which a script calling main once per file would pay on
-    every call. ``--jobs`` defaults to None and main resolves it."""
+    """The argument parser, built once per process and shared by every
+    caller, who must not change it: building it costs about 4 ms, which a
+    script calling main once per file would pay on every call. ``--jobs``
+    defaults to None and main resolves it."""
     root = argparse.ArgumentParser(
         prog="foagen",
         description="Spatial-audio generation toolkit: FOA encoding, metrics, "

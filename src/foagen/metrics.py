@@ -271,6 +271,7 @@ _NORM_EPS = 1e-12
 
 # Frames are transformed in blocks of about this many bytes per signal, over
 # all four channels at once, so each block stays in cache from taper to log.
+# On a host with 2 MiB of L2 per core, 64 KiB and 1 MiB blocks were slower.
 _BLOCK_BYTES = 256 * 1024
 
 
