@@ -6,6 +6,10 @@ ambisonic channels in w, x, y, z order on disk by default; the ``ambix``
 switch reads and writes the alternative ordering (w, y, z, x) with the
 omni channel scaled up by sqrt(2).
 
+A file's interleaved frames decode straight into the C-ordered
+(channels, n) matrix that :mod:`foagen.foa` signals hold, and a signal's
+matrix is written back without restacking its channels.
+
 PCM decoding divides by 32768 so the most negative code maps to -1.0
 exactly; encoding rounds half away from zero and saturates at the int16
 limits. Float32 files round-trip bit-exactly.
@@ -29,7 +33,7 @@ from .errors import (
     SpecMismatch,
     UnsupportedFormat,
 )
-from .foa import FoaSignal, MonoSignal, StereoSignal
+from .foa import signal_from_channels
 
 MATRIX_MAGIC = b"FMAT0001"
 
@@ -37,33 +41,6 @@ _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
 _AMBIX_SCALE = math.sqrt(2.0)
-
-
-def signal_channels(signal) -> np.ndarray:
-    """Any supported signal as a (channels, n) float64 array."""
-    if isinstance(signal, MonoSignal):
-        return signal.samples[None, :]
-    if isinstance(signal, StereoSignal):
-        return np.stack([signal.left, signal.right])
-    if isinstance(signal, FoaSignal):
-        return signal.channel_matrix()
-    raise TypeError(f"unsupported signal type {type(signal).__name__}")
-
-
-def signal_from_channels(channels: np.ndarray, sample_rate: int):
-    """Build the right signal type for a (channels, n) array."""
-    n_channels = channels.shape[0]
-    if n_channels == 1:
-        return MonoSignal(channels[0], sample_rate)
-    if n_channels == 2:
-        return StereoSignal(channels[0], channels[1], sample_rate)
-    if n_channels == 4:
-        return FoaSignal(
-            channels[0], channels[1], channels[2], channels[3], sample_rate
-        )
-    raise ChannelCountUnsupported(
-        f"{n_channels} channels unsupported; expected 1, 2, or 4"
-    )
 
 
 def pcm16_encode(samples: np.ndarray) -> np.ndarray:
@@ -82,8 +59,10 @@ def pcm16_encode(samples: np.ndarray) -> np.ndarray:
 
 
 def pcm16_decode(codes: np.ndarray) -> np.ndarray:
-    """Int16 codes to floats on the [-1.0, 32767/32768] grid."""
-    return np.asarray(codes, dtype=np.float64) / 32768.0
+    """Int16 codes to C-ordered floats on the [-1.0, 32767/32768] grid."""
+    floats = np.asarray(codes).astype(np.float64, order="C")
+    floats /= 32768.0
+    return floats
 
 
 class WavSpec:
@@ -114,12 +93,14 @@ class WavSpec:
 
 
 def _chunks(blob: bytes):
-    """Iterate (fourcc, payload) pairs of a RIFF body."""
+    """Iterate (fourcc, payload) pairs of a RIFF body; the payloads are
+    views of ``blob``, not copies."""
+    view = memoryview(blob)
     pos = 12
-    while pos + 8 <= len(blob):
-        fourcc = blob[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        payload = blob[pos + 8 : pos + 8 + size]
+    while pos + 8 <= len(view):
+        fourcc = bytes(view[pos : pos + 4])
+        (size,) = struct.unpack_from("<I", view, pos + 4)
+        payload = view[pos + 8 : pos + 8 + size]
         if len(payload) < size:
             raise CorruptHeader(f"chunk {fourcc!r} truncated")
         yield fourcc, payload
@@ -178,18 +159,19 @@ def read_wav(path, ambix: bool = False):
     if n_frames == 0:
         raise CorruptHeader("data chunk holds no complete frame")
     raw = np.frombuffer(data, dtype=dtype, count=n_frames * channels)
-    interleaved = raw.reshape(n_frames, channels)
+    # The transposed frames, decoded straight into a C-ordered matrix.
+    planar = raw.reshape(n_frames, channels).T
     if audio_format == _WAVE_FORMAT_PCM:
-        matrix = pcm16_decode(interleaved.T)
+        matrix = pcm16_decode(planar)
     else:
-        matrix = interleaved.T.astype(np.float64)
+        matrix = planar.astype(np.float64, order="C")
         if not np.all(np.isfinite(matrix)):
             raise ParseError(f"{path}: float32 payload holds non-finite samples")
     if ambix:
         if channels != 4:
             raise SpecMismatch("ambix ordering applies to 4-channel files only")
-        w, y, z, x = matrix
-        matrix = np.stack([w / _AMBIX_SCALE, x, y, z])
+        matrix[0] /= _AMBIX_SCALE
+        matrix = matrix[[0, 3, 1, 2]]  # w, y, z, x -> w, x, y, z
     return signal_from_channels(matrix, sample_rate)
 
 
@@ -200,7 +182,7 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
     whose channel count or sample rate disagrees with the signal raises
     SpecMismatch rather than silently converting.
     """
-    matrix = signal_channels(signal)
+    matrix = signal.channels
     if spec is None:
         spec = WavSpec(matrix.shape[0], signal.sample_rate)
     if spec.channels != matrix.shape[0]:

@@ -25,7 +25,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import container
-from .audio_io import read_wav, signal_channels
+from .audio_io import read_wav
 from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
 from .panorama import _read_stored, check_frame, settle_stationarity
 
@@ -384,9 +384,7 @@ def _evaluate_entry(
     try:
         # A missing or unreadable WAV fails as IoFailure and is skipped.
         signal = read_wav(resolve(entry.audio_path))
-        result = silence_verdict(
-            signal_channels(signal), signal.sample_rate, thresholds
-        )
+        result = silence_verdict(signal.channels, signal.sample_rate, thresholds)
         if result.silent:
             reasons.append("silent")
     except FoagenError:
@@ -419,10 +417,12 @@ def run_pipeline(
     report is merged in sorted-id order, so the result does not depend
     on the worker count.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if thresholds is None:
         thresholds = FilterThresholds()
     entries = sorted(entries, key=lambda e: e.id)
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(
             pool.map(lambda e: _evaluate_entry(e, thresholds, base_dir), entries)
         )

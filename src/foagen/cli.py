@@ -26,8 +26,6 @@ from .audio_io import (
     WavSpec,
     read_matrix_any,
     read_wav,
-    signal_channels,
-    signal_from_channels,
     write_matrix,
     write_wav,
 )
@@ -40,7 +38,7 @@ from .cleaning import (
     write_report,
 )
 from .errors import ChannelCountUnsupported, DimensionMismatch, EmptyBatch, FoagenError
-from .foa import Direction, FoaSignal, MonoSignal, StereoSignal, estimate_doa, spatialize_mono, stereo_to_foa
+from .foa import Direction, FoaSignal, MonoSignal, StereoSignal, estimate_doa, signal_from_channels, spatialize_mono, stereo_to_foa
 from .flow import (
     MIXTURE_TRAIN,
     CfgSpec,
@@ -103,21 +101,13 @@ def _print_config(args: argparse.Namespace) -> None:
         _emit(f"config.{key}", getattr(args, key))
 
 
-def _require_mono(signal) -> MonoSignal:
-    if not isinstance(signal, MonoSignal):
-        raise ChannelCountUnsupported("expected a mono input file")
-    return signal
-
-
-def _require_stereo(signal) -> StereoSignal:
-    if not isinstance(signal, StereoSignal):
-        raise ChannelCountUnsupported("expected a stereo input file")
-    return signal
-
-
-def _require_foa(signal) -> FoaSignal:
-    if not isinstance(signal, FoaSignal):
-        raise ChannelCountUnsupported("expected a 4-channel FOA file")
+def _require(signal, kind):
+    """``signal`` if it is a ``kind``, else ChannelCountUnsupported."""
+    if not isinstance(signal, kind):
+        raise ChannelCountUnsupported(
+            f"expected a {kind.n_channels}-channel input file, "
+            f"got {len(signal.channels)} channels"
+        )
     return signal
 
 
@@ -129,7 +119,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_spatialize(args) -> int:
-    mono = _require_mono(read_wav(args.input))
+    mono = _require(read_wav(args.input), MonoSignal)
     direction = Direction(
         _angle_in(args.theta, args.degrees), _angle_in(args.phi, args.degrees)
     )
@@ -143,7 +133,7 @@ def _cmd_spatialize(args) -> int:
 
 
 def _cmd_stereo2foa(args) -> int:
-    stereo = _require_stereo(read_wav(args.input))
+    stereo = _require(read_wav(args.input), StereoSignal)
     foa = stereo_to_foa(stereo)
     spec = WavSpec(4, foa.sample_rate, args.encoding)
     write_wav(foa, args.output, spec=spec, ambix=args.ambix)
@@ -153,7 +143,7 @@ def _cmd_stereo2foa(args) -> int:
 
 
 def _cmd_doa(args) -> int:
-    foa = _require_foa(read_wav(args.input, ambix=args.ambix))
+    foa = _require(read_wav(args.input, ambix=args.ambix), FoaSignal)
     direction = estimate_doa(foa)
     _emit_angle("theta", direction.azimuth, args.degrees)
     _emit_angle("phi", direction.elevation, args.degrees)
@@ -211,18 +201,17 @@ def _emit_failed(failed: dict[str, str]) -> None:
 
 def _cmd_eval_doa(args) -> int:
     paths = _wav_pair_paths(args.truth, args.estimate)
-    jobs = max(1, args.jobs)
 
     def load(pair):
         return (
-            _require_foa(read_wav(pair[0], ambix=args.ambix)),
-            _require_foa(read_wav(pair[1], ambix=args.ambix)),
+            _require(read_wav(pair[0], ambix=args.ambix), FoaSignal),
+            _require(read_wav(pair[1], ambix=args.ambix), FoaSignal),
         )
 
     failed: dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         try:
-            result = eval_doa_batch(_loaded_pairs(pool, load, paths, jobs, failed))
+            result = eval_doa_batch(_loaded_pairs(pool, load, paths, args.jobs, failed))
         except EmptyBatch:
             _emit_failed(failed)  # say why no pair was left to evaluate
             raise
@@ -250,8 +239,8 @@ def _cmd_eval_kl(args) -> int:
 
 
 def _cmd_eval_stft(args) -> int:
-    a = _require_foa(read_wav(args.a, ambix=args.ambix))
-    b = _require_foa(read_wav(args.b, ambix=args.ambix))
+    a = _require(read_wav(args.a, ambix=args.ambix), FoaSignal)
+    b = _require(read_wav(args.b, ambix=args.ambix), FoaSignal)
     config = StftConfig(window_sizes=_int_list(args.windows), hop_fraction=args.hop)
     _emit("stft_distance", multires_stft_distance(a, b, config))
     return 0
@@ -286,7 +275,7 @@ def _cmd_cut_fov(args) -> int:
         # Each task holds one float cut; only its file's bytes come back.
         return encode_frame(paths[i], erp_to_perspective(frame, cameras[i]), args.bit_depth)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         encoded = list(pool.map(encode_cut, range(len(cameras))))
 
     # Every cut has encoded, so a cut that cannot be stored leaves no file.
@@ -329,8 +318,7 @@ def _cmd_clean(args) -> int:
 
 def _cmd_segment(args) -> int:
     signal = read_wav(args.input)
-    matrix = signal_channels(signal)
-    duration = matrix.shape[1] / signal.sample_rate
+    duration = signal.n_samples / signal.sample_rate
     entry = ClipManifestEntry(
         id=Path(args.input).stem,
         audio_path=str(args.input),
@@ -346,7 +334,7 @@ def _cmd_segment(args) -> int:
         _emit(f"segment.{span.index}", f"{span.start_sample}:{span.end_sample}")
         if outdir is not None:
             piece = signal_from_channels(
-                matrix[:, span.start_sample : span.end_sample], signal.sample_rate
+                signal.channels[:, span.start_sample : span.end_sample], signal.sample_rate
             )
             path = outdir / f"{entry.id}_seg{span.index:03d}.wav"
             write_wav(piece, path)
@@ -622,6 +610,8 @@ def main(argv=None) -> int:
         args.jobs = len(os.sched_getaffinity(0))
     _print_config(args)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (FoagenError, OSError, ValueError) as exc:
         message = str(exc).replace("\n", " ")

@@ -16,16 +16,22 @@ A mono source at direction (azimuth, elevation) encodes as
 
 and the time-averaged intensity vector (mean of w against each dipole
 channel) inverts that encoding up to overall signal energy.
+
+Every signal holds its channels as one C-contiguous float64 (channels, n)
+matrix: ``MonoSignal`` has one row, ``StereoSignal`` two (left, right) and
+``FoaSignal`` four (w, x, y, z). The named channels are row views of that
+matrix, and :func:`signal_from_channels` picks the type for a matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ZeroEnergy
+from .errors import ChannelCountUnsupported, ZeroEnergy
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,83 +81,82 @@ class Direction:
         )
 
 
-def _as_samples(samples, name: str) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite samples")
-    return arr
-
-
-def _check_rate(sample_rate: int) -> int:
-    rate = int(sample_rate)
-    if rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate!r}")
-    return rate
-
-
 @dataclass(frozen=True)
-class MonoSignal:
-    """A single-channel signal with its sample rate."""
+class Signal:
+    """The channels of one signal as a C-contiguous float64 (channels, n)
+    matrix, with its sample rate.
 
-    samples: np.ndarray
+    Each subclass fixes the channel count and names the rows, which are
+    views of the matrix. A 1-D array counts as one channel. An input that
+    is already a C-contiguous float64 matrix is wrapped without a copy.
+    """
+
+    channels: np.ndarray
     sample_rate: int
 
+    n_channels: ClassVar[int]
+
     def __post_init__(self):
-        object.__setattr__(self, "samples", _as_samples(self.samples, "samples"))
-        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
+        channels = np.ascontiguousarray(self.channels, dtype=np.float64)
+        if channels.ndim == 1:
+            channels = channels[None, :]
+        name = type(self).__name__
+        if channels.ndim != 2 or channels.shape[0] != self.n_channels or channels.shape[1] == 0:
+            raise ValueError(
+                f"{name} needs a non-empty ({self.n_channels}, n) array, "
+                f"got shape {np.shape(self.channels)}"
+            )
+        # Row by row, so the mask is one channel long.
+        if not all(np.isfinite(row).all() for row in channels):
+            raise ValueError(f"{name} contains non-finite samples")
+        rate = int(self.sample_rate)
+        if rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "sample_rate", rate)
 
     @property
     def n_samples(self) -> int:
-        return self.samples.shape[0]
+        return self.channels.shape[1]
 
 
-@dataclass(frozen=True)
-class StereoSignal:
-    """A two-channel signal; left and right must have equal length."""
-
-    left: np.ndarray
-    right: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", _as_samples(self.left, "left"))
-        object.__setattr__(self, "right", _as_samples(self.right, "right"))
-        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
-        if self.left.shape != self.right.shape:
-            raise ValueError("left and right channels must have equal length")
-
-    @property
-    def n_samples(self) -> int:
-        return self.left.shape[0]
+def _row(index: int) -> property:
+    """A read-only attribute naming one row of ``channels``."""
+    return property(lambda self: self.channels[index])
 
 
-@dataclass(frozen=True)
-class FoaSignal:
-    """First-order ambisonics signal with channels w, x, y, z."""
+class MonoSignal(Signal):
+    """A single-channel signal."""
 
-    w: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    sample_rate: int
+    n_channels = 1
+    samples = _row(0)
 
-    def __post_init__(self):
-        for name in ("w", "x", "y", "z"):
-            object.__setattr__(self, name, _as_samples(getattr(self, name), name))
-        object.__setattr__(self, "sample_rate", _check_rate(self.sample_rate))
-        n = self.w.shape[0]
-        if any(getattr(self, name).shape[0] != n for name in ("x", "y", "z")):
-            raise ValueError("all four channels must have equal length")
 
-    @property
-    def n_samples(self) -> int:
-        return self.w.shape[0]
+class StereoSignal(Signal):
+    """A two-channel signal: rows left, right."""
 
-    def channel_matrix(self) -> np.ndarray:
-        """Channels stacked as a (4, n) array in w, x, y, z order."""
-        return np.stack([self.w, self.x, self.y, self.z])
+    n_channels = 2
+    left, right = map(_row, range(2))
+
+
+class FoaSignal(Signal):
+    """First-order ambisonics signal: rows w, x, y, z."""
+
+    n_channels = 4
+    w, x, y, z = map(_row, range(4))
+
+
+_SIGNAL_TYPES = {kind.n_channels: kind for kind in (MonoSignal, StereoSignal, FoaSignal)}
+
+
+def signal_from_channels(channels: np.ndarray, sample_rate: int) -> Signal:
+    """The signal type matching the row count of a (channels, n) array."""
+    kind = _SIGNAL_TYPES.get(len(channels))
+    if kind is None:
+        raise ChannelCountUnsupported(
+            f"{len(channels)} channels unsupported; expected 1, 2, or 4"
+        )
+    return kind(channels, sample_rate)
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,15 @@ def spatialize_mono(signal: MonoSignal, direction: Direction) -> FoaSignal:
     """
     s = signal.samples
     cos_el = math.cos(direction.elevation)
-    return FoaSignal(
-        w=s / math.sqrt(2.0),
-        x=math.cos(direction.azimuth) * cos_el * s,
-        y=math.sin(direction.azimuth) * cos_el * s,
-        z=math.sin(direction.elevation) * s,
-        sample_rate=signal.sample_rate,
+    gains = (
+        math.cos(direction.azimuth) * cos_el,
+        math.sin(direction.azimuth) * cos_el,
+        math.sin(direction.elevation),
     )
+    channels = np.empty((4, s.shape[0]))
+    np.divide(s, math.sqrt(2.0), out=channels[0])
+    np.multiply.outer(gains, s, out=channels[1:])
+    return FoaSignal(channels, signal.sample_rate)
 
 
 def stereo_to_foa(signal: StereoSignal) -> FoaSignal:
@@ -198,14 +205,10 @@ def stereo_to_foa(signal: StereoSignal) -> FoaSignal:
     difference, and the remaining dipoles are zero (a stereo pair carries
     no height or lateral phase information worth inventing).
     """
-    n = signal.n_samples
-    return FoaSignal(
-        w=signal.left + signal.right,
-        x=signal.left - signal.right,
-        y=np.zeros(n),
-        z=np.zeros(n),
-        sample_rate=signal.sample_rate,
-    )
+    channels = np.zeros((4, signal.n_samples))
+    np.add(signal.left, signal.right, out=channels[0])
+    np.subtract(signal.left, signal.right, out=channels[1])
+    return FoaSignal(channels, signal.sample_rate)
 
 
 def intensity_vector(signal: FoaSignal) -> IntensityVector:

@@ -325,9 +325,9 @@ def multires_stft_distance(
     the reference spectrogram norm); resolutions are averaged, and the
     four channels each contribute with weight 1/4.
 
-    Frames are transformed in blocks of a fixed byte size, so beyond the
-    two (4, n) channel matrices the memory used is bounded by the block,
-    not by the signal length times the frame overlap.
+    Frames are transformed in blocks of a fixed byte size over the
+    signals' own (4, n) channel matrices, so the memory used is bounded by
+    the block, not by the signal length times the frame overlap.
 
     Raises:
         LengthMismatch: when lengths or sample rates differ.
@@ -342,11 +342,9 @@ def multires_stft_distance(
         raise LengthMismatch(
             f"sample rates differ: {a.sample_rate} vs {b.sample_rate}"
         )
-    channels_a = a.channel_matrix()
-    channels_b = b.channel_matrix()
     per_resolution = []
     for window in config.window_sizes:
         hop = max(1, int(round(window * config.hop_fraction)))
-        channel_terms = _resolution_terms(channels_a, channels_b, window, hop)
+        channel_terms = _resolution_terms(a.channels, b.channels, window, hop)
         per_resolution.append(0.25 * float(np.sum(channel_terms)))
     return float(np.mean(per_resolution))

@@ -356,7 +356,7 @@ def test_09_panorama_geometry():
 def test_10_io_round_trips(tmp_path):
     rng = np.random.default_rng(9)
     channels = rng.standard_normal((4, 200)).astype(np.float32).astype(np.float64)
-    signal = FoaSignal(*channels, 48000)
+    signal = FoaSignal(channels, 48000)
     wav_path = tmp_path / "foa.wav"
     write_wav(signal, wav_path)
     back = read_wav(wav_path)

@@ -13,7 +13,6 @@ from foagen.audio_io import (
     read_matrix_any,
     read_matrix_text,
     read_wav,
-    signal_channels,
     signal_from_channels,
     write_matrix,
     write_matrix_text,
@@ -80,8 +79,8 @@ def test_float32_wav_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     signals = [
         MonoSignal(_float32_noise(rng, 50), 16000),
-        StereoSignal(_float32_noise(rng, 40), _float32_noise(rng, 40), 44100),
-        FoaSignal(*(_float32_noise(rng, 30) for _ in range(4)), 48000),
+        StereoSignal([_float32_noise(rng, 40), _float32_noise(rng, 40)], 44100),
+        FoaSignal([_float32_noise(rng, 30) for _ in range(4)], 48000),
     ]
     for k, signal in enumerate(signals):
         path = tmp_path / f"sig{k}.wav"
@@ -89,7 +88,7 @@ def test_float32_wav_round_trip_bit_exact(tmp_path):
         back = read_wav(path)
         assert type(back) is type(signal)
         assert back.sample_rate == signal.sample_rate
-        assert np.array_equal(signal_channels(back), signal_channels(signal))
+        assert np.array_equal(back.channels, signal.channels)
 
 
 def _float32_wav_reference(matrix, rate):
@@ -111,13 +110,13 @@ def test_float32_wav_matches_packed_reference(tmp_path):
     base = rng.uniform(-2.0, 2.0, (4, 90))
     cases = {
         "mono": (MonoSignal(base[0, :31], 8000), False),
-        "stereo": (StereoSignal(base[0, :17], base[1, :17], 44100), False),
-        "foa": (FoaSignal(*base[:, :23], 48000), False),
-        "ambix": (FoaSignal(*base[:, :23], 48000), True),
+        "stereo": (StereoSignal([base[0, :17], base[1, :17]], 44100), False),
+        "foa": (FoaSignal(base[:, :23], 48000), False),
+        "ambix": (FoaSignal(base[:, :23], 48000), True),
         "strided": (MonoSignal(base[1, ::3], 16000), False),
     }
     for name, (signal, ambix) in cases.items():
-        matrix = signal_channels(signal)
+        matrix = signal.channels
         if ambix:
             w, x, y, z = matrix
             matrix = np.stack([w * math.sqrt(2.0), y, z, x])
@@ -148,7 +147,7 @@ def test_ambix_disk_layout(tmp_path):
     x = np.array([0.125, 0.0])
     y = np.array([-0.5, 0.0625])
     z = np.array([0.25, -0.125])
-    signal = FoaSignal(w, x, y, z, 48000)
+    signal = FoaSignal([w, x, y, z], 48000)
     path = tmp_path / "ambi.wav"
     write_wav(signal, path, ambix=True)
 
@@ -244,11 +243,23 @@ def test_signal_channel_round_trip():
     for channels in (1, 2, 4):
         matrix = rng.standard_normal((channels, 10))
         signal = signal_from_channels(matrix, 16000)
-        assert np.array_equal(signal_channels(signal), matrix)
+        assert np.array_equal(signal.channels, matrix)
     with pytest.raises(ChannelCountUnsupported):
         signal_from_channels(rng.standard_normal((3, 10)), 16000)
-    with pytest.raises(TypeError):
-        signal_channels([1.0, 2.0])
+
+
+def test_read_wav_decodes_into_a_c_contiguous_matrix(tmp_path):
+    signal = FoaSignal(np.random.default_rng(12).uniform(-0.9, 0.9, (4, 25)), 16000)
+    for name, spec, ambix in (
+        ("pcm16", WavSpec(4, 16000, "pcm16"), False),
+        ("float32", None, False),
+        ("ambix", None, True),
+    ):
+        path = tmp_path / f"{name}.wav"
+        write_wav(signal, path, spec, ambix=ambix)
+        channels = read_wav(path, ambix=ambix).channels
+        assert channels.dtype == np.float64 and channels.flags.c_contiguous
+        assert channels.shape == (4, 25)
 
 
 def test_matrix_container_round_trip_is_exact(tmp_path):

@@ -322,6 +322,13 @@ def test_run_pipeline_reasons_and_counts(tmp_path):
     assert "b_loud_ok" not in report.skipped
 
 
+def test_run_pipeline_rejects_jobs_below_one(tmp_path):
+    entries, base = _pipeline_fixture(tmp_path)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_pipeline(entries, base_dir=base, jobs=jobs)
+
+
 def _assert_unreadable_audio_kept(tmp_path, format_tag, rate, samples):
     # unreadable audio: the silence filter is skipped for that clip and the
     # rest of the manifest is still evaluated

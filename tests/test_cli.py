@@ -99,7 +99,7 @@ def test_doa_silent_input_fails_cleanly(tmp_path, capsys):
     from foagen.foa import FoaSignal
 
     z = np.zeros(100)
-    write_wav(FoaSignal(z, z, z, z, RATE), silent)
+    write_wav(FoaSignal([z, z, z, z], RATE), silent)
     code, kv = run_cli(capsys, "doa", silent)
     assert code == 1
     assert kv["error"].startswith("ZeroEnergy")
@@ -111,7 +111,7 @@ def test_stereo2foa(tmp_path, capsys):
     left = (0.25 * rng.standard_normal(300)).astype(np.float32).astype(np.float64)
     right = (0.25 * rng.standard_normal(300)).astype(np.float32).astype(np.float64)
     src = tmp_path / "st.wav"
-    write_wav(StereoSignal(left, right, RATE), src)
+    write_wav(StereoSignal([left, right], RATE), src)
     out = tmp_path / "foa.wav"
     code, kv = run_cli(capsys, "stereo2foa", src, out)
     assert code == 0
@@ -773,3 +773,18 @@ def test_jobs_default_is_usable_cpu_count(tmp_path, capsys):
     code, kv = run_cli(capsys, "eval-doa", a, a)
     assert code == 0
     assert kv["config.jobs"] == str(len(os.sched_getaffinity(0)))
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("eval-doa", ["t.wav", "e.wav"]),
+    ("cut-fov", ["erp.ppm", "cuts"]),
+    ("clean", ["manifest.jsonl"]),
+])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_fail_cleanly(tmp_path, capsys, command, inputs, jobs):
+    # Rejected before any input is read, so the inputs need not exist.
+    code, kv = run_cli(capsys, command, *(tmp_path / name for name in inputs), "--jobs", jobs)
+    assert code == 1
+    assert kv["config.jobs"] == jobs
+    assert kv["error"] == f"ValueError jobs must be at least 1, got {jobs}"
+    assert not (tmp_path / "cuts").exists()

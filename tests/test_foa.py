@@ -77,11 +77,11 @@ def test_spatialize_linearity_and_energy():
 
 
 def test_stereo_to_foa_rules():
-    f = stereo_to_foa(StereoSignal([1.0], [1.0], 44100))
+    f = stereo_to_foa(StereoSignal([[1.0], [1.0]], 44100))
     assert (f.w[0], f.x[0], f.y[0], f.z[0]) == (2.0, 0.0, 0.0, 0.0)
-    f = stereo_to_foa(StereoSignal([1.0], [0.0], 44100))
+    f = stereo_to_foa(StereoSignal([[1.0], [0.0]], 44100))
     assert (f.w[0], f.x[0]) == (1.0, 1.0)
-    f = stereo_to_foa(StereoSignal([0.5], [-0.5], 44100))
+    f = stereo_to_foa(StereoSignal([[0.5], [-0.5]], 44100))
     assert (f.w[0], f.x[0]) == (0.0, 1.0)
 
 
@@ -90,21 +90,21 @@ def test_stereo_identical_channels_zero_intensity():
     rng = np.random.default_rng(3)
     s = rng.standard_normal(500)
     with pytest.raises(ZeroEnergy):
-        estimate_doa(stereo_to_foa(StereoSignal(s, s, 44100)))
+        estimate_doa(stereo_to_foa(StereoSignal([s, s], 44100)))
 
 
 def test_stereo_near_identical_channels_face_front():
     rng = np.random.default_rng(3)
     s = 0.5 + 0.1 * rng.standard_normal(500)
-    d = estimate_doa(stereo_to_foa(StereoSignal(s * (1 + 1e-6), s, 44100)))
+    d = estimate_doa(stereo_to_foa(StereoSignal([s * (1 + 1e-6), s], 44100)))
     assert d.azimuth == 0.0
     assert d.elevation == 0.0
 
 
 def test_intensity_vector_examples():
-    iv = intensity_vector(FoaSignal([1, 1], [1, 1], [0, 0], [0, 0], 44100))
+    iv = intensity_vector(FoaSignal([[1, 1], [1, 1], [0, 0], [0, 0]], 44100))
     assert (iv.ix, iv.iy, iv.iz) == (1.0, 0.0, 0.0)
-    iv = intensity_vector(FoaSignal([1, -1], [1, -1], [0, 0], [0, 0], 44100))
+    iv = intensity_vector(FoaSignal([[1, -1], [1, -1], [0, 0], [0, 0]], 44100))
     assert (iv.ix, iv.iy, iv.iz) == (1.0, 0.0, 0.0)
     foa = spatialize_mono(MonoSignal([1.0, 1.0], 44100), Direction(math.pi / 2, 0.0))
     iv = intensity_vector(foa)
@@ -114,7 +114,7 @@ def test_intensity_vector_examples():
 
 
 def test_doa_from_axis_intensity():
-    d = estimate_doa(FoaSignal([1, 1], [1, 1], [0, 0], [0, 0], 44100))
+    d = estimate_doa(FoaSignal([[1, 1], [1, 1], [0, 0], [0, 0]], 44100))
     assert (d.azimuth, d.elevation) == (0.0, 0.0)
 
 
@@ -140,10 +140,10 @@ def test_doa_round_trip_sweep():
 
 def test_doa_pole_tie_break():
     # exactly zero horizontal intensity: convention picks theta=0, phi=+-pi/2
-    d = estimate_doa(FoaSignal([1, 1], [0, 0], [0, 0], [1, 1], 44100))
+    d = estimate_doa(FoaSignal([[1, 1], [0, 0], [0, 0], [1, 1]], 44100))
     assert d.azimuth == 0.0
     assert d.elevation == math.pi / 2
-    d = estimate_doa(FoaSignal([1, 1], [0, 0], [0, 0], [-1, -1], 44100))
+    d = estimate_doa(FoaSignal([[1, 1], [0, 0], [0, 0], [-1, -1]], 44100))
     assert d.azimuth == 0.0
     assert d.elevation == -math.pi / 2
 
@@ -159,8 +159,8 @@ def test_doa_near_pole_recovers_azimuth():
 
 def test_doa_zero_energy():
     with pytest.raises(ZeroEnergy):
-        estimate_doa(FoaSignal([0, 0], [0, 0], [0, 0], [0, 0], 44100))
-    iv = intensity_vector(FoaSignal([0, 0], [0, 0], [0, 0], [0, 0], 44100))
+        estimate_doa(FoaSignal([[0, 0], [0, 0], [0, 0], [0, 0]], 44100))
+    iv = intensity_vector(FoaSignal([[0, 0], [0, 0], [0, 0], [0, 0]], 44100))
     assert (iv.ix, iv.iy, iv.iz) == (0.0, 0.0, 0.0)
 
 
@@ -170,6 +170,33 @@ def test_signal_validation():
     with pytest.raises(ValueError):
         MonoSignal([1.0], 0)
     with pytest.raises(ValueError):
-        StereoSignal([1.0], [1.0, 2.0], 44100)
+        StereoSignal([[1.0], [1.0, 2.0]], 44100)
     with pytest.raises(ValueError):
-        FoaSignal([1.0], [1.0], [1.0], [1.0, 2.0], 44100)
+        FoaSignal([[1.0], [1.0], [1.0], [1.0, 2.0]], 44100)
+    with pytest.raises(ValueError):
+        FoaSignal(np.zeros((2, 3)), 44100)  # wrong channel count
+    with pytest.raises(ValueError):
+        FoaSignal([[0.0], [0.0], [0.0], [math.nan]], 44100)
+
+
+def test_signals_hold_one_c_contiguous_float64_matrix():
+    rng = np.random.default_rng(11)
+    mono = MonoSignal(rng.standard_normal(7), 8000)
+    cases = [
+        (mono, ("samples",)),
+        (StereoSignal([[1, 2, 3], [4, 5, 6]], 8000), ("left", "right")),
+        (FoaSignal(np.asfortranarray(rng.standard_normal((4, 7))), 8000), ("w", "x", "y", "z")),
+        (spatialize_mono(mono, Direction(0.3, 0.2)), ("w", "x", "y", "z")),
+        (stereo_to_foa(StereoSignal(rng.standard_normal((2, 7)), 8000)), ("w", "x", "y", "z")),
+    ]
+    for signal, names in cases:
+        channels = signal.channels
+        assert channels.dtype == np.float64 and channels.flags.c_contiguous
+        assert channels.shape == (len(names), signal.n_samples)
+        for i, name in enumerate(names):
+            row = getattr(signal, name)
+            assert np.shares_memory(row, channels)
+            assert np.array_equal(row, channels[i])
+    # a C-contiguous float64 matrix is wrapped, not copied
+    matrix = rng.standard_normal((4, 7))
+    assert FoaSignal(matrix, 8000).channels is matrix

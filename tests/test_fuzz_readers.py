@@ -51,7 +51,7 @@ def _valid_files(root: Path) -> dict[str, list[bytes]]:
         "manifest": [root / "m.jsonl"],
     }
     write_wav(MonoSignal(0.3 * rng.standard_normal(6), 8000), paths["wav"][0], WavSpec(1, 8000, "pcm16"))
-    write_wav(FoaSignal(*(0.3 * rng.standard_normal((4, 3))), 16000), paths["wav"][1])
+    write_wav(FoaSignal(0.3 * rng.standard_normal((4, 3)), 16000), paths["wav"][1])
     write_frame(paths["frame"][0], rng.random((2, 4, 1)))
     write_frame(paths["frame"][1], rng.random((2, 4, 3)), bit_depth=16)
     write_frame(paths["frame"][2], rng.random((2, 4, 3)))
