@@ -6,13 +6,21 @@ ambisonic channels in w, x, y, z order on disk by default; the ``ambix``
 switch reads and writes the alternative ordering (w, y, z, x) with the
 omni channel scaled up by sqrt(2).
 
-A file's interleaved frames decode straight into the C-ordered
-(channels, n) matrix that :mod:`foagen.foa` signals hold, and a signal's
-matrix is written back without restacking its channels.
+A file's interleaved frames decode column by column straight into the
+C-ordered (channels, n) matrix that :mod:`foagen.foa` signals hold, each
+column into its destination row, so the AmbiX order costs no extra copy.
+Writing fills one preallocated interleaved (n, channels) payload in
+blocks of ``_BLOCK_FRAMES`` frames: each block's rows are put in file
+order (and the AmbiX omni row scaled) and encoded while they are in
+cache, so the whole signal is never copied.
 
-PCM decoding divides by 32768 so the most negative code maps to -1.0
-exactly; encoding rounds half away from zero and saturates at the int16
-limits. Float32 files round-trip bit-exactly.
+PCM decoding multiplies by 2**-15, which is exact and equals dividing by
+32768, so the most negative code maps to -1.0 exactly. Encoding scales
+by 32768, rounds half away from zero and saturates at the int16 limits.
+The rounding is ``trunc(v + copysign(0.5, v))``, with the int16 cast as
+the truncation; this equals ``copysign(floor(|v| + 0.5), v)`` because a
+sum of two numbers of one sign rounds the same whatever that sign is.
+Float32 files round-trip bit-exactly.
 
 Feature matrices travel either as delimited text (one row per line) or
 as the ``.fmat`` binary container laid out in :mod:`foagen.container`.
@@ -41,28 +49,33 @@ _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
 _AMBIX_SCALE = math.sqrt(2.0)
+# Column k of an AmbiX file holds row _AMBIX_ROWS[k] of the (w, x, y, z)
+# matrix: w, y, z, x on disk.
+_AMBIX_ROWS = (0, 2, 3, 1)
+
+# Frames encoded per block. At 4 channels a block's float64 samples take
+# 256 KiB, and pcm16 rounding holds two such arrays at once.
+_BLOCK_FRAMES = 8192
+
+# One pcm16 code step: 1/32768.
+_PCM16_STEP = 2.0**-15
+
+# Largest value of a 32-bit RIFF size or byte-rate field.
+_U32_MAX = 0xFFFFFFFF
 
 
 def pcm16_encode(samples: np.ndarray) -> np.ndarray:
-    """Float samples to int16 codes: scale by 32768, round half away
-    from zero, saturate at the int16 limits."""
-    codes = np.array(samples, dtype=np.float64, order="C")
-    codes *= 32768.0
-    # copysign(floor(|x| + 0.5), x) in place: negate where the sign bit was set
-    negative = np.signbit(codes)
-    np.abs(codes, out=codes)
-    codes += 0.5
-    np.floor(codes, out=codes)
-    np.negative(codes, out=codes, where=negative)
-    np.clip(codes, -32768, 32767, out=codes)
-    return codes.astype("<i2")
+    """Float samples to C-ordered int16 codes: scale by 32768, round half
+    away from zero, saturate at the int16 limits."""
+    scaled = np.multiply(samples, 32768.0, out=np.empty(np.shape(samples)), dtype=np.float64)
+    scaled += np.copysign(0.5, scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    return scaled.astype("<i2")  # the cast truncates toward zero
 
 
 def pcm16_decode(codes: np.ndarray) -> np.ndarray:
     """Int16 codes to C-ordered floats on the [-1.0, 32767/32768] grid."""
-    floats = np.asarray(codes).astype(np.float64, order="C")
-    floats /= 32768.0
-    return floats
+    return np.multiply(codes, _PCM16_STEP, out=np.empty(np.shape(codes)), dtype=np.float64)
 
 
 class WavSpec:
@@ -80,6 +93,12 @@ class WavSpec:
         if encoding not in ("pcm16", "float32"):
             raise UnsupportedFormat(
                 f"encoding {encoding!r} unsupported; use 'pcm16' or 'float32'"
+            )
+        block_align = channels * (2 if encoding == "pcm16" else 4)
+        if sample_rate * block_align > _U32_MAX:
+            raise UnsupportedFormat(
+                f"{sample_rate} Hz at {block_align}-byte frames overflows "
+                "the 32-bit byte-rate field"
             )
         self.channels = int(channels)
         self.sample_rate = int(sample_rate)
@@ -158,20 +177,22 @@ def read_wav(path, ambix: bool = False):
     n_frames = len(data) // frame_bytes
     if n_frames == 0:
         raise CorruptHeader("data chunk holds no complete frame")
+    if ambix and channels != 4:
+        raise SpecMismatch("ambix ordering applies to 4-channel files only")
     raw = np.frombuffer(data, dtype=dtype, count=n_frames * channels)
-    # The transposed frames, decoded straight into a C-ordered matrix.
-    planar = raw.reshape(n_frames, channels).T
-    if audio_format == _WAVE_FORMAT_PCM:
-        matrix = pcm16_decode(planar)
-    else:
-        matrix = planar.astype(np.float64, order="C")
-        if not np.all(np.isfinite(matrix)):
+    pcm16 = audio_format == _WAVE_FORMAT_PCM
+    rows = _AMBIX_ROWS if ambix else range(channels)
+    matrix = np.empty((channels, n_frames))
+    # Each file column straight into its row; the finiteness mask is one
+    # row long.
+    for column, row in zip(raw.reshape(n_frames, channels).T, rows):
+        decoded = np.multiply(
+            column, _PCM16_STEP if pcm16 else 1.0, out=matrix[row], dtype=np.float64
+        )
+        if not pcm16 and not np.isfinite(decoded).all():
             raise ParseError(f"{path}: float32 payload holds non-finite samples")
     if ambix:
-        if channels != 4:
-            raise SpecMismatch("ambix ordering applies to 4-channel files only")
         matrix[0] /= _AMBIX_SCALE
-        matrix = matrix[[0, 3, 1, 2]]  # w, y, z, x -> w, x, y, z
     return signal_from_channels(matrix, sample_rate)
 
 
@@ -193,42 +214,43 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
         raise SpecMismatch(
             f"spec wants {spec.sample_rate} Hz, signal is {signal.sample_rate} Hz"
         )
+    channels, n = matrix.shape
+    rows = slice(None)
     if ambix:
-        if matrix.shape[0] != 4:
+        if channels != 4:
             raise SpecMismatch("ambix ordering applies to 4-channel signals only")
-        w, x, y, z = matrix
-        matrix = np.stack([w * _AMBIX_SCALE, y, z, x])
+        rows = list(_AMBIX_ROWS)
 
-    if spec.encoding == "pcm16":
-        payload_arr = pcm16_encode(matrix.T)
-        bits = 16
-        format_tag = _WAVE_FORMAT_PCM
-    else:
-        payload_arr = np.ascontiguousarray(matrix.T, dtype="<f4")
-        bits = 32
-        format_tag = _WAVE_FORMAT_IEEE_FLOAT
-    # The data chunk's bytes as a flat uint8 view, written without a copy.
-    payload = payload_arr.reshape(-1).view(np.uint8)
-
-    block_align = spec.channels * bits // 8
-    byte_rate = spec.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", format_tag, spec.channels, spec.sample_rate,
-        byte_rate, block_align, bits,
+    pcm16 = spec.encoding == "pcm16"
+    dtype = np.dtype("<i2" if pcm16 else "<f4")
+    block_align = channels * dtype.itemsize
+    data_size = n * block_align
+    chunks = b"fmt " + struct.pack(
+        "<IHHIIHH", 16, _WAVE_FORMAT_PCM if pcm16 else _WAVE_FORMAT_IEEE_FLOAT,
+        channels, spec.sample_rate, spec.sample_rate * block_align, block_align,
+        8 * dtype.itemsize,
     )
-    chunks = [(b"fmt ", fmt)]
-    if format_tag == _WAVE_FORMAT_IEEE_FLOAT:
+    if not pcm16:
         # Non-PCM files carry a fact chunk with the frame count.
-        chunks.append((b"fact", struct.pack("<I", matrix.shape[1])))
-    chunks.append((b"data", payload))
+        chunks += b"fact" + struct.pack("<II", 4, n)
+    riff_size = 4 + len(chunks) + 8 + data_size  # every chunk has an even size
+    if riff_size > _U32_MAX:
+        raise UnsupportedFormat(
+            f"{n} frames of {block_align} bytes overflow the 32-bit RIFF size field"
+        )
 
-    riff_size = 4 + sum(8 + len(chunk) + (len(chunk) & 1) for _, chunk in chunks)
-    parts = [b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"]
-    for fourcc, chunk in chunks:
-        parts += [fourcc + struct.pack("<I", len(chunk)), chunk]
-        if len(chunk) & 1:
-            parts.append(b"\x00")
-    container.write_bytes(path, *parts)
+    frames = np.empty((n, channels), dtype)
+    for start in range(0, n, _BLOCK_FRAMES):
+        stop = start + _BLOCK_FRAMES
+        block = matrix[rows, start:stop]  # the AmbiX rows index a copy
+        if ambix:
+            block[0] *= _AMBIX_SCALE
+        frames[start:stop] = pcm16_encode(block.T) if pcm16 else block.T
+    header = (
+        b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
+        + chunks + b"data" + struct.pack("<I", data_size)
+    )
+    container.write_bytes(path, header, frames)
 
 
 # --- matrix containers -----------------------------------------------------------

@@ -1,10 +1,13 @@
 import math
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from foagen.audio_io import (
+    _BLOCK_FRAMES,
     MATRIX_MAGIC,
     WavSpec,
     pcm16_decode,
@@ -60,10 +63,20 @@ def test_pcm16_encode_matches_rounding_formula():
     rng = np.random.default_rng(9)
     ties = (np.arange(-40, 40) + 0.5) / 32768.0
     edges = np.array([1.0, -1.0, 1.5, -1.5, 32767.5 / 32768, -32768.5 / 32768, 0.0, -0.0, 1e9])
+    specials = np.array([
+        math.inf, -math.inf, -0.0, 2.0, -2.0,
+        0.49999999999999994 / 32768, -0.49999999999999994 / 32768,
+    ])
+    # Every code k/32768 past both int16 limits, the half-way points
+    # between codes, and each of those one ulp either way.
+    grid = np.concatenate([np.arange(-40000, 40001), np.arange(-40000, 40000) + 0.5]) / 32768.0
+    grid = np.concatenate([grid, np.nextafter(grid, -math.inf), np.nextafter(grid, math.inf)])
     frames = rng.uniform(-1.2, 1.2, (4, 300))
     for samples in [
         ties,
         edges,
+        specials,
+        grid,
         ties.astype(np.float32),
         frames.astype(np.float32),
         frames.T,  # transposed, as write_wav passes (frames, channels)
@@ -73,6 +86,39 @@ def test_pcm16_encode_matches_rounding_formula():
         want = reference(samples)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def _foa_10s():
+    return FoaSignal(np.random.default_rng(16).uniform(-1.0, 1.0, (4, 160000)), 16000)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_wav_peak_is_the_payload_plus_blocks(tmp_path):
+    # 10 s of 16 kHz FOA: a 1.28 MB pcm16 payload, and no float64 copy
+    # of the 5.12 MB signal.
+    signal = _foa_10s()
+    payload = signal.channels.size * 2
+    path = tmp_path / "foa.wav"
+    peak = _traced_peak(lambda: write_wav(signal, path, WavSpec(4, 16000, "pcm16")))
+    assert path.stat().st_size == 44 + payload
+    assert peak < payload + 2**20
+
+
+def test_ambix_read_peak_matches_the_plain_read(tmp_path):
+    # The AmbiX order costs at most one block's float64 samples more.
+    path = tmp_path / "foa.wav"
+    write_wav(_foa_10s(), path)
+    plain = _traced_peak(lambda: read_wav(path))
+    ambix = _traced_peak(lambda: read_wav(path, ambix=True))
+    assert ambix - plain <= _BLOCK_FRAMES * 4 * 8
 
 
 def test_float32_wav_round_trip_bit_exact(tmp_path):
@@ -182,6 +228,29 @@ def test_wav_spec_validation():
         WavSpec(1, 0)
     with pytest.raises(UnsupportedFormat):
         WavSpec(1, 16000, "mp3")
+
+
+def test_wav_spec_refuses_a_byte_rate_past_32_bits():
+    # The fmt chunk stores rate * channels * bytes per sample in 32 bits.
+    assert WavSpec(1, 0x7FFFFFFF, "pcm16").sample_rate == 0x7FFFFFFF
+    assert WavSpec(4, 0x3FFFFFFF // 4, "float32").channels == 4
+    for channels, rate, encoding in (
+        (1, 0x80000000, "pcm16"),
+        (4, 0xFFFFFFFF, "pcm16"),
+        (1, 0x40000000, "float32"),
+        (2, 0xFFFFFFFF, "float32"),
+    ):
+        with pytest.raises(UnsupportedFormat, match="byte-rate"):
+            WavSpec(channels, rate, encoding)
+
+
+def test_write_wav_refuses_a_data_chunk_past_32_bits(tmp_path):
+    # A zero-stride matrix stands in for 2**30 frames without their memory.
+    huge = SimpleNamespace(channels=np.broadcast_to(0.0, (4, 2**30)), sample_rate=16000)
+    for spec in (WavSpec(4, 16000, "pcm16"), None):
+        with pytest.raises(UnsupportedFormat, match="RIFF size"):
+            write_wav(huge, tmp_path / "huge.wav", spec)
+    assert not (tmp_path / "huge.wav").exists()
 
 
 def test_write_wav_spec_mismatch(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import threading
 import weakref
 from dataclasses import replace
@@ -103,6 +104,27 @@ def test_doa_silent_input_fails_cleanly(tmp_path, capsys):
     code, kv = run_cli(capsys, "doa", silent)
     assert code == 1
     assert kv["error"].startswith("ZeroEnergy")
+
+
+def test_spatialize_refuses_a_rate_whose_byte_rate_overflows(tmp_path, capsys):
+    # A valid mono pcm16 input at 0xFFFFFFFF Hz: the output's byte rate,
+    # rate * 4 channels * bytes per sample, cannot fit the 32-bit field.
+    rate = 0xFFFFFFFF
+    data = struct.pack("<4h", 1000, -2000, 3000, -4000)
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, rate, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", 8) + data
+    src = tmp_path / "in.wav"
+    src.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert read_wav(src).sample_rate == rate
+    for encoding in ("pcm16", "float32"):
+        out = tmp_path / f"{encoding}.wav"
+        code, kv = run_cli(
+            capsys, "spatialize", src, out, "--theta", "0.3", "--encoding", encoding
+        )
+        assert code == 1
+        assert kv["error"].startswith("UnsupportedFormat ")
+        assert "byte-rate" in kv["error"]
+        assert not out.exists()
 
 
 def test_stereo2foa(tmp_path, capsys):
