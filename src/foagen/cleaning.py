@@ -27,7 +27,7 @@ import numpy as np
 from . import container
 from .audio_io import read_wav
 from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
-from .panorama import _read_stored, check_frame, settle_stationarity
+from .panorama import check_frame, read_stored, settle_stationarity
 
 
 @dataclass(frozen=True)
@@ -369,7 +369,7 @@ def _evaluate_entry(
         try:
             if settle_stationarity(
                 [check_frame(p) for p in frame_paths],
-                lambda i: _read_stored(frame_paths[i]),
+                lambda i: read_stored(frame_paths[i]),
                 thresholds.frame_interval,
                 thresholds.frame_mse,
                 thresholds.stationary_ratio,

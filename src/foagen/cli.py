@@ -58,12 +58,12 @@ from .flow import (
 from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance
 from .panorama import (
     FOV_PRESETS,
-    _read_stored,
     encode_frame,
     erp_to_perspective,
     fov_cameras,
     pad_to_square,
     read_frame,
+    read_stored,
     write_frame,
 )
 
@@ -263,7 +263,7 @@ def _cmd_pad_erp(args) -> int:
 
 def _cmd_cut_fov(args) -> int:
     # Cuts sample the stored pixels; the ERP is never decoded whole.
-    frame = _read_stored(args.input)
+    frame = read_stored(args.input)
     cameras = fov_cameras(args.preset, args.hfov / DEGREES, args.width, args.height)
     stem = Path(args.input).stem
     suffix = Path(args.input).suffix or ".pgm"

@@ -53,20 +53,25 @@ def _check_time(t, rows: int):
     return arr[:, None]
 
 
+def _point_and_target(x0: np.ndarray, x1: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The path point t*x1 + (1-t)*x0 and the velocity target x1 - x0 of
+    checked inputs; ``t`` is a float or a (rows, 1) column."""
+    return t * x1 + (1.0 - t) * x0, x1 - x0
+
+
 def interpolate(x0, x1, t) -> np.ndarray:
     """Point on the noise-to-data path at time t.
 
     ``t`` is a scalar or a vector holding one time per row (frame).
     """
     a, b = _check_pair(x0, x1)
-    t = _check_time(t, a.shape[0])
-    return t * b + (1.0 - t) * a
+    return _point_and_target(a, b, _check_time(t, a.shape[0]))[0]
 
 
 def velocity_target(x0, x1) -> np.ndarray:
     """Regression target for the velocity field: x1 - x0."""
     a, b = _check_pair(x0, x1)
-    return b - a
+    return _point_and_target(a, b, 0.0)[1]
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from ..conditioning import upsample_features
 from ..errors import DivergenceDetected, NoMaskedFrames, ShapeMismatch
 from .masking import MaskSpec, make_mask, random_mask_spec
 from .network import VelocityModel, build_condition
-from .path import TimeSampler, _check_pair, _check_time, sample_time
+from .path import TimeSampler, _check_pair, _check_time, _point_and_target, sample_time
 
 # Most rows one frame table may hold; see the module docstring.
 _TABLE_ROWS = 256
@@ -83,9 +83,7 @@ def cfm_loss(
             ``weights`` does not hold one value per row.
     """
     x0, x1 = _check_pair(x0, x1)
-    t_column = _check_time(t, x0.shape[0])
-    xt = t_column * x1 + (1.0 - t_column) * x0
-    target = x1 - x0
+    xt, target = _point_and_target(x0, x1, _check_time(t, x0.shape[0]))
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (xt.shape[0],):
         raise ShapeMismatch(

@@ -499,8 +499,9 @@ class StoredFrame(NamedTuple):
     maxval: int | None
 
 
-def _read_stored(path) -> StoredFrame:
-    """Read a frame file without decoding its pixels."""
+def read_stored(path) -> StoredFrame:
+    """Read a frame file without decoding its pixels; :func:`read_frame`
+    is its float64 decoding."""
     name = str(path)
     blob = container.read_bytes(name)
     offset, dtype, shape, maxval = _frame_layout(name, blob, len(blob))
@@ -518,7 +519,7 @@ def _decoded(frame: StoredFrame) -> np.ndarray:
 
 def read_frame(path) -> np.ndarray:
     """Read a frame written by :func:`write_frame`."""
-    return _decoded(_read_stored(path))
+    return _decoded(read_stored(path))
 
 
 # check_frame reads this many leading bytes; every header fits in them

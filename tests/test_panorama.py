@@ -156,7 +156,7 @@ def test_sampler_matches_fancy_index_reference(channels, monkeypatch):
         "strided view": base[:, ::2, 3 - channels :],
     }
     assert not erps["strided view"].flags.c_contiguous
-    # Stored anymap pixels, as _read_stored returns them (16-bit is big-endian).
+    # Stored anymap pixels, as read_stored returns them (16-bit is big-endian).
     for maxval, dtype in ((255, "u1"), (65535, ">u2")):
         pixels = np.rint(base[:, :96, :channels] * maxval).astype(dtype)
         erps[f"stored {dtype}"] = StoredFrame(pixels, maxval)
@@ -320,7 +320,7 @@ def _stored_pair_cases(tmp_path):
         mse = frame_mse(read_frame(paths[0]), read_frame(paths[1]))
         thresholds = [0.0, 1e-3, mse, float(np.nextafter(mse, -1.0)), float(np.nextafter(mse, 2.0))]
         thresholds.append(float(rng.uniform(0.0, 2.0 * mse + 1e-9)))
-        stored = [foagen.panorama._read_stored(path) for path in paths]
+        stored = [foagen.panorama.read_stored(path) for path in paths]
         cases += [(*stored, mse < t, t) for t in thresholds]
     return cases
 
@@ -353,7 +353,7 @@ def test_stored_comparison_falls_back_to_floats(tmp_path):
         else:
             write_frame(tmp_path / name, frame, bit_depth=bit_depth)
         frames[name] = read_frame(tmp_path / name)
-    read_stored = foagen.panorama._read_stored
+    read_stored = foagen.panorama.read_stored
     for x, y in (("a.fframe", "b.fframe"), ("c.pgm", "d.pgm"), ("a.fframe", "c.pgm")):
         mse = frame_mse(frames[x], frames[y])
         for threshold in (mse, float(np.nextafter(mse, 1.0))):
