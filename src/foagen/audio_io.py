@@ -260,7 +260,7 @@ def write_matrix(path, matrix) -> None:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    container.write(path, MATRIX_MAGIC, "<QQ", arr.shape, [arr])
+    container.write_bytes(path, *container.encode(MATRIX_MAGIC, "<QQ", arr.shape, [arr]))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -365,7 +365,9 @@ def _evaluate_entry(
     skipped: list[str] = []
 
     if entry.frames_pattern:
-        frame_paths = sorted(glob.glob(resolve(entry.frames_pattern)))
+        pattern = resolve(entry.frames_pattern)
+        # glob refuses a NUL byte with ValueError; no file's name holds one.
+        frame_paths = [] if "\x00" in pattern else sorted(glob.glob(pattern))
         try:
             if settle_stationarity(
                 [check_frame(p) for p in frame_paths],

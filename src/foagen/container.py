@@ -1,10 +1,11 @@
-"""Whole-file I/O and the binary container codec shared by ``.fmat``,
+"""File I/O and the binary container codec shared by ``.fmat``,
 ``.fframe`` and ``.fgvm`` files.
 
-This module owns every whole-file read and write in foagen:
-:func:`read_bytes`, :func:`read_lines`, :func:`write_bytes` and
-:func:`make_dirs` turn an OS failure into IoFailure, so no other module
-opens a file or makes a directory itself.
+This module owns every file read and write in foagen: :func:`read_bytes`,
+:func:`read_head` (a file's leading bytes and its length),
+:func:`read_lines`, :func:`write_bytes` and :func:`make_dirs` turn an OS
+failure into IoFailure, so no other module opens a file or makes a
+directory itself.
 
 A container holds an 8-byte magic naming its format and version, a header
 of little-endian unsigned integers, then its arrays as row-major
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -40,6 +43,24 @@ def read_bytes(path) -> bytes:
     try:
         with open(path, "rb") as fh:
             return fh.read()
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def read_head(path, limit: int) -> tuple[bytes, int]:
+    """The first ``limit`` bytes of the regular file at ``path``, and the
+    file's length. Any other file, such as a pipe, is read whole.
+
+    Fails as :func:`read_bytes` fails.
+    """
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(limit)
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                return head, info.st_size
+            head += fh.read()
+            return head, len(head)
     except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
@@ -82,11 +103,6 @@ def encode(magic: bytes, header_fmt: str, header, arrays) -> list:
     return [magic, struct.pack(header_fmt, *header), *arrays]
 
 
-def write(path, magic: bytes, header_fmt: str, header, arrays) -> None:
-    """Write the container that :func:`encode` lays out."""
-    write_bytes(path, *encode(magic, header_fmt, header, arrays))
-
-
 class Reader:
     """Cursor over one container's bytes, past its checked magic.
 
@@ -115,18 +131,14 @@ class Reader:
         """The next header fields."""
         return struct.unpack_from(fmt, self._blob, self.take(struct.calcsize(fmt)))
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next ``<f8`` array of ``shape``, as a read-only view of the bytes."""
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next ``<f8`` array of ``shape``, as an owned float64 copy."""
         count = math.prod(shape)
         data = np.frombuffer(self._blob, "<f8", count, self.take(8 * count))
         try:
-            return data.reshape(shape)
+            return data.reshape(shape).astype(np.float64)
         except ValueError as exc:
             raise CorruptHeader(f"no array can have shape {shape}") from exc
-
-    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next ``<f8`` array of ``shape``, as an owned float64 copy."""
-        return self.array(shape).astype(np.float64)
 
     def end(self) -> None:
         """Check that nothing follows the last array."""

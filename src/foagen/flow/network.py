@@ -96,10 +96,6 @@ class VelocityModel:
         frames = x.shape[0]
         if cond is None:  # the unconditional branch
             cond_block = np.zeros((frames, self.cond_dim))
-        elif self.cond_dim == 0:
-            if np.asarray(cond).size:
-                raise ShapeMismatch("model takes no condition channels")
-            cond_block = np.zeros((frames, 0))
         else:
             cond_block = np.asarray(cond, dtype=np.float64)
             if cond_block.shape != (frames, self.cond_dim):
@@ -220,10 +216,10 @@ def build_condition(
 def save_model(model: VelocityModel, path) -> None:
     """Write a checkpoint; see the module docstring for the layout."""
     widths = model.widths
-    container.write(
-        path, CHECKPOINT_MAGIC, f"<I{len(widths)}I", [len(widths), *widths],
+    container.write_bytes(path, *container.encode(
+        CHECKPOINT_MAGIC, f"<I{len(widths)}I", [len(widths), *widths],
         (arr for layer in zip(model.weights, model.biases) for arr in layer),
-    )
+    ))
 
 
 def load_model(path) -> VelocityModel:

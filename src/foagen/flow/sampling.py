@@ -75,7 +75,8 @@ def euler_sample(
     ``cond=None``, its unconditional branch; with no condition, guidance
     has nothing to blend, so each step makes one call at any scale.
 
-    Returns the final (frames, latent_dim) state.
+    Returns the final (frames, latent_dim) state. A state of no frames,
+    from ``frames`` below 1 or a ``start`` with no rows, raises ValueError.
     """
     steps = int(steps)
     if steps < 1:
@@ -95,6 +96,8 @@ def euler_sample(
             raise ValueError("an rng is required to draw the starting noise")
         x = rng.standard_normal((int(frames), model.latent_dim))
     n_frames = x.shape[0]
+    if n_frames < 1:
+        raise ValueError(f"frames must be at least 1, got {n_frames}")
 
     if masked_cond is not None and masked_cond.n_frames != n_frames:
         raise ShapeMismatch(

@@ -16,8 +16,7 @@ in [-pi/2, pi/2] increasing upward.
 from __future__ import annotations
 
 import math
-import os
-import stat
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -26,7 +25,6 @@ import numpy as np
 from . import container
 from .errors import (
     CorruptHeader,
-    IoFailure,
     NotErpAspect,
     ShapeMismatch,
     TooFewFrames,
@@ -533,24 +531,17 @@ def check_frame(path) -> tuple[int, int, int]:
     that :func:`read_frame` would return for a readable frame.
 
     Only the header and the file length are checked: the first 4 KiB
-    and ``os.fstat``. When an anymap header runs past those bytes or the
-    path is not a regular file, the rest is read from the same handle.
+    and the length that :func:`foagen.container.read_head` gives. When
+    an anymap header runs past those bytes, the whole file is read.
     Otherwise the pixels are never read, so an OS read error inside them
-    goes unnoticed. This is the one reader that opens its file itself,
-    not through :mod:`foagen.container`, because it reads a prefix.
+    goes unnoticed.
     """
     name = str(path)
-    try:
-        with open(name, "rb") as fh:
-            head = fh.read(_HEAD_BYTES)
-            info = os.fstat(fh.fileno())
-            size = info.st_size if stat.S_ISREG(info.st_mode) else None
-            layout = None if size is None else _frame_layout(name, head, size)
-            if layout is None:
-                head += fh.read()
-                layout = _frame_layout(name, head, len(head))
-    except OSError as exc:
-        raise IoFailure(f"cannot read {name}: {exc}") from exc
+    head, size = container.read_head(name, _HEAD_BYTES)
+    layout = _frame_layout(name, head, size)
+    if layout is None:
+        head = container.read_bytes(name)
+        layout = _frame_layout(name, head, len(head))
     return layout[2]
 
 
@@ -590,40 +581,26 @@ def _encode_pnm(name: str, arr: np.ndarray, bit_depth: int) -> list:
     return [header, payload]
 
 
+# Anymap header: magic, width, height, maxval as whitespace-separated
+# tokens with optional '#' comments, then a single whitespace byte. A token
+# runs to the next whitespace; the required whitespace after the first two
+# keeps backtracking from splitting one token into two.
+_SEP = rb"(?:\s|#[^\n]*\n)*"
+_TOK = rb"([^#\s]\S*)"
+_PNM_HEADER = re.compile(rb"P[56]" + _SEP + _TOK + (rb"\s" + _SEP + _TOK) * 2)
+
+
 def _pnm_layout(head: bytes, size: int) -> _Layout | None:
-    # Header: magic, width, height, maxval as whitespace-separated tokens
-    # with optional '#' comments, then a single whitespace byte.
-    partial = len(head) < size
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(head):
-            if partial:
-                return None
-            raise CorruptHeader("portable anymap header truncated")
-        byte = head[pos : pos + 1]
-        if byte == b"#":
-            end = head.find(b"\n", pos)
-            if end < 0:
-                if partial:
-                    return None
-                raise CorruptHeader("unterminated comment in anymap header")
-            pos = end + 1
-        elif byte.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(head) and not head[end : end + 1].isspace():
-                end += 1
-            if end == len(head) and partial:
-                return None
-            try:
-                tokens.append(int(head[pos:end]))
-            except ValueError as exc:
-                raise CorruptHeader(f"bad anymap header token {head[pos:end]!r}") from exc
-            pos = end
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = tokens
+    match = _PNM_HEADER.match(head)
+    if len(head) < size and (match is None or match.end() == len(head)):
+        return None  # the header, or its maxval, may go on past a partial head
+    if match is None:
+        raise CorruptHeader("anymap header truncated or a comment in it unterminated")
+    try:
+        width, height, maxval = map(int, match.groups())
+    except ValueError as exc:
+        raise CorruptHeader(f"bad anymap header token: {exc}") from exc
+    pos = match.end() + 1  # single whitespace after maxval
     if width < 1 or height < 1:
         raise CorruptHeader(f"bad anymap dimensions {width}x{height}")
     if maxval not in (255, 65535):

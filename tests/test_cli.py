@@ -172,6 +172,11 @@ def test_eval_doa_pair_and_directory(tmp_path, capsys):
     assert code == 1
     assert kv["error"].startswith("DimensionMismatch")
 
+    for truth, estimate in ((a, est_dir), (truth_dir, a)):  # one file, one directory
+        code, kv = run_cli(capsys, "eval-doa", truth, estimate)
+        assert code == 1
+        assert kv["error"].startswith("DimensionMismatch")
+
 
 def test_eval_doa_pairs_directories_by_file_name(tmp_path, capsys):
     src = _mono_wav(tmp_path / "m.wav", seed=4)
@@ -448,6 +453,23 @@ def test_clean_pipeline(tmp_path, capsys):
     assert kv["removed.alignment"] == "0"
     assert report.exists()
     assert (tmp_path / "report.jsonl.summary").exists()
+
+
+def test_clean_skips_stationarity_for_a_frames_pattern_holding_a_nul(tmp_path, capsys):
+    write_wav(MonoSignal(np.repeat([0.5] * 50, 20), 1000), tmp_path / "loud.wav")
+    (tmp_path / "m.jsonl").write_text(
+        '{"id": "nul", "audio_path": "loud.wav", "duration": 1.0, "sample_rate": 1000,'
+        ' "frames_pattern": "clips/\\u0000/*.pgm"}\n'
+        '{"id": "ok", "audio_path": "loud.wav", "duration": 1.0, "sample_rate": 1000}\n'
+    )
+    report = tmp_path / "r.jsonl"
+    code, kv = run_cli(
+        capsys, "clean", tmp_path / "m.jsonl", "--report", report, "--base-dir", tmp_path
+    )
+    assert code == 0, kv.get("error")
+    assert kv["evaluated"] == "2"
+    skipped = {r["id"]: r["skipped"] for r in map(json.loads, report.read_text().splitlines())}
+    assert "stationary" in skipped["nul"]
 
 
 def test_clean_rejects_unparsable_manifest(tmp_path, capsys):
@@ -759,6 +781,18 @@ def test_fm_train_condition_rows_must_match(tmp_path, capsys):
     )
     assert code == 1
     assert kv["error"].startswith("DimensionMismatch")
+
+
+def test_fm_sample_refuses_zero_frames(tmp_path, capsys):
+    ckpt = tmp_path / "m.fgvm"
+    code, _ = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "5", "--save", ckpt
+    )
+    assert code == 0
+    code, kv = run_cli(capsys, "fm-sample", "--model", ckpt, "--frames", "0", "--steps", "2")
+    assert code == 1
+    assert kv["error"].startswith("ValueError")
+    assert "samples" not in kv
 
 
 def test_fm_sample_condition_flags_exclusive(tmp_path, capsys):

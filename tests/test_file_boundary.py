@@ -27,40 +27,31 @@ OPENERS = {
 }
 
 
-def _opener_calls(tree):
-    """(enclosing function name or None, line) of each call that opens a file."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in OPENERS:
-                found.append((function, node.lineno))
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr in OPENERS
-                and not (isinstance(func.value, ast.Name) and func.value.id == "container")
-            ):
-                found.append((function, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, None)
-    return found
+def _opener_lines(tree):
+    """The line of each call that opens a file."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in OPENERS:
+            lines.append(node.lineno)
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in OPENERS
+            and not (isinstance(func.value, ast.Name) and func.value.id == "container")
+        ):
+            lines.append(node.lineno)
+    return lines
 
 
-def test_only_container_and_check_frame_open_files():
-    allowed = {("container.py", None), ("panorama.py", "check_frame")}
+def test_only_container_opens_files():
     openers = set()
     for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for function, line in _opener_calls(tree):
-            where = (path.name, None if path.name == "container.py" else function)
-            assert where in allowed, f"{path.relative_to(PACKAGE)}:{line} opens a file"
-            openers.add(where)
-    assert openers == allowed  # the guard still sees the openers it allows
+        for line in _opener_lines(ast.parse(path.read_text(encoding="utf-8"))):
+            assert path.name == "container.py", f"{path.relative_to(PACKAGE)}:{line} opens a file"
+            openers.add(path.name)
+    assert openers == {"container.py"}  # the guard still sees the openers it allows
 
 
 def _report():

@@ -73,6 +73,8 @@ def test_forward_validates_shapes():
     no_cond = VelocityModel.initialize(2, 0, (4,), np.random.default_rng(2))
     out = no_cond.forward(0.1, None, np.zeros((3, 2)))
     assert out.shape == (3, 2)
+    with pytest.raises(ShapeMismatch):
+        no_cond.forward(0.1, np.zeros((3, 1)), np.zeros((3, 2)))
 
 
 def test_forward_with_per_row_times_matches_per_draw_calls():

@@ -116,6 +116,11 @@ def test_euler_validation_errors():
         euler_sample(model, 4)  # no start, no frames, no condition
     with pytest.raises(ValueError):
         euler_sample(model, 4, frames=3)  # noise start needs an rng
+    for frames in (0, -1):
+        with pytest.raises(ValueError):
+            euler_sample(model, 4, frames=frames, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least 1"):
+        euler_sample(model, 4, start=np.zeros((0, 2)))
 
 
 def test_euler_frames_from_masked_condition():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import foagen.container
 import foagen.panorama
 from foagen.errors import (
     CorruptHeader,
+    IoFailure,
     NotErpAspect,
     ShapeMismatch,
     TooFewFrames,
@@ -464,7 +466,7 @@ def test_check_frame_reads_only_the_header(tmp_path, monkeypatch):
     write_frame(path, np.random.default_rng(24).random((512, 1024, 1)))
     reads = []
     monkeypatch.setattr(
-        foagen.panorama, "open",
+        foagen.container, "open",
         lambda *args, **kwargs: _CountingFile(open(*args, **kwargs), reads),
         raising=False,
     )
@@ -514,12 +516,38 @@ def test_corrupt_frame_files(tmp_path):
         b"P5\n4 3\n255\n\x00\x00",  # pixel data cut short
         b"P5\n4 3\n# no end of line",  # unterminated comment
         b"P5\n0 3\n255\n",  # no columns
+        b"P5\n4#c 3\n255\n" + bytes(12),  # a comment only starts after whitespace
+        b"P5 4 3255\n",  # two tokens: one token never splits into two
     ]):
         bad_pnm = tmp_path / f"bad{k}.pgm"
         bad_pnm.write_bytes(blob)
-        with pytest.raises(CorruptHeader):
-            read_frame(bad_pnm)
+        for reader in (read_frame, check_frame):
+            with pytest.raises(CorruptHeader):
+                reader(bad_pnm)
 
     commented = tmp_path / "commented.pgm"
     commented.write_bytes(b"P5\n# written by hand\n2 1 # width height\n255\n\x00\xff")
     np.testing.assert_array_equal(read_frame(commented), [[[0.0], [1.0]]])
+
+
+@pytest.mark.parametrize("header, shape", [
+    (b"P5# right after the magic\n2 1\n255\n", (1, 2, 1)),
+    (b"P5 #a\n2 #b\n#c\n1\t#d\n255\n", (1, 2, 1)),  # comments between all tokens
+    (b"P5\r2\x0b1\x0c255\r", (1, 2, 1)),  # CR, VT and FF are whitespace
+    (b"P54 3 255\n", (3, 4, 1)),  # no whitespace after the magic
+    (b"P5 +4 1_0 255\n", (10, 4, 1)),  # tokens that int() reads
+    (b"P6\n2 1\n65535\n", (1, 2, 3)),
+])
+def test_anymap_header_forms(header, shape, tmp_path):
+    path = tmp_path / "f.pgm"
+    itemsize = 2 if b"65535" in header else 1
+    path.write_bytes(header + bytes(math.prod(shape) * itemsize))
+    assert check_frame(path) == shape
+    assert read_frame(path).shape == shape
+
+
+def test_check_frame_and_read_frame_fail_alike_on_an_unopenable_path(tmp_path):
+    for path in ("a\x00b.pgm", tmp_path):
+        for reader in (read_frame, check_frame):
+            with pytest.raises(IoFailure):
+                reader(path)
