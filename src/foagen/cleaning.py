@@ -352,9 +352,12 @@ def _evaluate_entry(
     Only frames 0, k, 2k, ... (k = ``frame_interval``), the ones the
     verdict compares, are read, in order and only until the verdict is
     settled; see :func:`~foagen.panorama.settle_stationarity`. They are
-    compared in their stored integers. An OS read error inside the
-    pixels of a frame that is never read, uncompared or compared after
-    the decision, goes unnoticed.
+    compared in their stored integers, block by block: a pair's sum of
+    squared differences stops after the first block that already puts
+    its MSE at or above ``frame_mse``, which the rest of the sum, never
+    negative, could not undo. An OS read error inside the pixels of a
+    frame that is never read, uncompared or compared after the decision,
+    goes unnoticed.
     """
     def resolve(path: str) -> str:
         if base_dir is not None and not os.path.isabs(path):

@@ -30,6 +30,7 @@ from .audio_io import (
     write_wav,
 )
 from .cleaning import (
+    FILTER_ORDER,
     ClipManifestEntry,
     FilterThresholds,
     read_manifest,
@@ -312,6 +313,8 @@ def _cmd_clean(args) -> int:
     _emit("removed", len(report.removed))
     for name in sorted(report.counts):
         _emit(f"removed.{name}", report.counts[name])
+    for name in FILTER_ORDER:
+        _emit(f"skipped.{name}", sum(name in skips for skips in report.skipped.values()))
     _emit("report", args.report)
     return 0
 

@@ -7,6 +7,14 @@ This module owns every file read and write in foagen: :func:`read_bytes`,
 failure into IoFailure, so no other module opens a file or makes a
 directory itself.
 
+Files are read with bare ``os.open``, ``os.fstat``, ``os.read`` and
+``os.close`` calls rather than through the buffered ``open()`` stack:
+each system call releases the GIL, and fewer of them mean fewer
+handoffs between worker threads. A regular file is asked for its whole
+length (or a head's limit) in one read, and reads go on until EOF (or
+the limit), so a short read never truncates a file. Any other file,
+such as a pipe, is read to EOF from the descriptor it was opened on.
+
 A container holds an 8-byte magic naming its format and version, a header
 of little-endian unsigned integers, then its arrays as row-major
 little-endian float64 (``<f8``), back to back, and nothing after them:
@@ -40,11 +48,7 @@ def read_bytes(path) -> bytes:
     A path holding a NUL byte, which a manifest can give, fails as
     IoFailure like a missing file.
     """
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return _read(path, None)[0]
 
 
 def read_head(path, limit: int) -> tuple[bytes, int]:
@@ -53,16 +57,43 @@ def read_head(path, limit: int) -> tuple[bytes, int]:
 
     Fails as :func:`read_bytes` fails.
     """
+    return _read(path, limit)
+
+
+def _read(path, limit: int | None) -> tuple[bytes, int]:
+    """The first ``limit`` bytes of a regular file and its length, or, when
+    ``limit`` is None or the file is not regular, the whole file and the
+    length read."""
     try:
-        with open(path, "rb") as fh:
-            head = fh.read(limit)
-            info = os.fstat(fh.fileno())
-            if stat.S_ISREG(info.st_mode):
-                return head, info.st_size
-            head += fh.read()
-            return head, len(head)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            info = os.fstat(fd)
+            regular = stat.S_ISREG(info.st_mode)
+            if regular and limit is not None:
+                return _read_fd(fd, limit, limit), info.st_size
+            data = _read_fd(fd, (regular and info.st_size) or _CHUNK)
+            return data, len(data)
+        finally:
+            os.close(fd)
     except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+# Bytes asked of each read after the first.
+_CHUNK = 1 << 16
+
+
+def _read_fd(fd: int, first: int, limit: float = math.inf) -> bytes:
+    """Up to ``limit`` bytes from ``fd``, read until EOF: ``first`` bytes
+    are asked of the first read and ``_CHUNK`` of each later one, so a
+    short read is followed by another."""
+    parts = []
+    size = first
+    while limit > 0 and (part := os.read(fd, min(size, limit))):
+        parts.append(part)
+        limit -= len(part)
+        size = _CHUNK
+    return b"".join(parts)
 
 
 def read_lines(path) -> list[str]:

@@ -418,15 +418,24 @@ _DIFF_SQUARE = {255: (np.int16, np.int32), 65535: (np.int32, np.int64)}
 # MSEs fall on the same side of the threshold.
 _MSE_MARGIN = 1e-9
 
+# Pixels per block of the exact integer sum: a block's temporaries stay in
+# cache, and the first block of a moving pair already settles its verdict.
+_MSE_BLOCK = 1 << 15
+
 
 def _mse_below(a, b, threshold: float) -> bool:
     """``frame_mse(a, b) < threshold`` for float or stored frames.
 
     Two stored anymaps of one shape and maxval are compared from the
-    exact integer sum of squared differences; only when that MSE lies
-    within a relative 1e-9 of the threshold are both frames decoded and
-    the float MSE decides. The verdict is therefore always the one the
-    float MSE of the decoded frames gives.
+    exact integer sum of squared differences, taken in flat blocks of
+    ``_MSE_BLOCK`` pixels. The sum stops after the first block whose
+    partial MSE already lies at or above the threshold by a relative
+    1e-9: the partial sums only grow, and a correctly rounded quotient
+    is monotone in its numerator, so the full sum would give the same
+    False. Only when the full MSE lies within a relative 1e-9 of the
+    threshold are both frames decoded and the float MSE decides. The
+    verdict is therefore always the one the float MSE of the decoded
+    frames gives.
     """
     if (
         isinstance(a, StoredFrame)
@@ -434,17 +443,22 @@ def _mse_below(a, b, threshold: float) -> bool:
         and a.maxval in _DIFF_SQUARE
         and a.maxval == b.maxval
         and a.pixels.shape == b.pixels.shape
-        and a.pixels.size * a.maxval**2 < 2**63  # the int64 total cannot overflow
+        and 0 < a.pixels.size * a.maxval**2 < 2**63  # pixels, and an int64 total
     ):
         diff_type, square_type = _DIFF_SQUARE[a.maxval]
-        diff = np.subtract(a.pixels, b.pixels, dtype=diff_type)
-        total = np.multiply(diff, diff, dtype=square_type).sum(dtype=np.int64)
-        # Python integers divide with one correct rounding.
-        mse = int(total) / (a.maxval**2 * a.pixels.size)
+        flat_a, flat_b = a.pixels.reshape(-1), b.pixels.reshape(-1)
+        scale = a.maxval**2 * a.pixels.size
+        total = 0
+        for start in range(0, a.pixels.size, _MSE_BLOCK):
+            stop = start + _MSE_BLOCK
+            diff = np.subtract(flat_a[start:stop], flat_b[start:stop], dtype=diff_type)
+            total += int(np.multiply(diff, diff, dtype=square_type).sum(dtype=np.int64))
+            # Python integers divide with one correct rounding.
+            mse = total / scale
+            if mse * (1.0 - _MSE_MARGIN) >= threshold:
+                return False
         if mse * (1.0 + _MSE_MARGIN) < threshold:
             return True
-        if mse * (1.0 - _MSE_MARGIN) >= threshold:
-            return False
     if isinstance(a, StoredFrame):
         a = _decoded(a)
     if isinstance(b, StoredFrame):

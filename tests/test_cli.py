@@ -472,6 +472,30 @@ def test_clean_skips_stationarity_for_a_frames_pattern_holding_a_nul(tmp_path, c
     assert "stationary" in skipped["nul"]
 
 
+def test_clean_counts_skipped_filters_in_filter_order(tmp_path, capsys):
+    write_wav(MonoSignal(np.repeat([0.5] * 50, 20), 1000), tmp_path / "loud.wav")
+    rng = np.random.default_rng(36)
+    for clip in ("unscored", "bad"):
+        (tmp_path / clip).mkdir()
+        for k in range(3):
+            write_frame(tmp_path / clip / f"{k}.pgm", rng.random((4, 8, 1)))
+    (tmp_path / "bad" / "1.pgm").write_bytes(b"P5\n8 4\n254\n" + bytes(32))  # bad maxval
+    write_manifest(tmp_path / "m.jsonl", [
+        ClipManifestEntry("unscored", "loud.wav", 1.0, 1000, frames_pattern="unscored/*.pgm"),
+        ClipManifestEntry("bad", "loud.wav", 1.0, 1000, frames_pattern="bad/*.pgm",
+                          word_count=0, alignment_score=2.0),
+    ])
+    main(["clean", str(tmp_path / "m.jsonl"), "--report", str(tmp_path / "r.jsonl"),
+          "--base-dir", str(tmp_path), "--frame-interval", "1"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("config.")]
+    assert lines[:-1] == [
+        "evaluated=2", "kept=2", "removed=0",
+        "removed.alignment=0", "removed.silent=0", "removed.speech=0", "removed.stationary=0",
+        "skipped.stationary=1", "skipped.silent=0", "skipped.speech=1", "skipped.alignment=1",
+    ]
+    assert lines[-1].startswith("report=")
+
+
 def test_clean_rejects_unparsable_manifest(tmp_path, capsys):
     manifests = {
         "infinite.jsonl": (

@@ -5,6 +5,7 @@ fails the same way, as IoFailure, whichever command touched it.
 """
 
 import ast
+import os
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +97,44 @@ def test_write_report_summary_failure_is_io_failure(tmp_path):
         write_report(tmp_path / "r.jsonl", _report())
 
 
-def test_read_bytes_of_a_nul_path_fails_as_io_failure():
+READERS = {
+    "read_bytes": container.read_bytes,
+    "read_head": lambda path: container.read_head(path, 16),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("kind", ["nul", "missing", "directory"])
+def test_unreadable_paths_fail_as_io_failure(reader, kind, tmp_path):
+    # A directory opens and fails at its first read.
+    path = {"nul": "a\x00b.pgm", "missing": tmp_path / "missing.pgm", "directory": tmp_path}[kind]
     with pytest.raises(IoFailure):
-        container.read_bytes("a\x00b.wav")
+        READERS[reader](path)
+
+
+def test_an_empty_file_reads_as_no_bytes(tmp_path):
+    path = tmp_path / "empty"
+    path.write_bytes(b"")
+    assert container.read_bytes(path) == b""
+    assert container.read_head(path, 4096) == (b"", 0)
+
+
+def test_short_reads_go_on_until_the_file_ends(tmp_path, monkeypatch):
+    blob = np.random.default_rng(35).bytes(300_000)
+    path = tmp_path / "blob"
+    path.write_bytes(blob)
+    read = os.read
+    asked = []
+
+    def short_read(fd, size):
+        asked.append(size)
+        return read(fd, max(1, size // 7))
+
+    monkeypatch.setattr(container.os, "read", short_read)
+    assert container.read_bytes(path) == blob
+    assert len(asked) > 2
+    assert container.read_head(path, 5000) == (blob[:5000], len(blob))
+    assert container.read_head(path, 400_000) == (blob, len(blob))
 
 
 @pytest.mark.parametrize(

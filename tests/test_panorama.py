@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from foagen.panorama import (
     make_fov_cuts,
     pad_to_square,
     read_frame,
+    read_stored,
     stationarity_verdict,
     write_frame,
 )
@@ -367,6 +370,50 @@ def test_stored_comparison_falls_back_to_floats(tmp_path):
         foagen.panorama._mse_below(read_stored(tmp_path / "c.pgm"), np.zeros((7, 5, 1)), 1.0)
 
 
+def _write_anymap(path, pixels, maxval):
+    """Write integer (height, width, channels) pixels as an anymap."""
+    height, width, channels = pixels.shape
+    magic = b"P5" if channels == 1 else b"P6"
+    payload = pixels.astype("u1" if maxval == 255 else ">u2").tobytes()
+    path.write_bytes(b"%s\n%d %d\n%d\n" % (magic, width, height, maxval) + payload)
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+@pytest.mark.parametrize("shape", [
+    (8, 12, 1),  # smaller than one block
+    (128, 256, 1),  # exactly one block
+    (100, 150, 3),  # not a multiple of the block
+])
+def test_stored_comparison_stops_early_with_the_whole_verdict(tmp_path, maxval, shape):
+    block = foagen.panorama._MSE_BLOCK
+    size = math.prod(shape)
+    rng = np.random.default_rng(34)
+    a = rng.integers(1, maxval, size)  # room for a unit step either way
+    last_block = a.copy()
+    start = (size - 1) // block * block
+    last_block[start:] = rng.integers(0, maxval + 1, size - start)
+    # Unit differences whose exact total is one under, on and one over
+    # half the pixels, all in the leading pixels or spread over the frame.
+    half = size // 2
+    pairs = {"identical": a, "last block": last_block}
+    for name, total in (("under", half - 1), ("on", half), ("over", half + 1)):
+        leading, spread = a.copy(), a.copy()
+        leading[:total] += 1
+        spread[np.linspace(0, size - 1, total).astype(int)] -= 1
+        pairs[f"leading {name}"], pairs[f"spread {name}"] = leading, spread
+    on = half / (maxval**2 * size)  # the threshold that half the pixels meet exactly
+    thresholds = [0.0, -1.0, math.inf, on, float(np.nextafter(on, 0.0)), 1e-3]
+    path_a = tmp_path / "a.pnm"
+    _write_anymap(path_a, a.reshape(shape), maxval)
+    for name, b in pairs.items():
+        path_b = tmp_path / f"{name}.pnm"
+        _write_anymap(path_b, b.reshape(shape), maxval)
+        mse = frame_mse(read_frame(path_a), read_frame(path_b))
+        for threshold in thresholds + [mse]:
+            got = foagen.panorama._mse_below(read_stored(path_a), read_stored(path_b), threshold)
+            assert got is (mse < threshold), (name, threshold)
+
+
 def test_stationarity_all_static():
     frame = np.full((4, 8, 1), 0.25)
     result = stationarity_verdict([frame] * 33, interval=8)
@@ -439,37 +486,18 @@ def test_read_frame_matches_integer_scaling(tmp_path, bit_depth, suffix, channel
     assert np.array_equal(read_frame(path), want)
 
 
-class _CountingFile:
-    """File wrapper that records how many bytes each read returned."""
-
-    def __init__(self, fh, reads):
-        self._fh = fh
-        self._reads = reads
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-    def fileno(self):
-        return self._fh.fileno()
-
-    def read(self, size=-1):
-        data = self._fh.read(size)
-        self._reads.append(len(data))
-        return data
-
-
 def test_check_frame_reads_only_the_header(tmp_path, monkeypatch):
     path = tmp_path / "big.pgm"
     write_frame(path, np.random.default_rng(24).random((512, 1024, 1)))
     reads = []
-    monkeypatch.setattr(
-        foagen.container, "open",
-        lambda *args, **kwargs: _CountingFile(open(*args, **kwargs), reads),
-        raising=False,
-    )
+    read = os.read
+
+    def counting_read(fd, size):
+        data = read(fd, size)
+        reads.append(len(data))
+        return data
+
+    monkeypatch.setattr(foagen.container.os, "read", counting_read)
     check_frame(path)
     assert 0 < sum(reads) <= 4096
 
@@ -479,6 +507,36 @@ def test_check_frame_reads_only_the_header(tmp_path, monkeypatch):
     with pytest.raises(CorruptHeader):
         check_frame(short)
     assert 0 < sum(reads) <= 4096
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_frame_is_read_whole(tmp_path):
+    # Larger than the header head and than a pipe's buffer.
+    path = tmp_path / "big.pgm"
+    write_frame(path, np.random.default_rng(26).random((512, 1024, 1)))
+    blob = path.read_bytes()
+    fifo = tmp_path / "fifo.pgm"
+    os.mkfifo(fifo)
+    errors = []
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            errors.append(exc)
+
+    for reader in (check_frame, read_stored):
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        got = reader(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive() and errors == []
+        if reader is check_frame:
+            assert got == (512, 1024, 1)
+        else:
+            assert got.maxval == 255
+            np.testing.assert_array_equal(got.pixels, read_stored(path).pixels)
 
 
 def test_frame_format_errors(tmp_path):
