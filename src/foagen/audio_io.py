@@ -1,7 +1,11 @@
 """Bit-exact multichannel WAV I/O and matrix serialization.
 
-WAV support covers RIFF/WAVE files holding 16-bit PCM or 32-bit IEEE
-float samples with 1, 2, or 4 channels. Four-channel files carry
+WAV support covers RIFF/WAVE files in the encodings of
+``WAV_ENCODINGS``: 16-bit PCM ("pcm16", format tag 1) and 32-bit IEEE
+float ("float32", format tag 3). That table is the one statement of
+each encoding; a writer names one, and a reader accepts exactly the
+(format tag, bits per sample) pairs it holds. The channel count is any
+that a :mod:`foagen.foa` signal type holds. Four-channel files carry
 ambisonic channels in w, x, y, z order on disk by default; the ``ambix``
 switch reads and writes the alternative ordering (w, y, z, x) with the
 omni channel scaled up by sqrt(2).
@@ -20,7 +24,9 @@ by 32768, rounds half away from zero and saturates at the int16 limits.
 The rounding is ``trunc(v + copysign(0.5, v))``, with the int16 cast as
 the truncation; this equals ``copysign(floor(|v| + 0.5), v)`` because a
 sum of two numbers of one sign rounds the same whatever that sign is.
-Float32 files round-trip bit-exactly.
+Float32 files round-trip bit-exactly. A float64 sample past the float32
+range, the AmbiX-scaled omni row included, would be written as an
+infinity that no reader accepts, so the writer refuses it instead.
 
 Feature matrices travel either as delimited text (one row per line) or
 as the ``.fmat`` binary container laid out in :mod:`foagen.container`.
@@ -34,19 +40,19 @@ import struct
 import numpy as np
 
 from . import container
-from .errors import (
-    ChannelCountUnsupported,
-    CorruptHeader,
-    ParseError,
-    SpecMismatch,
-    UnsupportedFormat,
-)
-from .foa import signal_from_channels
+from .errors import CorruptHeader, ParseError, SpecMismatch, UnsupportedFormat
+from .foa import signal_type
 
 MATRIX_MAGIC = b"FMAT0001"
 
-_WAVE_FORMAT_PCM = 1
-_WAVE_FORMAT_IEEE_FLOAT = 3
+# Each WAV encoding: its format tag and its sample type; the bits per
+# sample are 8 times the type's size.
+WAV_ENCODINGS = {"pcm16": (1, "<i2"), "float32": (3, "<f4")}
+# The sample type of each (format tag, bits per sample) a reader accepts.
+_WAV_DTYPES = {
+    (tag, 8 * np.dtype(sample).itemsize): np.dtype(sample)
+    for tag, sample in WAV_ENCODINGS.values()
+}
 
 _AMBIX_SCALE = math.sqrt(2.0)
 # Column k of an AmbiX file holds row _AMBIX_ROWS[k] of the (w, x, y, z)
@@ -70,45 +76,12 @@ def pcm16_encode(samples: np.ndarray) -> np.ndarray:
     scaled = np.multiply(samples, 32768.0, out=np.empty(np.shape(samples)), dtype=np.float64)
     scaled += np.copysign(0.5, scaled)
     np.clip(scaled, -32768, 32767, out=scaled)
-    return scaled.astype("<i2")  # the cast truncates toward zero
+    return scaled.astype(WAV_ENCODINGS["pcm16"][1])  # the cast truncates toward zero
 
 
 def pcm16_decode(codes: np.ndarray) -> np.ndarray:
     """Int16 codes to C-ordered floats on the [-1.0, 32767/32768] grid."""
     return np.multiply(codes, _PCM16_STEP, out=np.empty(np.shape(codes)), dtype=np.float64)
-
-
-class WavSpec:
-    """Target encoding for a WAV file."""
-
-    __slots__ = ("channels", "sample_rate", "encoding")
-
-    def __init__(self, channels: int, sample_rate: int, encoding: str = "float32"):
-        if channels not in (1, 2, 4):
-            raise ChannelCountUnsupported(
-                f"{channels} channels unsupported; expected 1, 2, or 4"
-            )
-        if sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if encoding not in ("pcm16", "float32"):
-            raise UnsupportedFormat(
-                f"encoding {encoding!r} unsupported; use 'pcm16' or 'float32'"
-            )
-        block_align = channels * (2 if encoding == "pcm16" else 4)
-        if sample_rate * block_align > _U32_MAX:
-            raise UnsupportedFormat(
-                f"{sample_rate} Hz at {block_align}-byte frames overflows "
-                "the 32-bit byte-rate field"
-            )
-        self.channels = int(channels)
-        self.sample_rate = int(sample_rate)
-        self.encoding = encoding
-
-    def __repr__(self):
-        return (
-            f"WavSpec(channels={self.channels}, sample_rate={self.sample_rate}, "
-            f"encoding={self.encoding!r})"
-        )
 
 
 def _chunks(blob: bytes):
@@ -131,8 +104,9 @@ def read_wav(path, ambix: bool = False):
 
     Raises:
         CorruptHeader: malformed or truncated RIFF structure.
-        UnsupportedFormat: an encoding other than pcm16/float32.
-        ChannelCountUnsupported: a channel count outside {1, 2, 4}.
+        UnsupportedFormat: a format tag and sample width that
+            ``WAV_ENCODINGS`` does not hold.
+        ChannelCountUnsupported: a channel count no signal type holds.
         ParseError: a float32 payload holding a NaN or infinite sample.
         IoFailure: the underlying read failed.
     """
@@ -155,20 +129,12 @@ def read_wav(path, ambix: bool = False):
     audio_format, channels, sample_rate, _, block_align, bits = fmt
     if sample_rate == 0:
         raise CorruptHeader("fmt chunk gives a sample rate of 0 Hz")
-    if audio_format == _WAVE_FORMAT_PCM:
-        if bits != 16:
-            raise UnsupportedFormat(f"{bits}-bit PCM unsupported; only 16")
-        dtype = np.dtype("<i2")
-    elif audio_format == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits != 32:
-            raise UnsupportedFormat(f"{bits}-bit float unsupported; only 32")
-        dtype = np.dtype("<f4")
-    else:
-        raise UnsupportedFormat(f"WAVE format tag {audio_format} unsupported")
-    if channels not in (1, 2, 4):
-        raise ChannelCountUnsupported(
-            f"{channels} channels unsupported; expected 1, 2, or 4"
+    dtype = _WAV_DTYPES.get((audio_format, bits))
+    if dtype is None:
+        raise UnsupportedFormat(
+            f"WAVE format tag {audio_format} with {bits}-bit samples unsupported"
         )
+    kind = signal_type(channels)
     frame_bytes = channels * dtype.itemsize
     if block_align not in (0, frame_bytes):
         raise CorruptHeader(
@@ -180,7 +146,7 @@ def read_wav(path, ambix: bool = False):
     if ambix and channels != 4:
         raise SpecMismatch("ambix ordering applies to 4-channel files only")
     raw = np.frombuffer(data, dtype=dtype, count=n_frames * channels)
-    pcm16 = audio_format == _WAVE_FORMAT_PCM
+    pcm16 = dtype.kind == "i"
     rows = _AMBIX_ROWS if ambix else range(channels)
     matrix = np.empty((channels, n_frames))
     # Each file column straight into its row; the finiteness mask is one
@@ -193,41 +159,47 @@ def read_wav(path, ambix: bool = False):
             raise ParseError(f"{path}: float32 payload holds non-finite samples")
     if ambix:
         matrix[0] /= _AMBIX_SCALE
-    return signal_from_channels(matrix, sample_rate)
+    return kind(matrix, sample_rate)
 
 
-def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) -> None:
-    """Write a signal as RIFF/WAVE.
+def write_wav(signal, path, encoding: str = "float32", ambix: bool = False) -> None:
+    """Write a signal as RIFF/WAVE at its own channel count and rate.
 
-    With no spec the file is float32 at the signal's own layout. A spec
-    whose channel count or sample rate disagrees with the signal raises
-    SpecMismatch rather than silently converting.
+    ``encoding`` names an entry of ``WAV_ENCODINGS``. Nothing is created
+    when the write is refused.
+
+    Raises:
+        UnsupportedFormat: an unknown encoding, or a rate or length whose
+            byte-rate or RIFF size field would overflow 32 bits.
+        SpecMismatch: ``ambix`` on a signal that is not 4-channel, or a
+            float32 file that would hold an infinity because a sample
+            (after the AmbiX omni scaling) lies past the float32 range.
     """
+    if encoding not in WAV_ENCODINGS:
+        raise UnsupportedFormat(
+            f"encoding {encoding!r} unsupported; use "
+            + " or ".join(map(repr, WAV_ENCODINGS))
+        )
+    tag, sample = WAV_ENCODINGS[encoding]
+    dtype = np.dtype(sample)
     matrix = signal.channels
-    if spec is None:
-        spec = WavSpec(matrix.shape[0], signal.sample_rate)
-    if spec.channels != matrix.shape[0]:
-        raise SpecMismatch(
-            f"spec wants {spec.channels} channels, signal has {matrix.shape[0]}"
-        )
-    if spec.sample_rate != signal.sample_rate:
-        raise SpecMismatch(
-            f"spec wants {spec.sample_rate} Hz, signal is {signal.sample_rate} Hz"
-        )
     channels, n = matrix.shape
+    rate = signal.sample_rate
+    block_align = channels * dtype.itemsize
+    if rate * block_align > _U32_MAX:
+        raise UnsupportedFormat(
+            f"{rate} Hz at {block_align}-byte frames overflows the 32-bit byte-rate field"
+        )
     rows = slice(None)
     if ambix:
         if channels != 4:
             raise SpecMismatch("ambix ordering applies to 4-channel signals only")
         rows = list(_AMBIX_ROWS)
 
-    pcm16 = spec.encoding == "pcm16"
-    dtype = np.dtype("<i2" if pcm16 else "<f4")
-    block_align = channels * dtype.itemsize
+    pcm16 = dtype.kind == "i"
     data_size = n * block_align
     chunks = b"fmt " + struct.pack(
-        "<IHHIIHH", 16, _WAVE_FORMAT_PCM if pcm16 else _WAVE_FORMAT_IEEE_FLOAT,
-        channels, spec.sample_rate, spec.sample_rate * block_align, block_align,
+        "<IHHIIHH", 16, tag, channels, rate, rate * block_align, block_align,
         8 * dtype.itemsize,
     )
     if not pcm16:
@@ -240,12 +212,22 @@ def write_wav(signal, path, spec: WavSpec | None = None, ambix: bool = False) ->
         )
 
     frames = np.empty((n, channels), dtype)
-    for start in range(0, n, _BLOCK_FRAMES):
-        stop = start + _BLOCK_FRAMES
-        block = matrix[rows, start:stop]  # the AmbiX rows index a copy
-        if ambix:
-            block[0] *= _AMBIX_SCALE
-        frames[start:stop] = pcm16_encode(block.T) if pcm16 else block.T
+    # An overflow to infinity saturates in pcm16 and is refused in float32.
+    with np.errstate(over="ignore"):
+        for start in range(0, n, _BLOCK_FRAMES):
+            stop = start + _BLOCK_FRAMES
+            block = matrix[rows, start:stop]  # the AmbiX rows index a copy
+            if ambix:
+                block[0] *= _AMBIX_SCALE
+            if pcm16:
+                frames[start:stop] = pcm16_encode(block.T)
+            else:
+                frames[start:stop] = block.T
+                if not np.isfinite(frames[start:stop]).all():
+                    raise SpecMismatch(
+                        f"{path}: a sample lies past the float32 range and "
+                        "would be written as an infinity"
+                    )
     header = (
         b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
         + chunks + b"data" + struct.pack("<I", data_size)

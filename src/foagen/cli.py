@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .audio_io import (
-    WavSpec,
-    read_matrix_any,
-    read_wav,
-    write_matrix,
-    write_wav,
-)
+from .audio_io import WAV_ENCODINGS, read_matrix_any, read_wav, write_matrix, write_wav
 from .cleaning import (
     FILTER_ORDER,
     ClipManifestEntry,
@@ -125,8 +119,7 @@ def _cmd_spatialize(args) -> int:
         _angle_in(args.theta, args.degrees), _angle_in(args.phi, args.degrees)
     )
     foa = spatialize_mono(mono, direction)
-    spec = WavSpec(4, foa.sample_rate, args.encoding)
-    write_wav(foa, args.output, spec=spec, ambix=args.ambix)
+    write_wav(foa, args.output, args.encoding, ambix=args.ambix)
     _emit("samples", foa.w.shape[0])
     _emit("channels", 4)
     _emit("output", args.output)
@@ -136,8 +129,7 @@ def _cmd_spatialize(args) -> int:
 def _cmd_stereo2foa(args) -> int:
     stereo = _require(read_wav(args.input), StereoSignal)
     foa = stereo_to_foa(stereo)
-    spec = WavSpec(4, foa.sample_rate, args.encoding)
-    write_wav(foa, args.output, spec=spec, ambix=args.ambix)
+    write_wav(foa, args.output, args.encoding, ambix=args.ambix)
     _emit("samples", foa.w.shape[0])
     _emit("output", args.output)
     return 0
@@ -497,13 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True, help="azimuth")
     p.add_argument("--phi", type=float, default=0.0, help="elevation")
     p.add_argument("--degrees", action="store_true", help="angles are degrees, not radians")
-    p.add_argument("--encoding", choices=("pcm16", "float32"), default="pcm16")
+    p.add_argument("--encoding", choices=WAV_ENCODINGS, default="pcm16")
     p.add_argument("--ambix", action="store_true", help="write ACN/SN3D channel order")
 
     p = _add(subparsers, "stereo2foa", _cmd_stereo2foa, "Project a stereo WAV into FOA.")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--encoding", choices=("pcm16", "float32"), default="float32")
+    p.add_argument("--encoding", choices=WAV_ENCODINGS, default="float32")
     p.add_argument("--ambix", action="store_true", help="write ACN/SN3D channel order")
 
     p = _add(subparsers, "doa", _cmd_doa, "Estimate direction of arrival from a FOA WAV.")

@@ -76,11 +76,15 @@ def euler_sample(
     has nothing to blend, so each step makes one call at any scale.
 
     Returns the final (frames, latent_dim) state. A state of no frames,
-    from ``frames`` below 1 or a ``start`` with no rows, raises ValueError.
+    from ``frames`` below 1 or a ``start`` with no rows, and a ``local``
+    or ``global_cond`` holding a NaN or infinity raise ValueError.
     """
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
+    for name, features in (("local", local), ("global_cond", global_cond)):
+        if features is not None and not np.isfinite(np.asarray(features, np.float64)).all():
+            raise ValueError(f"{name} contains non-finite values")
     if start is not None:
         x = np.array(start, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != model.latent_dim:

@@ -8,10 +8,11 @@ batch.
 
 :func:`train` checks and converts the whole dataset once, before the
 first step: every item's float64 latent, its shape and finiteness, the
-kind and width of its external condition, and that local features are
-finite and no longer than their latent, so a bad item fails the run
-even if no batch would ever draw it. A step then draws its
-randomness in whole arrays, in this order, which fixes the RNG stream:
+kind and width of its external condition, that a global condition is
+finite, and that local features are finite and no longer than their
+latent, so a bad item fails the run even if no batch would ever draw
+it. A step then draws its randomness in whole arrays, in this order,
+which fixes the RNG stream:
 
 1. ``integers(B)``: the batch's item indices;
 2. ``standard_normal((rows, dims))``: the noise of every frame of the batch;
@@ -163,8 +164,8 @@ def _check_dataset(dataset, latent_dim: int):
         ShapeMismatch: when a latent is not (frames, latent_dim), local
             features are not 2-D, or items carry different external conditions.
         ShrinkNotSupported: when local features have more rows than their latent.
-        ValueError: when the dataset is empty, or a latent or local
-            features are empty or not finite.
+        ValueError: when the dataset is empty, a latent or local features
+            are empty or not finite, or a global condition is not finite.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -205,6 +206,8 @@ def _check_dataset(dataset, latent_dim: int):
         conds = None
     elif kind == "global":
         conds = np.stack(conds)
+        if not np.isfinite(conds).all():
+            raise ValueError("global condition contains non-finite values")
     return x1s, frames, kind, conds
 
 
@@ -251,8 +254,8 @@ def train(
         ShapeMismatch: when a latent is not (frames, model.latent_dim),
             or the items carry different external conditions.
         ShrinkNotSupported: when local features have more rows than their latent.
-        ValueError: when the dataset is empty, or a latent or local
-            features are empty or not finite.
+        ValueError: when the dataset is empty, a latent or local features
+            are empty or not finite, or a global condition is not finite.
     """
     x1s, frames, kind, conds = _check_dataset(dataset, model.latent_dim)
     dims = model.latent_dim

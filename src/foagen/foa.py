@@ -20,7 +20,9 @@ channel) inverts that encoding up to overall signal energy.
 Every signal holds its channels as one C-contiguous float64 (channels, n)
 matrix: ``MonoSignal`` has one row, ``StereoSignal`` two (left, right) and
 ``FoaSignal`` four (w, x, y, z). The named channels are row views of that
-matrix, and :func:`signal_from_channels` picks the type for a matrix.
+matrix. :func:`signal_type` names the type for a channel count, the one
+place the supported counts are checked, and :func:`signal_from_channels`
+builds it from a matrix.
 """
 
 from __future__ import annotations
@@ -149,14 +151,20 @@ class FoaSignal(Signal):
 _SIGNAL_TYPES = {kind.n_channels: kind for kind in (MonoSignal, StereoSignal, FoaSignal)}
 
 
-def signal_from_channels(channels: np.ndarray, sample_rate: int) -> Signal:
-    """The signal type matching the row count of a (channels, n) array."""
-    kind = _SIGNAL_TYPES.get(len(channels))
+def signal_type(n_channels: int) -> type[Signal]:
+    """The signal type holding ``n_channels`` rows; ChannelCountUnsupported
+    for any count no type holds."""
+    kind = _SIGNAL_TYPES.get(n_channels)
     if kind is None:
         raise ChannelCountUnsupported(
-            f"{len(channels)} channels unsupported; expected 1, 2, or 4"
+            f"{n_channels} channels unsupported; expected 1, 2, or 4"
         )
-    return kind(channels, sample_rate)
+    return kind
+
+
+def signal_from_channels(channels: np.ndarray, sample_rate: int) -> Signal:
+    """The signal of the type matching the row count of a (channels, n) array."""
+    return signal_type(len(channels))(channels, sample_rate)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,12 @@ import pytest
 from foagen.audio_io import (
     _BLOCK_FRAMES,
     MATRIX_MAGIC,
-    WavSpec,
     pcm16_decode,
     pcm16_encode,
     read_matrix,
     read_matrix_any,
     read_matrix_text,
     read_wav,
-    signal_from_channels,
     write_matrix,
     write_matrix_text,
     write_wav,
@@ -29,7 +27,7 @@ from foagen.errors import (
     SpecMismatch,
     UnsupportedFormat,
 )
-from foagen.foa import FoaSignal, MonoSignal, StereoSignal
+from foagen.foa import FoaSignal, MonoSignal, StereoSignal, signal_from_channels
 
 
 def _float32_noise(rng, *shape):
@@ -107,7 +105,7 @@ def test_write_wav_peak_is_the_payload_plus_blocks(tmp_path):
     signal = _foa_10s()
     payload = signal.channels.size * 2
     path = tmp_path / "foa.wav"
-    peak = _traced_peak(lambda: write_wav(signal, path, WavSpec(4, 16000, "pcm16")))
+    peak = _traced_peak(lambda: write_wav(signal, path, "pcm16"))
     assert path.stat().st_size == 44 + payload
     assert peak < payload + 2**20
 
@@ -176,7 +174,7 @@ def test_pcm16_wav_round_trip_on_grid(tmp_path):
     grid = rng.integers(-32768, 32768, size=60) / 32768.0
     signal = MonoSignal(grid, 22050)
     path = tmp_path / "grid.wav"
-    write_wav(signal, path, WavSpec(1, 22050, "pcm16"))
+    write_wav(signal, path, "pcm16")
     assert np.array_equal(read_wav(path).samples, grid)
 
 
@@ -184,7 +182,7 @@ def test_float32_wav_carries_fact_chunk(tmp_path):
     signal = MonoSignal(np.zeros(7), 8000)
     write_wav(signal, tmp_path / "f32.wav")
     assert b"fact" in (tmp_path / "f32.wav").read_bytes()
-    write_wav(signal, tmp_path / "pcm.wav", WavSpec(1, 8000, "pcm16"))
+    write_wav(signal, tmp_path / "pcm.wav", "pcm16")
     assert b"fact" not in (tmp_path / "pcm.wav").read_bytes()
 
 
@@ -221,19 +219,20 @@ def test_ambix_requires_four_channels(tmp_path):
         read_wav(tmp_path / "m.wav", ambix=True)
 
 
-def test_wav_spec_validation():
-    with pytest.raises(ChannelCountUnsupported):
-        WavSpec(3, 16000)
-    with pytest.raises(ValueError):
-        WavSpec(1, 0)
+def test_wav_spec_validation(tmp_path):
     with pytest.raises(UnsupportedFormat):
-        WavSpec(1, 16000, "mp3")
+        write_wav(MonoSignal(np.zeros(4), 16000), tmp_path / "x.wav", "mp3")
+    assert not (tmp_path / "x.wav").exists()
 
 
-def test_wav_spec_refuses_a_byte_rate_past_32_bits():
+def test_wav_spec_refuses_a_byte_rate_past_32_bits(tmp_path):
     # The fmt chunk stores rate * channels * bytes per sample in 32 bits.
-    assert WavSpec(1, 0x7FFFFFFF, "pcm16").sample_rate == 0x7FFFFFFF
-    assert WavSpec(4, 0x3FFFFFFF // 4, "float32").channels == 4
+    path = tmp_path / "one.wav"
+    for channels, rate, encoding in ((1, 0x7FFFFFFF, "pcm16"), (4, 0x3FFFFFFF // 4, "float32")):
+        write_wav(signal_from_channels(np.zeros((channels, 1)), rate), path, encoding)
+        back = read_wav(path)
+        assert back.channels.shape == (channels, 1) and back.sample_rate == rate
+    path.unlink()
     for channels, rate, encoding in (
         (1, 0x80000000, "pcm16"),
         (4, 0xFFFFFFFF, "pcm16"),
@@ -241,24 +240,40 @@ def test_wav_spec_refuses_a_byte_rate_past_32_bits():
         (2, 0xFFFFFFFF, "float32"),
     ):
         with pytest.raises(UnsupportedFormat, match="byte-rate"):
-            WavSpec(channels, rate, encoding)
+            write_wav(signal_from_channels(np.zeros((channels, 1)), rate), path, encoding)
+        assert not path.exists()
 
 
 def test_write_wav_refuses_a_data_chunk_past_32_bits(tmp_path):
     # A zero-stride matrix stands in for 2**30 frames without their memory.
     huge = SimpleNamespace(channels=np.broadcast_to(0.0, (4, 2**30)), sample_rate=16000)
-    for spec in (WavSpec(4, 16000, "pcm16"), None):
+    for encoding in ("pcm16", "float32"):
         with pytest.raises(UnsupportedFormat, match="RIFF size"):
-            write_wav(huge, tmp_path / "huge.wav", spec)
+            write_wav(huge, tmp_path / "huge.wav", encoding)
     assert not (tmp_path / "huge.wav").exists()
 
 
-def test_write_wav_spec_mismatch(tmp_path):
-    signal = MonoSignal(np.zeros(4), 16000)
-    with pytest.raises(SpecMismatch):
-        write_wav(signal, tmp_path / "x.wav", WavSpec(2, 16000))
-    with pytest.raises(SpecMismatch):
-        write_wav(signal, tmp_path / "x.wav", WavSpec(1, 8000))
+def test_write_wav_refuses_a_sample_past_the_float32_range(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "x.wav"
+    # A value that rounds down to the float32 maximum still writes.
+    edge = np.nextafter(top, math.inf)
+    write_wav(MonoSignal([edge, -edge], 8000), path)
+    assert read_wav(path).samples.tolist() == [top, -top]
+    path.unlink()
+    past = np.zeros((4, 3 * _BLOCK_FRAMES))
+    past[2, -1] = 2.0 * top  # in the last block only
+    # AmbiX scales w by sqrt(2), past the range: past float64's too for
+    # the last case, whose overflow must raise no warning.
+    huge = np.finfo(np.float64).max
+    for matrix, ambix in ((past, False), (np.full((4, 2), top), True), (np.full((4, 2), huge), True)):
+        with pytest.raises(SpecMismatch, match="float32 range"):
+            write_wav(FoaSignal(matrix, 8000), path, ambix=ambix)
+        assert not path.exists()
+        # pcm16 saturates instead.
+        write_wav(FoaSignal(matrix, 8000), path, "pcm16", ambix=ambix)
+        assert np.abs(read_wav(path, ambix=ambix).channels).max() <= 1.0
+        path.unlink()
 
 
 def _wav_bytes(format_tag=1, channels=1, rate=8000, bits=16, data=b"\x00\x00", block=None):
@@ -319,13 +334,13 @@ def test_signal_channel_round_trip():
 
 def test_read_wav_decodes_into_a_c_contiguous_matrix(tmp_path):
     signal = FoaSignal(np.random.default_rng(12).uniform(-0.9, 0.9, (4, 25)), 16000)
-    for name, spec, ambix in (
-        ("pcm16", WavSpec(4, 16000, "pcm16"), False),
-        ("float32", None, False),
-        ("ambix", None, True),
+    for name, encoding, ambix in (
+        ("pcm16", "pcm16", False),
+        ("float32", "float32", False),
+        ("ambix", "float32", True),
     ):
         path = tmp_path / f"{name}.wav"
-        write_wav(signal, path, spec, ambix=ambix)
+        write_wav(signal, path, encoding, ambix=ambix)
         channels = read_wav(path, ambix=ambix).channels
         assert channels.dtype == np.float64 and channels.flags.c_contiguous
         assert channels.shape == (4, 25)

@@ -17,6 +17,7 @@ from foagen.audio_io import (
     write_wav,
 )
 from foagen.cleaning import ClipManifestEntry, write_manifest
+from foagen.container import encode, write_bytes
 from foagen import cli
 from foagen.cli import main
 from foagen.flow import (
@@ -29,6 +30,7 @@ from foagen.flow import (
     mixture_model,
     train,
 )
+from foagen.flow.network import CHECKPOINT_MAGIC
 from foagen.foa import Direction, MonoSignal, StereoSignal, spatialize_mono
 from foagen.metrics import eval_doa_batch
 from foagen.panorama import make_fov_cuts, read_frame, write_frame
@@ -143,6 +145,19 @@ def test_stereo2foa(tmp_path, capsys):
     np.testing.assert_array_equal(foa.x, (left - right).astype(np.float32))
     assert np.all(foa.y == 0.0)
     assert np.all(foa.z == 0.0)
+
+
+def test_stereo2foa_refuses_an_output_past_the_float32_range(tmp_path, capsys):
+    # Each input sample fits float32; the omni channel, their sum, does not.
+    src = tmp_path / "st.wav"
+    write_wav(StereoSignal(np.full((2, 8), 3e38), RATE), src)
+    assert read_wav(src).left[0] == np.float32(3e38)
+    out = tmp_path / "foa.wav"
+    code, kv = run_cli(capsys, "stereo2foa", src, out)
+    assert code == 1
+    assert kv["error"].startswith("SpecMismatch ")
+    assert "samples" not in kv
+    assert not out.exists()
 
 
 def test_eval_doa_pair_and_directory(tmp_path, capsys):
@@ -707,7 +722,8 @@ def test_fm_train_fixture_keeps_every_recipe_field(tmp_path, capsys):
         "--trace", tmp_path / "loss.tsv",
     )
     assert code == 0
-    got = [float(line.split("\t")[1]) for line in open(tmp_path / "loss.tsv")]
+    lines = (tmp_path / "loss.tsv").read_text().splitlines()
+    got = [float(line.split("\t")[1]) for line in lines]
     want = train(mixture_model(), mixture_dataset(), replace(MIXTURE_TRAIN, steps=300))
     assert got == want  # bit for bit, so the learning-rate tail reached the run
 
@@ -816,6 +832,45 @@ def test_fm_sample_refuses_zero_frames(tmp_path, capsys):
     code, kv = run_cli(capsys, "fm-sample", "--model", ckpt, "--frames", "0", "--steps", "2")
     assert code == 1
     assert kv["error"].startswith("ValueError")
+    assert "samples" not in kv
+
+
+def test_fm_sample_refuses_a_non_finite_condition(tmp_path, capsys):
+    ckpt = tmp_path / "m.fgvm"
+    code, _ = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "5", "--save", ckpt
+    )
+    assert code == 0
+    (tmp_path / "c.txt").write_text("nan 0\n")
+    out = tmp_path / "samples.fmat"
+    code, kv = run_cli(
+        capsys, "fm-sample", "--model", ckpt, "--cond", tmp_path / "c.txt",
+        "--frames", "4", "--steps", "2", "--out", out,
+    )
+    assert code == 1
+    assert kv["error"] == "ValueError global_cond contains non-finite values"
+    assert "samples" not in kv
+    assert not out.exists()
+
+
+def test_fm_train_refuses_a_non_finite_condition(tmp_path, capsys):
+    write_matrix(tmp_path / "x.fmat", np.zeros((4, 2)))
+    write_matrix(tmp_path / "c.fmat", np.array([[0.0], [np.nan], [0.0], [0.0]]))
+    code, kv = run_cli(
+        capsys, "fm-train", "--data", tmp_path / "x.fmat",
+        "--cond", tmp_path / "c.fmat", "--steps", "2",
+    )
+    assert code == 1
+    assert kv["error"] == "ValueError global condition contains non-finite values"
+    assert "final_loss" not in kv
+
+
+def test_fm_sample_refuses_a_checkpoint_without_a_hidden_layer(tmp_path, capsys):
+    ckpt = tmp_path / "m.fgvm"
+    write_bytes(ckpt, *encode(CHECKPOINT_MAGIC, "<I2I", [2, 3, 2], [np.zeros((3, 2)), np.zeros(2)]))
+    code, kv = run_cli(capsys, "fm-sample", "--model", ckpt, "--frames", "4")
+    assert code == 1
+    assert kv["error"].startswith("CorruptHeader ")
     assert "samples" not in kv
 
 

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from foagen.audio_io import WavSpec, read_matrix, read_wav, write_matrix, write_wav
+from foagen.audio_io import read_matrix, read_wav, write_matrix, write_wav
 from foagen.foa import signal_from_channels
 from foagen.flow.network import VelocityModel, load_model, save_model
 from foagen.panorama import read_frame, write_frame
@@ -158,8 +158,7 @@ def test_wav_golden_bytes(tmp_path):
                 label = (n, channels, ambix, encoding)
                 expected = _wav_expected(disk, signal.sample_rate, encoding)
                 path = tmp_path / "s.wav"
-                spec = WavSpec(channels, signal.sample_rate, encoding)
-                write_wav(signal, path, spec, ambix=ambix)
+                write_wav(signal, path, encoding, ambix=ambix)
                 assert path.read_bytes() == expected, label
 
                 path.write_bytes(expected)

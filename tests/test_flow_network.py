@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foagen.container import encode, write_bytes
 from foagen.errors import CorruptHeader, NoMaskedFrames, ShapeMismatch
 from foagen.flow import (
     MaskedLatent,
@@ -10,6 +11,7 @@ from foagen.flow import (
     load_model,
     save_model,
 )
+from foagen.flow.network import CHECKPOINT_MAGIC
 
 
 def _finite_difference_grads(model, t, cond, x, target, h=1e-5):
@@ -215,6 +217,44 @@ def test_checkpoint_corruption(tmp_path):
     trailing.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(CorruptHeader):
         load_model(trailing)
+
+
+@pytest.mark.parametrize("n_widths", [0, 1, 2])
+def test_load_model_refuses_a_checkpoint_without_a_hidden_layer(n_widths, tmp_path):
+    widths = [3, 2][:n_widths]
+    arrays = [np.zeros((3, 2)), np.zeros(2)] if n_widths == 2 else []
+    path = tmp_path / "model.fgvm"
+    write_bytes(path, *encode(CHECKPOINT_MAGIC, f"<I{n_widths}I", [n_widths, *widths], arrays))
+    with pytest.raises(CorruptHeader, match="at least one hidden layer"):
+        load_model(path)
+
+
+def _layers(*shapes):
+    """Zero weights of the given (fan_in, fan_out) shapes and their biases."""
+    return [np.zeros(shape) for shape in shapes], [np.zeros(shape[1]) for shape in shapes]
+
+
+@pytest.mark.parametrize(
+    "latent_dim, cond_dim, weights, biases, message",
+    [
+        (0, 1, *_layers((2, 4), (4, 0)), "latent_dim must be >= 1"),
+        (2, -1, *_layers((2, 4), (4, 2)), "cond_dim >= 0"),
+        (2, 1, _layers((4, 4), (4, 2))[0], _layers((4, 4))[1], "parallel"),
+        (2, 1, [], [], "non-empty"),
+        (2, 1, *_layers((5, 4), (4, 2)), "expects fan-in 4, got 5"),
+        (2, 1, *_layers((4, 4), (4, 3)), "last layer"),
+        (2, 1, [np.zeros((4, 4, 1)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)],
+         "layer 0 weight/bias"),
+        (2, 1, [np.zeros((4, 4)), np.zeros((4, 2))], [np.zeros(5), np.zeros(2)],
+         "layer 0 weight/bias"),
+        (2, 1, *_layers((4, 4), (5, 2)), "layer 1 fan-in does not chain"),
+    ],
+    ids=["latent-dim", "cond-dim", "unparallel", "no-layers", "first-fan-in",
+         "last-width", "weight-ndim", "bias-shape", "unchained"],
+)
+def test_velocity_model_refuses_inconsistent_layers(latent_dim, cond_dim, weights, biases, message):
+    with pytest.raises(ValueError, match=message):
+        VelocityModel(latent_dim, cond_dim, weights, biases)
 
 
 def test_cfm_loss_zero_at_oracle():

@@ -123,6 +123,24 @@ def test_euler_validation_errors():
         euler_sample(model, 4, start=np.zeros((0, 2)))
 
 
+class _NoSteps(_ConstantField):
+    """Stand-in model that fails if the sampler takes any step."""
+
+    def forward(self, t, cond, x):
+        raise AssertionError("the sampler took a step")
+
+
+@pytest.mark.parametrize("rows", [6, 3], ids=["full-rate", "upsampled"])
+def test_euler_refuses_non_finite_conditions_before_a_step(rows):
+    model = _NoSteps(np.zeros(2))
+    local = np.zeros((rows, 1))
+    local[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="local contains non-finite values"):
+        euler_sample(model, 4, local=local, start=np.zeros((6, 2)))
+    with pytest.raises(ValueError, match="global_cond contains non-finite values"):
+        euler_sample(model, 4, global_cond=[0.0, np.inf], start=np.zeros((6, 2)))
+
+
 def test_euler_frames_from_masked_condition():
     model = VelocityModel.initialize(2, 2, (4,), np.random.default_rng(3))
     cond = MaskedLatent(np.zeros((6, 2)), np.ones(6, dtype=bool))

@@ -329,6 +329,13 @@ def test_items_never_drawn_are_still_checked(item, error, message):
         train(model, dataset, cfg)
 
 
+def test_train_refuses_a_non_finite_global_condition():
+    dataset = [(np.zeros((1, 2)), np.zeros(1))] * 8 + [(np.zeros((1, 2)), np.array([np.nan]))]
+    model = VelocityModel.initialize(2, 3, (4,), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="global condition contains non-finite values"):
+        train(model, dataset, TrainConfig(batch_size=2, steps=1, seed=0))
+
+
 def test_learning_rate_tail():
     base = TrainConfig(learning_rate=0.02, batch_size=4, steps=40, seed=2)
     assert [base.rate(step) for step in range(base.steps)] == [0.02] * base.steps

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from foagen.audio_io import (
-    WavSpec,
     read_matrix,
     read_matrix_text,
     read_wav,
@@ -50,7 +49,7 @@ def _valid_files(root: Path) -> dict[str, list[bytes]]:
         "text": [root / "m.txt"],
         "manifest": [root / "m.jsonl"],
     }
-    write_wav(MonoSignal(0.3 * rng.standard_normal(6), 8000), paths["wav"][0], WavSpec(1, 8000, "pcm16"))
+    write_wav(MonoSignal(0.3 * rng.standard_normal(6), 8000), paths["wav"][0], "pcm16")
     write_wav(FoaSignal(0.3 * rng.standard_normal((4, 3)), 16000), paths["wav"][1])
     write_frame(paths["frame"][0], rng.random((2, 4, 1)))
     write_frame(paths["frame"][1], rng.random((2, 4, 3)), bit_depth=16)
