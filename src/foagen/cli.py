@@ -608,9 +608,11 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except (FoagenError, OSError, ValueError) as exc:
+    except (FoagenError, OSError, ValueError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError; name the public type.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         message = str(exc).replace("\n", " ")
-        print(f"error={type(exc).__name__} {message}")
+        print(f"error={name} {message}")
         return 1
 
 

@@ -24,23 +24,30 @@ which fixes the RNG stream:
 
 The velocity model acts on every frame independently and the objective
 is an expectation per sample, so a step is scored as a frame table rather
-than one forward and backward pass per draw: the draws are stacked
-row-wise, and each row carries its own path time, its condition channels,
-and a loss weight of 1 / (batch_size * selected terms of its draw), zero
-on frames the loss leaves out. One :func:`cfm_loss` call over the table
-gives the same loss and gradients as the per-draw sum, up to the order of
-float summation.
+than one forward and backward pass per draw: the draws' rows are stacked,
+and each row carries its own path time, its condition channels, and a
+loss weight of 1 / (batch_size * covered terms of its draw). Only the
+frames the loss covers become rows: during masked pretraining
+(``masked_frames_only`` with a ``mask_spec``) a draw's hidden frames,
+otherwise all its frames. A visible frame would add exact zeros to the
+loss and to every gradient, yet cost a full forward and backward pass.
+One :func:`cfm_loss` call over the table gives the same loss and
+gradients as the per-draw sum, up to the order of float summation.
 
 A table holds at most ``_TABLE_ROWS`` rows. Draws are packed into tables
-greedily, a draw longer than the cap forms a table of its own, and the
-tables' gradients are summed in place before the single SGD update. The
-cap bounds peak memory: the activations kept for the backward pass grow
-with the table, and without the cap one table of 16 draws of 256 frames
-(hidden widths 128, 128) raised the peak resident memory of a training
-and sampling run from about 52 MB to 82 MB. Short draws, such as the one
-frame per sample of the mixture fixture, still share a table. Latents
-and local features stay one array per item and are gathered per table,
-because stacking them up front would hold a second copy of the data.
+greedily by their covered row counts, a draw that covers more rows than
+the cap forms a table of its own, and the tables' gradients are summed in
+place before the single SGD update. The cap bounds peak memory: the
+activations kept for the backward pass grow with the table, and without
+the cap one table of 16 draws of 256 frames (hidden widths 128, 128)
+raised the peak resident memory of a training and sampling run from about
+52 MB to 82 MB. Short draws, such as the one frame per sample of the
+mixture fixture, still share a table. Latents and local features stay one
+array per item and are gathered per table, because stacking them up front
+would hold a second copy of the data. A table's latents, noise and local
+features (upsampled to each draw's full length) are gathered over its
+draws' full lengths and then cut to the covered rows, so these inputs may
+briefly hold more rows than the cap; the activations never do.
 """
 
 from __future__ import annotations
@@ -75,8 +82,9 @@ def cfm_loss(
     sum_i weights_i * |v_i - (x1_i - x0_i)|^2. ``t`` is a scalar or one
     time per row. Weights of 1 / (selected frames * dims) on the selected
     frames of one sequence, zero elsewhere, give that sequence's mean
-    squared velocity error; :func:`train` stacks a step's draws and also
-    divides by the batch size, so one call yields their batch loss.
+    squared velocity error; :func:`train` stacks the covered rows of a
+    step's draws and also divides by the batch size, so one call yields
+    their batch loss.
 
     Raises:
         NoMaskedFrames: when no weight is positive.
@@ -129,8 +137,10 @@ class TrainConfig:
     lr_tail: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if self.batch_size < 1 or self.steps < 1:
             raise ValueError("batch_size and steps must be >= 1")
         if not 0.0 <= self.cond_dropout <= 1.0:
@@ -250,7 +260,9 @@ def train(
     bit-identical traces.
 
     Raises:
-        DivergenceDetected: as soon as a batch loss is non-finite.
+        DivergenceDetected: as soon as a batch loss is non-finite. Only the
+            rows the loss covers are evaluated, so a non-finite velocity on
+            a visible frame of masked pretraining does not raise it.
         ShapeMismatch: when a latent is not (frames, model.latent_dim),
             or the items carry different external conditions.
         ShrinkNotSupported: when local features have more rows than their latent.
@@ -273,11 +285,8 @@ def train(
         picks, sizes = indices.tolist(), counts.tolist()
         masks = None if config.mask_spec is None else _draw_masks(sizes, config, rng)
 
-        selected = counts
-        if masks is not None and config.masked_frames_only:
-            selected = np.array([np.count_nonzero(mask) for mask in masks])
-            if not selected.all():
-                raise NoMaskedFrames("mask hides no frames; nothing to train on")
+        covered_only = masks is not None and config.masked_frames_only
+        selected = np.array([np.count_nonzero(mask) for mask in masks]) if covered_only else counts
         scales = 1.0 / (batch * selected * dims)
         if kind == "global":
             globals_ = conds[indices]
@@ -286,20 +295,18 @@ def train(
 
         batch_loss = 0.0
         batch_grads = None
-        for first, stop in _table_bounds(sizes):
+        for first, stop in _table_bounds(selected.tolist()):
             n = counts[first:stop]
-            x1 = np.concatenate([x1s[i] for i in picks[first:stop]])
-            weights = np.repeat(scales[first:stop], n)
-            if masks is None:
+            # The table's rows that the loss covers: its hidden frames, or all of them.
+            keep = np.concatenate(masks[first:stop]) if covered_only else slice(None)
+            x1 = np.concatenate([x1s[i] for i in picks[first:stop]])[keep]
+            if masks is None or covered_only:
                 view = np.zeros_like(x1)
             else:
-                hidden = np.concatenate(masks[first:stop])
-                view = np.where(hidden[:, None], 0.0, x1)
-                if config.masked_frames_only:
-                    weights = weights * hidden
+                view = np.where(np.concatenate(masks[first:stop])[:, None], 0.0, x1)
             local = global_rows = None
             if kind == "global":
-                global_rows = np.repeat(globals_[first:stop], n, axis=0)
+                global_rows = np.repeat(globals_[first:stop], n, axis=0)[keep]
             elif kind == "local":
                 local = np.concatenate([
                     conds[i] if conds[i].shape[0] == f else upsample_features(conds[i], f)
@@ -307,14 +314,15 @@ def train(
                 ])
                 if dropped is not None:
                     local[np.repeat(dropped[first:stop], n)] = 0.0
+                local = local[keep]
             cond = build_condition(view, local, global_rows, config.fuse_local_features)
             loss, grads = cfm_loss(
                 model,
-                noise[offsets[first] : offsets[stop]],
+                noise[offsets[first] : offsets[stop]][keep],
                 x1,
-                np.repeat(times[first:stop], n),
+                np.repeat(times[first:stop], n)[keep],
                 cond,
-                weights,
+                np.repeat(scales[first:stop], n)[keep],
             )
             batch_loss += loss
             if batch_grads is None:

@@ -683,6 +683,34 @@ def test_fm_train_refuses_a_zero_width_hidden_layer(tmp_path, capsys):
     assert "final_loss" not in kv
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_fm_train_refuses_a_non_finite_learning_rate(capsys, rate):
+    code, kv = run_cli(capsys, "fm-train", "--fixture", "mixture", "--steps", "5", "--lr", rate)
+    assert code == 1
+    assert kv["error"] == f"ValueError learning_rate must be positive and finite, got {rate}"
+    assert "final_loss" not in kv
+
+
+def test_impossible_allocations_exit_with_an_error_line(tmp_path, capsys):
+    ckpt = tmp_path / "m.fgvm"
+    assert run_cli(capsys, "fm-train", "--fixture", "mixture", "--steps", "5", "--save", ckpt)[0] == 0
+    wav = tmp_path / "a.wav"
+    assert run_cli(capsys, "spatialize", _mono_wav(tmp_path / "m.wav"), wav, "--theta", "0.3")[0] == 0
+    # Each request is past the 128 TiB of an x86-64 address space and below
+    # 2**63 bytes, so it fails at once even under overcommit.
+    for argv, output in (
+        (("fm-sample", "--model", ckpt, "--frames", 10**14), "samples"),  # (10**14, 2) float64
+        (("fm-train", "--fixture", "mixture", "--batch", 10**15), "final_loss"),  # int64 indices
+        (("mask-stats", "--frames", 10**15, "--draws", 1), "draws"),  # one bool mask
+        (("eval-stft", wav, wav, "--windows", 10**15), "stft_distance"),  # (4, 10**15) float64
+    ):
+        code, kv = run_cli(capsys, *argv)
+        assert code == 1
+        assert kv["error"].startswith("MemoryError Unable to allocate ")
+        assert output not in kv
+
+
 def test_fm_train_on_matrix_data(tmp_path, capsys):
     data = np.tile([[2.0, -1.0]], (16, 1))
     write_matrix(tmp_path / "x.fmat", data)

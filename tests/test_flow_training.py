@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from foagen.errors import DivergenceDetected, FoagenError, ShapeMismatch, ShrinkNotSupported
+from foagen.flow import training
 from foagen.flow import (
     MaskSpec,
     MaskedLatent,
@@ -28,6 +29,12 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(cond_dropout=1.5)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_refuses_a_non_finite_learning_rate(rate):
+    with pytest.raises(ValueError, match=f"learning_rate must be positive and finite, got {rate}"):
+        TrainConfig(learning_rate=rate)
 
 
 def test_train_rejects_empty_dataset():
@@ -225,9 +232,17 @@ def _ragged_dataset(kind, dims=3, channels=2):
     return dataset
 
 
+# p_cond 0 draws only fully hidden masks and 1 only partial ones; the mixed
+# case keeps the test ids it had before the other two were added.
+@pytest.mark.parametrize(
+    "p_cond",
+    [pytest.param(0.7, id=pytest.HIDDEN_PARAM),
+     pytest.param(0.0, id="all-full"),
+     pytest.param(1.0, id="all-partial")],
+)
 @pytest.mark.parametrize("masked_frames_only", [True, False])
 @pytest.mark.parametrize("kind", ["fused", "local", "global"])
-def test_frame_tables_match_per_draw_reference(kind, masked_frames_only):
+def test_frame_tables_match_per_draw_reference(kind, masked_frames_only, p_cond):
     dims, channels = 3, 2
     dataset = _ragged_dataset(kind, dims, channels)
     cond_dim = dims if kind == "fused" else dims + channels
@@ -237,7 +252,7 @@ def test_frame_tables_match_per_draw_reference(kind, masked_frames_only):
         steps=8,
         seed=13,
         time_sampler=TimeSampler("logit_normal"),
-        mask_spec=MaskSpec(p_cond=0.7, n_mask=1, l_mask=1),
+        mask_spec=MaskSpec(p_cond=p_cond, n_mask=1, l_mask=1),
         span_choices=(1, 2, 3),
         masked_frames_only=masked_frames_only,
         cond_dropout=0.3,
@@ -252,6 +267,58 @@ def test_frame_tables_match_per_draw_reference(kind, masked_frames_only):
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
     for a, b in zip(models[0].weights + models[0].biases, models[1].weights + models[1].biases):
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def _rows_per_step(monkeypatch, dataset, config):
+    """Train, counting per step the rows fed to the model and the frames
+    and hidden frames of the masks drawn."""
+    steps = [[0, 0, 0]]
+    forward_cached = VelocityModel.forward_cached
+    apply_gradients = VelocityModel.apply_gradients
+
+    def count_rows(self, t, cond, x):
+        steps[-1][0] += x.shape[0]
+        return forward_cached(self, t, cond, x)
+
+    def count_mask(seq_len, spec, rng):
+        mask, full = make_mask(seq_len, spec, rng)
+        steps[-1][1] += mask.size
+        steps[-1][2] += int(mask.sum())
+        return mask, full
+
+    def next_step(self, grads, rate):
+        steps.append([0, 0, 0])
+        apply_gradients(self, grads, rate)
+
+    monkeypatch.setattr(VelocityModel, "forward_cached", count_rows)
+    monkeypatch.setattr(VelocityModel, "apply_gradients", next_step)
+    monkeypatch.setattr(training, "make_mask", count_mask)
+    model = VelocityModel.initialize(3, 3 + 2, (8,), np.random.default_rng(14))
+    train(model, dataset, config)
+    assert steps.pop() == [0, 0, 0] and len(steps) == config.steps
+    return steps
+
+
+@pytest.mark.parametrize("masked_frames_only", [True, False])
+def test_only_covered_rows_reach_the_model(monkeypatch, masked_frames_only):
+    config = TrainConfig(
+        batch_size=6, steps=4, seed=13,
+        mask_spec=MaskSpec(p_cond=1.0, n_mask=1, l_mask=1), span_choices=(1, 2, 3),
+        masked_frames_only=masked_frames_only,
+    )
+    steps = _rows_per_step(monkeypatch, _ragged_dataset("local"), config)
+    for rows, frames, hidden in steps:
+        # every mask is partial, so the hidden frames are strictly fewer
+        assert hidden < frames
+        assert rows == (hidden if masked_frames_only else frames)
+
+
+def test_unmasked_training_feeds_every_frame(monkeypatch):
+    # 100-frame items: each step's 600 rows fill three tables
+    dataset = [(np.ones((100, 3)), np.ones(2))] * 4
+    config = TrainConfig(batch_size=6, steps=4, seed=13)
+    steps = _rows_per_step(monkeypatch, dataset, config)
+    assert steps == [[600, 0, 0]] * config.steps  # no mask is drawn
 
 
 @pytest.mark.parametrize(
