@@ -79,11 +79,6 @@ def pcm16_encode(samples: np.ndarray) -> np.ndarray:
     return scaled.astype(WAV_ENCODINGS["pcm16"][1])  # the cast truncates toward zero
 
 
-def pcm16_decode(codes: np.ndarray) -> np.ndarray:
-    """Int16 codes to C-ordered floats on the [-1.0, 32767/32768] grid."""
-    return np.multiply(codes, _PCM16_STEP, out=np.empty(np.shape(codes)), dtype=np.float64)
-
-
 def _chunks(blob: bytes):
     """Iterate (fourcc, payload) pairs of a RIFF body; the payloads are
     views of ``blob``, not copies."""

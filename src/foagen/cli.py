@@ -371,11 +371,6 @@ def _resolve_train_config(args, fixture: bool) -> TrainConfig:
     sampler = base.time_sampler
     if args.time_sampler is not None:
         sampler = TimeSampler(args.time_sampler, mu=args.mu, sigma=args.sigma)
-    mask_spec = base.mask_spec
-    if args.mask_spans is not None:
-        mask_spec = MaskSpec(
-            p_cond=args.p_cond, n_mask=args.mask_spans, l_mask=args.mask_min_len
-        )
     return dataclasses.replace(
         base,
         learning_rate=args.lr if args.lr is not None else base.learning_rate,
@@ -383,7 +378,6 @@ def _resolve_train_config(args, fixture: bool) -> TrainConfig:
         steps=args.steps if args.steps is not None else base.steps,
         seed=args.seed if args.seed is not None else base.seed,
         time_sampler=sampler,
-        mask_spec=mask_spec,
     )
 
 
@@ -580,9 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-sampler", choices=("uniform", "logit_normal"))
     p.add_argument("--mu", type=float, default=0.0, help="logit-normal location")
     p.add_argument("--sigma", type=float, default=1.0, help="logit-normal scale")
-    p.add_argument("--mask-spans", type=int, help="train with span masking: span count")
-    p.add_argument("--mask-min-len", type=int, default=1, help="minimum masked span length")
-    p.add_argument("--p-cond", type=float, default=0.1, help="partial-mask probability")
     p.add_argument("--save", default="", help="write a checkpoint here")
     p.add_argument("--trace", default="", help="write the per-step loss trace here (TSV)")
 

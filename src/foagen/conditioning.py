@@ -1,9 +1,9 @@
 """Feature-to-latent conditioning utilities.
 
 Visual features arrive at a coarser rate than audio latents, so they are
-upsampled along time before fusion. Local features fuse by element-wise
-addition once channel widths match (any projection to the latent width is
-owned by the velocity model's input layer, not by this module); a global
+upsampled along time and then appended to the velocity model's condition
+channels; its linear first layer projects them and adds the result to
+the rest of its input, so no projection or fusion happens here. A global
 summary is taken by per-channel max pooling over time.
 """
 
@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch, ShrinkNotSupported
+from .errors import ShrinkNotSupported
 
 
-def _as_feature_seq(features, name: str = "features") -> np.ndarray:
+def _as_feature_seq(features) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D (frames, channels) array")
+        raise ValueError("features must be a non-empty 2-D (frames, channels) array")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("features contains non-finite values")
     return arr
 
 
@@ -43,19 +43,6 @@ def upsample_features(features, target_len: int) -> np.ndarray:
         )
     indices = (np.arange(target_len) * frames) // target_len
     return arr[indices]
-
-
-def fuse_local(features_up, latent) -> np.ndarray:
-    """Element-wise sum of an upsampled feature sequence and a latent.
-
-    Raises:
-        ShapeMismatch: when the two arrays do not already share a shape.
-    """
-    f = _as_feature_seq(features_up, "features_up")
-    x = _as_feature_seq(latent, "latent")
-    if f.shape != x.shape:
-        raise ShapeMismatch(f"cannot fuse shapes {f.shape} and {x.shape}")
-    return f + x
 
 
 def pool_global(features) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import container
 from ..errors import CorruptHeader, ShapeMismatch
-from ..conditioning import fuse_local, upsample_features
+from ..conditioning import upsample_features
 
 CHECKPOINT_MAGIC = b"FGVM0001"
 
@@ -170,19 +170,20 @@ def build_condition(
     view: np.ndarray,
     local: np.ndarray | None = None,
     global_cond: np.ndarray | None = None,
-    fuse_local_features: bool = False,
 ) -> np.ndarray:
     """Assemble per-frame condition channels for the velocity model.
 
-    ``view`` is the latent with its hidden frames zeroed, such as
-    ``MaskedLatent.condition_view()``, and forms the first block; a
-    fully hidden latent gives an all-zero view. Local features are
-    stretched to the latent frame count and either fused into the view by
-    addition (when widths already match and ``fuse_local_features`` is
-    set) or appended as extra channels. The global condition is appended
-    last: a vector is tiled over frames, and a (frames, channels) block
-    gives each row its own global channels, which is how a stack of
-    several sequences carries one vector each.
+    The blocks are concatenated along channels, in this order:
+
+    1. ``view``, the latent with its hidden frames zeroed, such as
+       ``MaskedLatent.condition_view()``; a fully hidden latent gives an
+       all-zero view.
+    2. ``local`` features, stretched to the latent frame count. The
+       model's linear first layer projects them and adds the result to
+       the projected view, which is the paper's "project, then add".
+    3. ``global_cond``: a vector is tiled over frames, and a (frames,
+       channels) block gives each row its own global channels, which is
+       how a stack of several sequences carries one vector each.
 
     The unconditional branch is not built here: it is
     ``VelocityModel.forward(t, None, x)``, which sees every condition
@@ -196,10 +197,7 @@ def build_condition(
             raise ShapeMismatch("local features must be 2-D (frames, channels)")
         if local.shape[0] != frames:
             local = upsample_features(local, frames)
-        if fuse_local_features:
-            view = fuse_local(local, view)
-        else:
-            blocks.append(local)
+        blocks.append(local)
     if global_cond is not None:
         block = np.asarray(global_cond, dtype=np.float64)
         if block.ndim == 1:

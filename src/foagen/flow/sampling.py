@@ -58,7 +58,6 @@ def euler_sample(
     masked_cond: MaskedLatent | None = None,
     local: np.ndarray | None = None,
     global_cond: np.ndarray | None = None,
-    fuse_local_features: bool = False,
     frames: int | None = None,
     start: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
@@ -115,7 +114,7 @@ def euler_sample(
             view = np.zeros((n_frames, model.latent_dim))
         else:
             view = masked_cond.condition_view()
-        cond_matrix = build_condition(view, local, global_cond, fuse_local_features)
+        cond_matrix = build_condition(view, local, global_cond)
 
     step_size = 1.0 / steps
     # With no condition both halves of a guided step would be the same

@@ -133,7 +133,6 @@ class TrainConfig:
     masked_frames_only: bool = True
     span_choices: tuple[int, ...] | None = None
     cond_dropout: float = 0.0
-    fuse_local_features: bool = False
     lr_tail: float = 0.0
 
     def __post_init__(self):
@@ -315,7 +314,7 @@ def train(
                 if dropped is not None:
                     local[np.repeat(dropped[first:stop], n)] = 0.0
                 local = local[keep]
-            cond = build_condition(view, local, global_rows, config.fuse_local_features)
+            cond = build_condition(view, local, global_rows)
             loss, grads = cfm_loss(
                 model,
                 noise[offsets[first] : offsets[stop]][keep],

@@ -9,7 +9,6 @@ import pytest
 from foagen.audio_io import (
     _BLOCK_FRAMES,
     MATRIX_MAGIC,
-    pcm16_decode,
     pcm16_encode,
     read_matrix,
     read_matrix_any,
@@ -47,9 +46,14 @@ def test_pcm16_rounds_half_away_from_zero():
     assert pcm16_encode(np.array([-half_code]))[0] == -1
 
 
-def test_pcm16_grid_round_trip_is_exact():
+def test_pcm16_grid_round_trip_is_exact(tmp_path):
+    # Every int16 code, decoded by read_wav and encoded again.
     codes = np.arange(-32768, 32768, dtype=np.int64)
-    assert np.array_equal(pcm16_encode(pcm16_decode(codes)), codes)
+    path = tmp_path / "codes.wav"
+    path.write_bytes(_wav_bytes(data=codes.astype("<i2").tobytes()))
+    decoded = read_wav(path).channels[0]
+    assert np.array_equal(decoded, codes / 32768.0)
+    assert np.array_equal(pcm16_encode(decoded), codes)
 
 
 def test_pcm16_encode_matches_rounding_formula():
@@ -359,6 +363,8 @@ def test_matrix_container_round_trip_is_exact(tmp_path):
 def test_matrix_container_errors(tmp_path):
     with pytest.raises(ValueError):
         write_matrix(tmp_path / "v.fmat", np.zeros(3))
+    with pytest.raises(ValueError, match="matrix must be 1-D or 2-D"):
+        write_matrix_text(tmp_path / "cube.txt", np.zeros((2, 2, 2)))
     path = tmp_path / "m.fmat"
     write_matrix(path, np.zeros((2, 2)))
     blob = path.read_bytes()

@@ -80,6 +80,8 @@ def test_window_dbfs_validation():
         window_dbfs(np.ones(10), 20.0, RATE)
     with pytest.raises(ValueError):
         window_dbfs(np.ones(100), 0.1, RATE)  # window rounds to zero samples
+    with pytest.raises(ValueError, match="samples must be"):
+        window_dbfs(np.ones((2, 2, 400)), 20.0, RATE)
 
 
 def test_silence_verdict_mostly_quiet():
@@ -618,8 +620,13 @@ def test_write_report(tmp_path):
 def test_filter_thresholds_validation():
     with pytest.raises(ValueError):
         FilterThresholds(silence_ratio=1.5)
+    with pytest.raises(ValueError, match="stationary_ratio"):
+        FilterThresholds(stationary_ratio=-0.5)
     with pytest.raises(ValueError):
         FilterThresholds(window_ms=0.0)
+    with pytest.raises(ValueError, match="window_ms 1e[+]308 overflows a sample count at 4294967295 Hz"):
+        FilterThresholds(window_ms=1e308)
+    FilterThresholds(window_ms=1e290)  # about 4e296 samples at the largest WAV rate
     with pytest.raises(ValueError):
         FilterThresholds(frame_interval=0)
     for name in ("silence_dbfs", "min_alignment", "frame_mse"):

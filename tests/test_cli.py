@@ -639,6 +639,20 @@ def test_clean_and_segment_reject_a_non_finite_duration(tmp_path, capsys, value)
     assert not outdir.exists()
 
 
+def test_clean_refuses_a_window_that_overflows_a_sample_count(tmp_path, capsys):
+    write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
+    write_manifest(tmp_path / "m.jsonl", [ClipManifestEntry("a", "long.wav", 2.5, 1000)])
+    report = tmp_path / "r.jsonl"
+    code = main([
+        "clean", str(tmp_path / "m.jsonl"), "--report", str(report), "--base-dir", str(tmp_path),
+        "--window-ms", "1e308",
+    ])
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
+    assert code == 1
+    assert errors == ["error=ValueError window_ms 1e+308 overflows a sample count at 4294967295 Hz"]
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("flag", ["silence_dbfs", "min_alignment", "frame_mse"])
 def test_clean_rejects_a_nan_threshold(tmp_path, capsys, flag):
     write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
@@ -799,25 +813,6 @@ def test_fm_sample_condition_matches_the_library(source, cfg_scale, tmp_path, ca
     assert got.tobytes() == want.tobytes()
 
 
-def test_fm_train_with_span_masking(tmp_path, capsys):
-    write_matrix(tmp_path / "x.fmat", np.random.default_rng(6).standard_normal((8, 2)))
-
-    def train_once(*mask):
-        return run_cli(
-            capsys, "fm-train", "--data", tmp_path / "x.fmat",
-            "--steps", "30", "--batch", "2", "--seed", "1", *mask,
-        )
-
-    code, kv = train_once("--mask-spans", "1", "--p-cond", "0.5")
-    assert code == 0, kv.get("error")
-    assert kv["config.mask_spans"] == "1"
-    assert kv["config.mask_min_len"] == "1"
-    assert kv["config.p_cond"] == "0.5"
-    assert kv["steps"] == "30" and math.isfinite(float(kv["final_loss"]))
-    _, unmasked = train_once()
-    assert unmasked["final_loss"] != kv["final_loss"]  # the mask reached training
-
-
 def test_fm_train_logit_normal_far_location(capsys):
     # exp(-z) overflows for every draw at this location
     code, kv = run_cli(
@@ -926,6 +921,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+    # fm-train builds one-frame rows, on which a span mask cannot act.
+    for flag, value in (("--mask-spans", "1"), ("--mask-min-len", "1"), ("--p-cond", "0.5")):
+        with pytest.raises(SystemExit) as err:
+            main(["fm-train", "--fixture", "mixture", "--steps", "1", flag, value])
+        assert err.value.code == 2
     capsys.readouterr()  # swallow argparse noise
 
 

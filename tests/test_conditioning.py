@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from foagen.conditioning import fuse_local, pool_global, synth_features, upsample_features
-from foagen.errors import ShapeMismatch, ShrinkNotSupported
+from foagen.conditioning import pool_global, synth_features, upsample_features
+from foagen.errors import ShrinkNotSupported
 
 
 def test_upsample_integer_ratio_repeats():
@@ -26,6 +26,8 @@ def test_upsample_floor_index_pattern():
 def test_upsample_rejects_shrinking():
     with pytest.raises(ShrinkNotSupported):
         upsample_features(np.zeros((4, 2)), 3)
+    with pytest.raises(ValueError, match="non-empty 2-D"):
+        upsample_features(np.zeros((0, 2)), 3)
 
 
 def test_upsample_monotone_and_endpoint_preserving():
@@ -47,16 +49,6 @@ def test_pool_commutes_with_upsampling():
         )
 
 
-def test_fuse_local():
-    np.testing.assert_array_equal(
-        fuse_local(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])), [[4.0, 6.0]]
-    )
-    latent = np.random.default_rng(3).standard_normal((4, 2))
-    np.testing.assert_array_equal(fuse_local(np.zeros((4, 2)), latent), latent)
-    with pytest.raises(ShapeMismatch):
-        fuse_local(np.zeros((4, 2)), np.zeros((4, 3)))
-
-
 def test_pool_global():
     np.testing.assert_array_equal(pool_global(np.array([[1.0, 5.0], [3.0, 2.0]])), [3.0, 5.0])
     single = np.array([[0.1, -0.2, 7.0]])
@@ -72,6 +64,8 @@ def test_synth_features_deterministic():
     b = synth_features(12, 6, 3, 1)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (6, 3)
+    with pytest.raises(ValueError, match="num_frames"):
+        synth_features(12, 0, 3, 1)
 
 
 def test_synth_features_encode_class_in_channel_means():

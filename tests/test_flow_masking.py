@@ -21,6 +21,11 @@ def test_mask_spec_validation():
     with pytest.raises(ValueError):
         MaskSpec(p_cond=0.5, l_mask=0)
     assert MaskSpec(0.1, 3, 4).min_frames() == 14
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="seq_len must be >= 1"):
+        make_mask(0, MaskSpec(0.1, 1, 1), rng)
+    with pytest.raises(InfeasibleSpec, match="no span count"):
+        random_mask_spec(MaskSpec(0.1, 1, 4), 3, rng)  # one span of 4 needs 4 frames
 
 
 def test_max_spans():

@@ -110,6 +110,8 @@ def test_build_condition_per_row_global_block():
         build_condition(view, global_cond=np.ones((2, 2)))
     with pytest.raises(ShapeMismatch):
         build_condition(view, global_cond=np.ones(0))
+    with pytest.raises(ShapeMismatch, match="local features must be 2-D"):
+        build_condition(view, local=np.zeros(3))
 
 
 def test_gradients_match_finite_differences():
@@ -179,6 +181,24 @@ def test_build_condition_upsamples_short_local():
     local = np.array([[1.0], [2.0], [3.0]])
     cond = build_condition(np.zeros((6, 2)), local=local)
     np.testing.assert_array_equal(cond[:, 2], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+
+
+def test_appended_local_features_cover_adding_them_to_the_view():
+    # The first layer is linear, so local channels appended after the view
+    # act as W_view @ view + W_local @ local; tying W_local to W_view gives
+    # a model that sees view + local in the view's channels.
+    rng = np.random.default_rng(6)
+    model = VelocityModel.initialize(2, 4, (5,), rng)
+    model.weights[0][4:6] = model.weights[0][2:4]
+    summed = VelocityModel(
+        2, 2, [np.delete(model.weights[0], [4, 5], axis=0), model.weights[1]], model.biases
+    )
+    x, view, local = rng.standard_normal((3, 6, 2))
+    np.testing.assert_allclose(
+        model.forward(0.3, build_condition(view, local), x),
+        summed.forward(0.3, view + local, x),
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -303,3 +323,5 @@ def test_cfm_loss_requires_masked_frames():
     model = VelocityModel.initialize(2, 2, (4,), np.random.default_rng(10))
     with pytest.raises(NoMaskedFrames):
         cfm_loss(model, x, x, 0.5, build_condition(masked.condition_view()), masked.mask / 6.0)
+    with pytest.raises(ShapeMismatch, match="one value per row"):
+        cfm_loss(model, x, x, 0.5, build_condition(masked.condition_view()), np.ones(2))

@@ -25,6 +25,10 @@ def test_interpolate_validation():
         interpolate(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
     with pytest.raises(ValueError):
         interpolate(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
+    with pytest.raises(ValueError, match="x0 must be a non-empty 2-D"):
+        interpolate(np.zeros((0, 2)), np.zeros((0, 2)), 0.5)
+    with pytest.raises(ValueError, match="x1 contains non-finite"):
+        interpolate(np.zeros((1, 2)), [[0.0, np.inf]], 0.5)
 
 
 def test_velocity_target():
@@ -60,6 +64,8 @@ def test_time_sampler_validation():
         TimeSampler("beta")
     with pytest.raises(ValueError):
         TimeSampler("logit_normal", sigma=0.0)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        TimeSampler("logit_normal", mu=float("nan"))
 
 
 def test_uniform_time_mean():

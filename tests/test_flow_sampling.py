@@ -168,7 +168,7 @@ def test_guided_sampling_matches_manual_blend():
 
     from foagen.flow import build_condition
 
-    cond = build_condition(np.zeros((3, 2)), None, g, False)
+    cond = build_condition(np.zeros((3, 2)), None, g)
     x = start.copy()
     for k in range(2):
         t = k / 2
@@ -223,42 +223,17 @@ def test_guidance_without_a_condition_makes_one_forward_per_step():
     assert np.array_equal(got, x)
 
 
-class _ConditionEcho:
-    """Stand-in model whose velocity is its first latent_dim condition channels."""
+def test_euler_sample_appends_local_features_after_the_view():
+    class LocalEcho:
+        """Stand-in model whose velocity is its last two condition channels."""
 
-    def __init__(self, latent_dim, cond_dim):
-        self.latent_dim = latent_dim
-        self.cond_dim = cond_dim
+        latent_dim, cond_dim = 2, 4
 
-    def forward(self, t, cond, x):
-        return cond[:, : self.latent_dim].copy()
+        def forward(self, t, cond, x):
+            return cond[:, 2:].copy()
 
-
-def test_euler_fuse_local_features():
     local = np.random.default_rng(2).standard_normal((3, 2))  # upsampled to 6 frames
-    model = VelocityModel.initialize(2, 2, (5,), np.random.default_rng(3))
-
-    def sample(model, fuse):
-        return euler_sample(
-            model, 4, local=local, fuse_local_features=fuse,
-            frames=6, rng=np.random.default_rng(7),
-        )
-
-    fused = sample(model, True)
-    assert fused.shape == (6, 2) and np.all(np.isfinite(fused))
-    assert np.array_equal(fused, sample(model, True))
-
-    # The view of a fully hidden latent is zero, so the echoed velocity is the
-    # fused local features with the flag on and zero with it off.
-    echo = _ConditionEcho(2, 2)
     start = np.random.default_rng(7).standard_normal((6, 2))
-    np.testing.assert_allclose(
-        sample(echo, True), start + upsample_features(local, 6), rtol=0, atol=1e-12
-    )
-    assert np.array_equal(sample(echo, False), start)
-
-    # Fused, the condition is latent_dim wide; appending would make it 4 wide.
-    with pytest.raises(ShapeMismatch):
-        sample(model, False)
-    with pytest.raises(ShapeMismatch):
-        sample(VelocityModel.initialize(2, 4, (5,), np.random.default_rng(3)), True)
+    got = euler_sample(LocalEcho(), 4, local=local, start=start)
+    # Four steps of 1/4 add the upsampled features once.
+    np.testing.assert_allclose(got, start + upsample_features(local, 6), rtol=0, atol=1e-12)

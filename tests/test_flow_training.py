@@ -195,10 +195,7 @@ def _reference_train(model, dataset, config):
                     global_cond = arr
                 else:
                     local = arr
-            cond = build_condition(
-                MaskedLatent(x1, mask).condition_view(), local, global_cond,
-                config.fuse_local_features,
-            )
+            cond = build_condition(MaskedLatent(x1, mask).condition_view(), local, global_cond)
             predicted, cache = model.forward_cached(t, cond, t * x1 + (1.0 - t) * x0)
             residual = predicted - (x1 - x0)
             selected = mask if config.masked_frames_only else np.ones(frames, dtype=bool)
@@ -226,8 +223,7 @@ def _ragged_dataset(kind, dims=3, channels=2):
         if kind == "global":
             external = rng.standard_normal(channels)
         else:
-            width = dims if kind == "fused" else channels
-            external = rng.standard_normal((max(1, frames // 4), width))
+            external = rng.standard_normal((max(1, frames // 4), channels))
         dataset.append((x1, external))
     return dataset
 
@@ -241,11 +237,10 @@ def _ragged_dataset(kind, dims=3, channels=2):
      pytest.param(1.0, id="all-partial")],
 )
 @pytest.mark.parametrize("masked_frames_only", [True, False])
-@pytest.mark.parametrize("kind", ["fused", "local", "global"])
+@pytest.mark.parametrize("kind", ["local", "global"])
 def test_frame_tables_match_per_draw_reference(kind, masked_frames_only, p_cond):
     dims, channels = 3, 2
     dataset = _ragged_dataset(kind, dims, channels)
-    cond_dim = dims if kind == "fused" else dims + channels
     config = TrainConfig(
         learning_rate=0.01,
         batch_size=6,
@@ -256,10 +251,9 @@ def test_frame_tables_match_per_draw_reference(kind, masked_frames_only, p_cond)
         span_choices=(1, 2, 3),
         masked_frames_only=masked_frames_only,
         cond_dropout=0.3,
-        fuse_local_features=kind == "fused",
     )
     models = [
-        VelocityModel.initialize(dims, cond_dim, (8, 6), np.random.default_rng(14))
+        VelocityModel.initialize(dims, dims + channels, (8, 6), np.random.default_rng(14))
         for _ in range(2)
     ]
     got = train(models[0], dataset, config)

@@ -6,6 +6,7 @@ import pytest
 from foagen.errors import ZeroEnergy
 from foagen.foa import (
     Direction,
+    IntensityVector,
     FoaSignal,
     MonoSignal,
     StereoSignal,
@@ -35,6 +36,8 @@ def test_direction_wraps_and_validates():
         Direction(0.0, 2.0)
     with pytest.raises(ValueError):
         Direction(0.0, float("nan"))
+    with pytest.raises(ValueError, match="azimuth must be finite"):
+        wrap_azimuth(math.inf)
 
 
 def test_spatialize_front_direction():
@@ -177,6 +180,8 @@ def test_signal_validation():
         FoaSignal(np.zeros((2, 3)), 44100)  # wrong channel count
     with pytest.raises(ValueError):
         FoaSignal([[0.0], [0.0], [0.0], [math.nan]], 44100)
+    with pytest.raises(ValueError, match="iy must be finite"):
+        IntensityVector(0.0, math.nan, 0.0)
 
 
 def test_signals_hold_one_c_contiguous_float64_matrix():

@@ -8,6 +8,7 @@ from foagen.errors import (
     DimensionMismatch,
     EmptyBatch,
     LengthMismatch,
+    NumericalFailure,
     OutOfRange,
     SupportViolation,
 )
@@ -53,6 +54,8 @@ def test_phi_error():
         phi_error(2.0, 0.0)
     with pytest.raises(OutOfRange):
         phi_error(0.0, -1.8)
+    with pytest.raises(ValueError, match="est must be finite"):
+        phi_error(0.0, math.nan)
 
 
 def test_spatial_angle_identities():
@@ -113,6 +116,12 @@ def test_frechet_input_validation():
         frechet_distance(a, np.zeros((10, 4)))
     with pytest.raises(ValueError):
         frechet_distance(np.zeros((1, 3)), a)
+    with pytest.raises(ValueError, match="a must be a 2-D"):
+        frechet_distance(np.zeros(3), a)
+    with pytest.raises(ValueError, match="b contains non-finite"):
+        frechet_distance(a, np.full((10, 3), np.nan))
+    with pytest.raises(NumericalFailure, match="eigenvalue"):
+        metrics._clamp_spectrum(np.array([-1.0, 1.0]))  # an indefinite spectrum
 
 
 # --- kl divergence ------------------------------------------------------------------
@@ -132,6 +141,8 @@ def test_kl_validation():
         kl_divergence([0.5, 0.6], [0.5, 0.5])
     with pytest.raises(ValueError):
         kl_divergence([1.1, -0.1], [0.5, 0.5])
+    with pytest.raises(ValueError, match="1-D"):
+        kl_divergence([[0.5, 0.5]], [[0.5, 0.5]])
 
 
 def test_kl_nonnegative_on_random_distributions():
@@ -187,6 +198,10 @@ def test_stft_config_validation():
         StftConfig(hop_fraction=0.0)
     with pytest.raises(ValueError):
         StftConfig(hop_fraction=1.5)
+    with pytest.raises(ValueError, match="non-empty"):
+        StftConfig(window_sizes=())
+    with pytest.raises(ValueError, match="positive"):
+        StftConfig(window_sizes=(0, 512))
 
 
 def test_stft_short_signal_is_padded():

@@ -444,6 +444,8 @@ def test_stationarity_needs_two_comparisons():
     frame = np.zeros((2, 4, 1))
     with pytest.raises(TooFewFrames):
         stationarity_verdict([frame] * 16, interval=8)
+    with pytest.raises(ValueError, match="interval must be >= 1"):
+        stationarity_verdict([frame] * 16, interval=0)
 
 
 def test_raw_frame_round_trip_is_exact(tmp_path):
@@ -547,6 +549,13 @@ def test_frame_format_errors(tmp_path):
         write_frame(tmp_path / "cut.pgm", frame)  # 3 channels into grayscale
     with pytest.raises(UnsupportedFormat):
         write_frame(tmp_path / "cut.ppm", np.zeros((2, 4, 1)))
+    with pytest.raises(ValueError, match="must be .height, width, channels."):
+        write_frame(tmp_path / "cut.fframe", np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="empty axis"):
+        write_frame(tmp_path / "cut.fframe", np.zeros((0, 4, 1)))
+    with pytest.raises(ValueError, match="bit_depth must be 8 or 16"):
+        write_frame(tmp_path / "cut.pgm", np.zeros((2, 4, 1)), bit_depth=12)
+    assert not list(tmp_path.iterdir())
 
 
 def test_corrupt_frame_files(tmp_path):
