@@ -370,7 +370,11 @@ def _resolve_train_config(args, fixture: bool) -> TrainConfig:
     base = MIXTURE_TRAIN if fixture else TrainConfig()
     sampler = base.time_sampler
     if args.time_sampler is not None:
-        sampler = TimeSampler(args.time_sampler, mu=args.mu, sigma=args.sigma)
+        sampler = TimeSampler(
+            args.time_sampler,
+            mu=args.mu if args.mu is not None else 0.0,
+            sigma=args.sigma if args.sigma is not None else 1.0,
+        )
     return dataclasses.replace(
         base,
         learning_rate=args.lr if args.lr is not None else base.learning_rate,
@@ -384,6 +388,13 @@ def _resolve_train_config(args, fixture: bool) -> TrainConfig:
 def _cmd_fm_train(args) -> int:
     if (args.fixture is None) == (args.data is None):
         raise DimensionMismatch("exactly one of --fixture or --data is required")
+    # A flag that cannot act is refused rather than ignored.
+    for name in ("mu", "sigma"):
+        if getattr(args, name) is not None and args.time_sampler is None:
+            raise ValueError(f"--{name} needs --time-sampler")
+    for name in ("hidden", "init_seed"):
+        if getattr(args, name) is not None and args.fixture is not None:
+            raise ValueError(f"--{name.replace('_', '-')} cannot be used with --fixture")
     if args.fixture is not None:
         dataset = mixture_dataset()
         model = mixture_model()
@@ -401,9 +412,10 @@ def _cmd_fm_train(args) -> int:
         ]
         latent_dim = x1.shape[1]
         cond_dim = latent_dim + (cond.shape[1] if cond is not None else 0)
-        hidden = _int_list(args.hidden)
+        hidden = _int_list(args.hidden) if args.hidden is not None else (32,)
+        init_seed = args.init_seed if args.init_seed is not None else 0
         model = VelocityModel.initialize(
-            latent_dim, cond_dim, hidden, np.random.default_rng(args.init_seed)
+            latent_dim, cond_dim, hidden, np.random.default_rng(init_seed)
         )
         config = _resolve_train_config(args, fixture=False)
 
@@ -415,7 +427,8 @@ def _cmd_fm_train(args) -> int:
     if args.save:
         save_model(model, args.save)
         _emit("model", args.save)
-    window = min(100, len(trace))
+    # Disjoint lead and trail windows of up to 100 steps each.
+    window = max(1, min(100, len(trace) // 2))
     _emit("steps", len(trace))
     _emit("lead_loss", float(np.mean(trace[:window])))
     _emit("trail_loss", float(np.mean(trace[-window:])))
@@ -569,11 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, help="unset: fixture/library default")
     p.add_argument("--batch", type=int, help="unset: fixture/library default")
     p.add_argument("--seed", type=int, help="unset: fixture/library default")
-    p.add_argument("--hidden", default="32", help="comma-separated hidden widths (--data only)")
-    p.add_argument("--init-seed", type=int, default=0, help="weight init seed (--data only)")
+    p.add_argument("--hidden", help="comma-separated hidden widths (--data only; unset: 32)")
+    p.add_argument("--init-seed", type=int, help="weight init seed (--data only; unset: 0)")
     p.add_argument("--time-sampler", choices=("uniform", "logit_normal"))
-    p.add_argument("--mu", type=float, default=0.0, help="logit-normal location")
-    p.add_argument("--sigma", type=float, default=1.0, help="logit-normal scale")
+    p.add_argument("--mu", type=float, help="logit-normal location (needs --time-sampler; unset: 0)")
+    p.add_argument("--sigma", type=float, help="logit-normal scale (needs --time-sampler; unset: 1)")
     p.add_argument("--save", default="", help="write a checkpoint here")
     p.add_argument("--trace", default="", help="write the per-step loss trace here (TSV)")
 

@@ -1,7 +1,7 @@
 """Per-frame velocity network with exact hand-rolled gradients.
 
 The model is a small tanh MLP applied independently to every frame. Its
-input is the concatenation of the current path point, the condition
+input table holds, per row, the current path point, the condition
 channels, and the raw scalar time, so the first layer owns any projection
 from condition width to hidden width. Because frames never interact, rows
 from different sequences can share one pass when each row carries its own
@@ -88,31 +88,32 @@ class VelocityModel:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def _assemble_input(self, t, cond: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+        """The (frames, latent_dim + cond_dim + 1) input table: x, then the
+        condition channels (zeros when ``cond`` is None), then t, written
+        into one fresh array."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.latent_dim:
             raise ShapeMismatch(
                 f"path point must be (frames, {self.latent_dim}), got {x.shape}"
             )
         frames = x.shape[0]
-        if cond is None:  # the unconditional branch
-            cond_block = np.zeros((frames, self.cond_dim))
-        else:
-            cond_block = np.asarray(cond, dtype=np.float64)
-            if cond_block.shape != (frames, self.cond_dim):
+        if cond is not None:
+            cond = np.asarray(cond, dtype=np.float64)
+            if cond.shape != (frames, self.cond_dim):
                 raise ShapeMismatch(
-                    f"condition must be ({frames}, {self.cond_dim}), "
-                    f"got {cond_block.shape}"
+                    f"condition must be ({frames}, {self.cond_dim}), got {cond.shape}"
                 )
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim == 0:
-            t_column = np.full((frames, 1), float(t))
-        elif t.shape == (frames,):
-            t_column = t[:, None]
-        else:
+        if t.ndim != 0 and t.shape != (frames,):
             raise ShapeMismatch(
                 f"t must be a scalar or one value per frame ({frames},), got shape {t.shape}"
             )
-        return np.concatenate([x, cond_block, t_column], axis=1)
+        dims = self.latent_dim
+        table = np.empty((frames, self.weights[0].shape[0]))
+        table[:, :dims] = x
+        table[:, dims:-1] = 0.0 if cond is None else cond  # None: the unconditional branch
+        table[:, -1] = t
+        return table
 
     def forward(self, t, cond: np.ndarray | None, x: np.ndarray) -> np.ndarray:
         """Velocity for each frame; deterministic in its inputs.
@@ -129,13 +130,19 @@ class VelocityModel:
     def forward_cached(
         self, t, cond: np.ndarray | None, x: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass keeping layer activations for the backward pass."""
+        """Forward pass keeping layer activations for the backward pass.
+
+        Each layer's output is one fresh array: the bias is added and tanh
+        applied in place, so ``x`` and ``cond`` are only read.
+        """
         activation = self._assemble_input(t, cond, x)
         cache = [activation]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = activation @ w + b
-            activation = pre if i == last else np.tanh(pre)
+            activation = activation @ w
+            activation += b
+            if i != last:
+                np.tanh(activation, out=activation)
             cache.append(activation)
         return activation, cache
 
@@ -145,16 +152,20 @@ class VelocityModel:
         """Exact reverse-mode gradients of a scalar loss wrt all parameters.
 
         ``grad_out`` is the loss gradient at the network output. Returns
-        one (dW, db) pair per layer, in layer order.
+        one (dW, db) pair per layer, in layer order. ``cache`` and
+        ``grad_out`` are only read.
         """
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
         delta = np.asarray(grad_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
-            inputs = cache[i]
             if i != len(self.weights) - 1:
-                # Hidden activations are tanh(pre); cache stores tanh values.
-                delta = delta * (1.0 - cache[i + 1] ** 2)
-            grads[i] = (inputs.T @ delta, delta.sum(axis=0))
+                # Hidden activations are tanh(pre); cache stores tanh values,
+                # so the slope is 1 - tanh**2, formed in one fresh array.
+                slope = np.square(cache[i + 1])
+                np.subtract(1.0, slope, out=slope)
+                slope *= delta
+                delta = slope
+            grads[i] = (cache[i].T @ delta, delta.sum(axis=0))
             if i > 0:
                 delta = delta @ self.weights[i].T
         return grads

@@ -31,8 +31,16 @@ frames the loss covers become rows: during masked pretraining
 (``masked_frames_only`` with a ``mask_spec``) a draw's hidden frames,
 otherwise all its frames. A visible frame would add exact zeros to the
 loss and to every gradient, yet cost a full forward and backward pass.
-One :func:`cfm_loss` call over the table gives the same loss and
-gradients as the per-draw sum, up to the order of float summation.
+Scoring the table gives the same loss and gradients as the per-draw sum,
+up to the order of float summation.
+
+A table is scored by ``_table_loss``, the same core that :func:`cfm_loss`
+runs after its checks, so there is one loss path. :func:`train` calls the
+core directly: the dataset check and the step's own draws already give
+finite float64 rows of matching shapes, times in [0, 1] and a positive
+weight on every row, so re-checking each table would only repeat that
+work. ``tests/test_flow_training.py`` pins that scoring each table through
+:func:`cfm_loss` gives the same trace and weights bit for bit.
 
 A table holds at most ``_TABLE_ROWS`` rows. Draws are packed into tables
 greedily by their covered row counts, a draw that covers more rows than
@@ -52,6 +60,7 @@ briefly hold more rows than the cap; the activations never do.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +74,8 @@ from .path import TimeSampler, _check_pair, _check_time, _point_and_target, samp
 
 # Most rows one frame table may hold; see the module docstring.
 _TABLE_ROWS = 256
+# Fewest values _check_dataset joins into one finiteness check.
+_FINITE_BLOCK = 1 << 15
 
 
 def cfm_loss(
@@ -82,9 +93,10 @@ def cfm_loss(
     sum_i weights_i * |v_i - (x1_i - x0_i)|^2. ``t`` is a scalar or one
     time per row. Weights of 1 / (selected frames * dims) on the selected
     frames of one sequence, zero elsewhere, give that sequence's mean
-    squared velocity error; :func:`train` stacks the covered rows of a
-    step's draws and also divides by the batch size, so one call yields
-    their batch loss.
+    squared velocity error. :func:`train` stacks the covered rows of a
+    step's draws and also divides by the batch size, so scoring its table
+    yields their batch loss; it runs the same core without these checks
+    (see the module docstring).
 
     Raises:
         NoMaskedFrames: when no weight is positive.
@@ -100,11 +112,18 @@ def cfm_loss(
         )
     if not bool((weights > 0.0).any()):
         raise NoMaskedFrames("loss weights select no frames; nothing to train on")
+    return _table_loss(model, xt, target, t, cond, weights)
+
+
+def _table_loss(model: VelocityModel, xt, target, t, cond, weights):
+    """:func:`cfm_loss` of checked inputs: the path point ``xt``, the
+    velocity target (overwritten with the residual), the times as given
+    to the model, the condition and the float64 weights."""
     predicted, cache = model.forward_cached(t, cond, xt)
-    residual = predicted - target
-    loss = float(weights @ np.sum(residual**2, axis=1))
-    grads = model.backward(cache, (2.0 * weights)[:, None] * residual)
-    return loss, grads
+    residual = np.subtract(predicted, target, out=target)
+    loss = float(weights @ (residual**2).sum(axis=1))
+    residual *= (2.0 * weights)[:, None]
+    return loss, model.backward(cache, residual)
 
 
 @dataclass(frozen=True)
@@ -186,8 +205,6 @@ def _check_dataset(dataset, latent_dim: int):
             raise ShapeMismatch(
                 f"x1 must be a non-empty (frames, {latent_dim}) latent, got shape {x1.shape}"
             )
-        if not np.isfinite(x1).all():
-            raise ValueError("x1 contains non-finite values")
         if external is None:
             item_layout = ("none",)
         else:
@@ -209,6 +226,8 @@ def _check_dataset(dataset, latent_dim: int):
             upsample_features(external, x1.shape[0])  # raises what a draw would
         x1s.append(x1)
         conds.append(external)
+    if not _all_finite(x1s):
+        raise ValueError("x1 contains non-finite values")
     frames = np.array([x1.shape[0] for x1 in x1s])
     kind = layout[0]
     if kind == "none":
@@ -218,6 +237,24 @@ def _check_dataset(dataset, latent_dim: int):
         if not np.isfinite(conds).all():
             raise ValueError("global condition contains non-finite values")
     return x1s, frames, kind, conds
+
+
+def _all_finite(arrays: list[np.ndarray]) -> bool:
+    """Whether every value of the equally wide 2-D ``arrays`` is finite.
+
+    Consecutive arrays are joined into blocks of at least
+    ``_FINITE_BLOCK`` values, so many short latents cost one check per
+    block rather than one per latent, and the copy stays small.
+    """
+    first = size = 0
+    for i, arr in enumerate(arrays):
+        size += arr.size
+        if size >= _FINITE_BLOCK or i == len(arrays) - 1:
+            block = arr if i == first else np.concatenate(arrays[first : i + 1])
+            if not np.isfinite(block).all():
+                return False
+            first, size = i + 1, 0
+    return True
 
 
 def _table_bounds(counts: list[int]):
@@ -277,16 +314,16 @@ def train(
     for step in range(config.steps):
         indices = rng.integers(0, len(x1s), size=batch)
         counts = frames[indices]
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        noise = rng.standard_normal((int(offsets[-1]), dims))
+        picks, sizes = indices.tolist(), counts.tolist()
+        offsets = [0, *itertools.accumulate(sizes)]
+        noise = rng.standard_normal((offsets[-1], dims))
         times = sample_time(config.time_sampler, rng, batch)
         dropped = rng.random(batch) < config.cond_dropout if dropout else None
-        picks, sizes = indices.tolist(), counts.tolist()
         masks = None if config.mask_spec is None else _draw_masks(sizes, config, rng)
 
         covered_only = masks is not None and config.masked_frames_only
         selected = np.array([np.count_nonzero(mask) for mask in masks]) if covered_only else counts
-        scales = 1.0 / (batch * selected * dims)
+        scales = 1.0 / (selected * (batch * dims))
         if kind == "global":
             globals_ = conds[indices]
             if dropped is not None:
@@ -300,28 +337,27 @@ def train(
             keep = np.concatenate(masks[first:stop]) if covered_only else slice(None)
             x1 = np.concatenate([x1s[i] for i in picks[first:stop]])[keep]
             if masks is None or covered_only:
-                view = np.zeros_like(x1)
+                view = np.zeros(x1.shape)
             else:
                 view = np.where(np.concatenate(masks[first:stop])[:, None], 0.0, x1)
             local = global_rows = None
             if kind == "global":
-                global_rows = np.repeat(globals_[first:stop], n, axis=0)[keep]
+                global_rows = globals_[first:stop].repeat(n, axis=0)[keep]
             elif kind == "local":
                 local = np.concatenate([
                     conds[i] if conds[i].shape[0] == f else upsample_features(conds[i], f)
                     for i, f in zip(picks[first:stop], sizes[first:stop])
                 ])
                 if dropped is not None:
-                    local[np.repeat(dropped[first:stop], n)] = 0.0
+                    local[dropped[first:stop].repeat(n)] = 0.0
                 local = local[keep]
             cond = build_condition(view, local, global_rows)
-            loss, grads = cfm_loss(
-                model,
-                noise[offsets[first] : offsets[stop]][keep],
-                x1,
-                np.repeat(times[first:stop], n)[keep],
-                cond,
-                np.repeat(scales[first:stop], n)[keep],
+            # Scored without cfm_loss's checks; see the module docstring.
+            t = times[first:stop].repeat(n)[keep]
+            x0 = noise[offsets[first] : offsets[stop]][keep]
+            xt, target = _point_and_target(x0, x1, t[:, None])
+            loss, grads = _table_loss(
+                model, xt, target, t, cond, scales[first:stop].repeat(n)[keep]
             )
             batch_loss += loss
             if batch_grads is None:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from foagen import cli
+from foagen.flow import CfgSpec, TrainConfig, VelocityModel, euler_sample, train
 from foagen.panorama import write_frame
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -66,3 +67,27 @@ def test_cut_fov_renders_in_the_traced_pool(spans, tmp_path, capsys):
     assert len(busy) == 2  # one pool task per cut
     assert [s.name for s in span_names].count("panorama.erp_to_perspective") == 2
     assert cli.ThreadPoolExecutor is ThreadPoolExecutor
+
+
+def test_flow_spans_see_the_network_calls_of_training_and_sampling(spans):
+    # The tracer reads rows and flops from positional arguments, so the
+    # network methods must stay on these paths with their signatures.
+    rng = np.random.default_rng(3)
+    model = VelocityModel.initialize(2, 2 + 3, (8,), rng)
+    dataset = [(rng.standard_normal((4, 2)), rng.standard_normal(3)) for _ in range(6)]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train(model, dataset, TrainConfig(batch_size=3, steps=2, seed=1))
+        euler_sample(model, 2, CfgSpec(3.0), global_cond=np.ones(3), frames=5, rng=rng)
+    finally:
+        tracer.uninstall()
+    recorded, busy = tracer.take()
+    net = "flow.network"
+    metrics = spans.layer_metrics(recorded, busy, {})
+    assert metrics[f"{net}.forward_cached.calls"] == 2  # one frame table per step
+    assert metrics[f"{net}.forward.calls"] == 4  # conditional and unconditional per step
+    assert metrics[f"{net}.forward_cached.rows"] == 12
+    assert metrics[f"{net}.forward.rows"] == 5
+    backward = [s for s in recorded if s.name == f"{net}.backward"]
+    assert len(backward) == 2 and all(s.flop > 0 for s in backward)  # flops scale with rows

@@ -770,6 +770,49 @@ def test_fm_train_fixture_keeps_every_recipe_field(tmp_path, capsys):
     assert got == want  # bit for bit, so the learning-rate tail reached the run
 
 
+@pytest.mark.parametrize("steps, window", [(1, 1), (3, 1), (50, 25), (300, 100)])
+def test_fm_train_lead_and_trail_windows_are_disjoint(steps, window, tmp_path, capsys):
+    code, kv = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", steps,
+        "--trace", tmp_path / "loss.tsv",
+    )
+    assert code == 0
+    trace = [float(line.split("\t")[1]) for line in (tmp_path / "loss.tsv").read_text().splitlines()]
+    assert kv["lead_loss"] == cli._fmt(float(np.mean(trace[:window])))
+    assert kv["trail_loss"] == cli._fmt(float(np.mean(trace[-window:])))
+    assert steps == 1 or kv["lead_loss"] != kv["trail_loss"]
+
+
+@pytest.mark.parametrize(
+    "source, flags, named",
+    [
+        ("fixture", ["--mu", "0.5"], "--mu needs --time-sampler"),
+        ("data", ["--sigma", "2"], "--sigma needs --time-sampler"),
+        ("fixture", ["--hidden", "7"], "--hidden cannot be used with --fixture"),
+        ("fixture", ["--init-seed", "3"], "--init-seed cannot be used with --fixture"),
+    ],
+)
+def test_fm_train_refuses_flags_that_cannot_act(source, flags, named, tmp_path, capsys):
+    write_matrix(tmp_path / "x.fmat", np.zeros((4, 2)))
+    given = ["--fixture", "mixture"] if source == "fixture" else ["--data", tmp_path / "x.fmat"]
+    code, kv = run_cli(capsys, "fm-train", *given, "--steps", "1", *flags)
+    assert code == 1
+    assert kv["error"] == f"ValueError {named}"
+    assert "final_loss" not in kv
+
+
+def test_fm_train_flags_not_given_keep_their_defaults(tmp_path, capsys):
+    write_matrix(tmp_path / "x.fmat", np.arange(8.0).reshape(4, 2))
+    common = ["--data", tmp_path / "x.fmat", "--steps", "3", "--batch", "2", "--time-sampler", "logit_normal"]
+    code, unset = run_cli(capsys, "fm-train", *common)
+    assert code == 0 and unset["config.mu"] == unset["config.hidden"] == "None"
+    code, given = run_cli(
+        capsys, "fm-train", *common, "--mu", "0", "--sigma", "1", "--hidden", "32", "--init-seed", "0"
+    )
+    assert code == 0
+    assert given["final_loss"] == unset["final_loss"]
+
+
 def test_fm_sample_without_a_class_on_a_conditioned_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "m.fgvm"
     code, _ = run_cli(

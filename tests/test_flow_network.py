@@ -99,6 +99,40 @@ def test_forward_with_per_row_times_matches_per_draw_calls():
         model.forward_cached(np.full((7, 1), 0.5), np.concatenate(conds), np.concatenate(xs))
 
 
+@pytest.mark.parametrize("conditioned", [True, False])
+def test_forward_cached_only_reads_its_inputs(conditioned):
+    rng = np.random.default_rng(21)
+    model = VelocityModel.initialize(3, 4, (8, 6), rng)
+    x = rng.standard_normal((5, 3))
+    cond = rng.standard_normal((5, 4)) if conditioned else None
+    t = rng.random(5)
+    inputs = [a for a in (x, cond, t) if a is not None]
+    before = [a.copy() for a in inputs]
+    out, cache = model.forward_cached(t, cond, x)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+    for kept in cache:
+        assert not any(np.shares_memory(kept, a) for a in inputs)
+    # the input table holds x, the condition (zeros for None) and t, in that order
+    np.testing.assert_array_equal(cache[0][:, :3], x)
+    np.testing.assert_array_equal(cache[0][:, 3:7], cond if conditioned else np.zeros((5, 4)))
+    np.testing.assert_array_equal(cache[0][:, 7], t)
+    assert out is cache[-1]
+
+
+def test_backward_only_reads_cache_and_grad_out():
+    rng = np.random.default_rng(22)
+    model = VelocityModel.initialize(3, 4, (8, 6), rng)
+    out, cache = model.forward_cached(0.25, rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))
+    grad_out = rng.standard_normal(out.shape)
+    before = [a.copy() for a in (*cache, grad_out)]
+    grads = model.backward(cache, grad_out)
+    for a, b in zip((*cache, grad_out), before):
+        assert a.tobytes() == b.tobytes()
+    for dw, db in grads:
+        assert not any(np.shares_memory(g, a) for g in (dw, db) for a in (*cache, grad_out))
+
+
 def test_build_condition_per_row_global_block():
     view = np.zeros((3, 2))
     g = np.array([0.5, -0.5])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foagen.conditioning import upsample_features
 from foagen.errors import DivergenceDetected, FoagenError, ShapeMismatch, ShrinkNotSupported
 from foagen.flow import training
 from foagen.flow import (
@@ -10,6 +11,7 @@ from foagen.flow import (
     TrainConfig,
     VelocityModel,
     build_condition,
+    cfm_loss,
     make_mask,
     random_mask_spec,
     sample_time,
@@ -261,6 +263,96 @@ def test_frame_tables_match_per_draw_reference(kind, masked_frames_only, p_cond)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
     for a, b in zip(models[0].weights + models[0].biases, models[1].weights + models[1].biases):
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def _train_through_cfm_loss(model, dataset, config):
+    """``train`` as it builds its frame tables, with every table scored by
+    the public, fully checked :func:`cfm_loss`.
+
+    It draws in the same order and packs the same tables, so the trace and
+    weights must equal ``train``'s bit for bit.
+    """
+    x1s, frames, kind, conds = training._check_dataset(dataset, model.latent_dim)
+    dims, batch = model.latent_dim, config.batch_size
+    rng = np.random.default_rng(config.seed)
+    trace = []
+    for step in range(config.steps):
+        indices = rng.integers(0, len(x1s), size=batch)
+        counts = frames[indices]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        noise = rng.standard_normal((int(offsets[-1]), dims))
+        times = sample_time(config.time_sampler, rng, batch)
+        dropped = np.zeros(batch, dtype=bool)
+        if kind != "none" and config.cond_dropout > 0.0:
+            dropped = rng.random(batch) < config.cond_dropout
+        masks = [np.ones(n, dtype=bool) for n in counts]
+        if config.mask_spec is not None:
+            masks = training._draw_masks(counts.tolist(), config, rng)
+        covered_only = config.mask_spec is not None and config.masked_frames_only
+        selected = np.array([m.sum() for m in masks]) if covered_only else counts
+        batch_loss, batch_grads = 0.0, None
+        for first, stop in training._table_bounds(selected.tolist()):
+            draws = range(first, stop)
+            mask = np.concatenate([masks[d] for d in draws])
+            keep = mask if covered_only else np.ones(mask.size, dtype=bool)
+            x1 = np.concatenate([x1s[indices[d]] for d in draws])
+            view = np.where(mask[:, None], 0.0, x1)
+            local = global_rows = None
+            if kind == "global":
+                global_rows = np.repeat(conds[indices[first:stop]], counts[first:stop], axis=0)
+                global_rows[np.repeat(dropped[first:stop], counts[first:stop])] = 0.0
+            elif kind == "local":
+                local = np.concatenate([
+                    upsample_features(conds[indices[d]], counts[d]) for d in draws
+                ])
+                local[np.repeat(dropped[first:stop], counts[first:stop])] = 0.0
+                local = local[keep]
+            cond = build_condition(
+                view[keep], local, None if global_rows is None else global_rows[keep]
+            )
+            per_row = np.repeat(1.0 / (batch * selected[first:stop] * dims), counts[first:stop])
+            loss, grads = cfm_loss(
+                model,
+                noise[offsets[first] : offsets[stop]][keep],
+                x1[keep],
+                np.repeat(times[first:stop], counts[first:stop])[keep],
+                cond,
+                per_row[keep],
+            )
+            batch_loss += loss
+            batch_grads = grads if batch_grads is None else [
+                (tw + dw, tb + db) for (tw, tb), (dw, db) in zip(batch_grads, grads)
+            ]
+        model.apply_gradients(batch_grads, config.rate(step))
+        trace.append(batch_loss)
+    return trace
+
+
+@pytest.mark.parametrize("masking", ["none", "hidden-frames", "all-frames"])
+@pytest.mark.parametrize("kind", ["local", "global"])
+def test_train_scores_tables_as_cfm_loss_does(kind, masking):
+    dims, channels = 3, 2
+    config = TrainConfig(
+        learning_rate=0.01,
+        batch_size=6,
+        steps=8,
+        seed=13,
+        time_sampler=TimeSampler("logit_normal"),
+        mask_spec=None if masking == "none" else MaskSpec(p_cond=0.7, n_mask=1, l_mask=1),
+        span_choices=None if masking == "none" else (1, 2, 3),
+        masked_frames_only=masking == "hidden-frames",
+        cond_dropout=0.3,
+        lr_tail=0.5,
+    )
+    models = [
+        VelocityModel.initialize(dims, dims + channels, (8, 6), np.random.default_rng(14))
+        for _ in range(2)
+    ]
+    got = train(models[0], _ragged_dataset(kind, dims, channels), config)
+    want = _train_through_cfm_loss(models[1], _ragged_dataset(kind, dims, channels), config)
+    assert got == want
+    for a, b in zip(models[0].weights + models[0].biases, models[1].weights + models[1].biases):
+        assert a.tobytes() == b.tobytes()
 
 
 def _rows_per_step(monkeypatch, dataset, config):
