@@ -248,14 +248,14 @@ def read_matrix(path) -> np.ndarray:
     return matrix
 
 
-def write_matrix_text(path, matrix, fmt: str = "%.17g") -> None:
-    """Write a matrix as delimited text, one row per line."""
+def write_matrix_text(path, matrix) -> None:
+    """Write a matrix as delimited text, one row per line, values in ``%.17g``."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError("matrix must be 1-D or 2-D")
-    text = "".join(" ".join(fmt % value for value in row) + "\n" for row in arr)
+    text = "".join(" ".join("%.17g" % value for value in row) + "\n" for row in arr)
     container.write_bytes(path, text.encode("utf-8"))
 
 

@@ -170,7 +170,7 @@ def silence_verdict(
 
 # --- per-entry filters ---------------------------------------------------------
 
-def speech_filter(entry: ClipManifestEntry, max_words: int = 5) -> bool:
+def speech_filter(entry: ClipManifestEntry, max_words: int = FilterThresholds.max_words) -> bool:
     """True to keep: the clip's detected word count does not exceed the cap.
 
     Raises:
@@ -181,7 +181,9 @@ def speech_filter(entry: ClipManifestEntry, max_words: int = 5) -> bool:
     return entry.word_count <= max_words
 
 
-def alignment_filter(entry: ClipManifestEntry, min_alignment: float = 1.0) -> bool:
+def alignment_filter(
+    entry: ClipManifestEntry, min_alignment: float = FilterThresholds.min_alignment
+) -> bool:
     """True to keep: audio-visual alignment is not below the floor.
 
     Raises:
@@ -205,9 +207,7 @@ class ClipSpan:
     end_sample: int
 
 
-def segment_clips(
-    entry: ClipManifestEntry, clip_seconds: float = 10.0
-) -> list[ClipSpan]:
+def segment_clips(entry: ClipManifestEntry, clip_seconds: float) -> list[ClipSpan]:
     """Non-overlapping fixed-length spans; trailing remainder is dropped.
 
     Each span holds ``round(clip_seconds * sample_rate)`` samples, and the

@@ -53,6 +53,7 @@ from .flow import (
 from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance
 from .panorama import (
     FOV_PRESETS,
+    CameraSpec,
     encode_frame,
     erp_to_perspective,
     fov_cameras,
@@ -287,14 +288,7 @@ def _cmd_cut_fov(args) -> int:
 def _cmd_clean(args) -> int:
     entries = read_manifest(args.manifest)
     thresholds = FilterThresholds(
-        silence_dbfs=args.silence_dbfs,
-        silence_ratio=args.silence_ratio,
-        stationary_ratio=args.stationary_ratio,
-        max_words=args.max_words,
-        min_alignment=args.min_alignment,
-        window_ms=args.window_ms,
-        frame_interval=args.frame_interval,
-        frame_mse=args.frame_mse,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(FilterThresholds)}
     )
     report = run_pipeline(
         entries, thresholds, base_dir=args.base_dir or None, jobs=args.jobs
@@ -372,8 +366,8 @@ def _resolve_train_config(args, fixture: bool) -> TrainConfig:
     if args.time_sampler is not None:
         sampler = TimeSampler(
             args.time_sampler,
-            mu=args.mu if args.mu is not None else 0.0,
-            sigma=args.sigma if args.sigma is not None else 1.0,
+            mu=args.mu if args.mu is not None else TimeSampler.mu,
+            sigma=args.sigma if args.sigma is not None else TimeSampler.sigma,
         )
     return dataclasses.replace(
         base,
@@ -528,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add(subparsers, "eval-stft", _cmd_eval_stft, "Multi-resolution STFT distance between two FOA WAVs.")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--windows", default="512,1024,2048", help="comma-separated window sizes")
-    p.add_argument("--hop", type=float, default=0.25, help="hop as a fraction of the window")
+    p.add_argument("--windows", default=",".join(map(str, StftConfig.window_sizes)), help="comma-separated window sizes")
+    p.add_argument("--hop", type=float, default=StftConfig.hop_fraction, help="hop as a fraction of the window")
     p.add_argument("--ambix", action="store_true")
 
     p = _add(subparsers, "pad-erp", _cmd_pad_erp, "Pad a 2:1 equirectangular image to square.")
@@ -542,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outdir")
     p.add_argument("--preset", choices=sorted(FOV_PRESETS), default="front")
     p.add_argument("--hfov", type=float, default=120.0, help="horizontal field of view in degrees")
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=256)
+    p.add_argument("--width", type=int, default=CameraSpec.out_width)
+    p.add_argument("--height", type=int, default=CameraSpec.out_height)
     p.add_argument("--bit-depth", type=int, choices=(8, 16), default=8)
     p.add_argument("--jobs", type=int, help="parallel cut rendering; unset: usable CPU count")
 
@@ -551,14 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--report", default="report.jsonl", help="output report path")
     p.add_argument("--base-dir", default="", help="prefix for relative audio/frame paths")
-    p.add_argument("--silence-dbfs", type=float, default=-35.0, help="window silence threshold (dBFS)")
-    p.add_argument("--silence-ratio", type=float, default=0.90, help="silent-window ratio above which a clip is removed")
-    p.add_argument("--window-ms", type=float, default=20.0, help="dBFS window length")
-    p.add_argument("--stationary-ratio", type=float, default=0.85, help="near-identical frame-pair ratio")
-    p.add_argument("--frame-mse", type=float, default=1e-3, help="MSE below which two frames count as identical")
-    p.add_argument("--frame-interval", type=int, default=8, help="frame-pair comparison stride")
-    p.add_argument("--max-words", type=int, default=5, help="clips with more transcribed words are removed")
-    p.add_argument("--min-alignment", type=float, default=1.0, help="clips scoring lower are removed; 2 is the strict cut")
+    # Each threshold flag's dest names the FilterThresholds field it sets.
+    p.add_argument("--silence-dbfs", type=float, default=FilterThresholds.silence_dbfs, help="window silence threshold (dBFS)")
+    p.add_argument("--silence-ratio", type=float, default=FilterThresholds.silence_ratio, help="silent-window ratio above which a clip is removed")
+    p.add_argument("--window-ms", type=float, default=FilterThresholds.window_ms, help="dBFS window length")
+    p.add_argument("--stationary-ratio", type=float, default=FilterThresholds.stationary_ratio, help="near-identical frame-pair ratio")
+    p.add_argument("--frame-mse", type=float, default=FilterThresholds.frame_mse, help="MSE below which two frames count as identical")
+    p.add_argument("--frame-interval", type=int, default=FilterThresholds.frame_interval, help="frame-pair comparison stride")
+    p.add_argument("--max-words", type=int, default=FilterThresholds.max_words, help="clips with more transcribed words are removed")
+    p.add_argument("--min-alignment", type=float, default=FilterThresholds.min_alignment, help="clips scoring lower are removed; 2 is the strict cut")
     p.add_argument("--jobs", type=int, help="parallel entry evaluation; unset: usable CPU count")
 
     p = _add(subparsers, "segment", _cmd_segment, "Split a WAV into fixed-length clips (trailing remainder dropped).")
@@ -570,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=200)
     p.add_argument("--draws", type=int, default=10000)
     p.add_argument("--p-cond", type=float, default=0.1, help="probability of a partial mask")
-    p.add_argument("--spans", type=int, default=1, help="masked span count")
-    p.add_argument("--min-len", type=int, default=1, help="minimum span length")
+    p.add_argument("--spans", type=int, default=MaskSpec.n_mask, help="masked span count")
+    p.add_argument("--min-len", type=int, default=MaskSpec.l_mask, help="minimum span length")
     p.add_argument("--seed", type=int, default=0)
 
     p = _add(subparsers, "fm-train", _cmd_fm_train, "Train the velocity model on the mixture fixture or on matrix data.")
@@ -585,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", help="comma-separated hidden widths (--data only; unset: 32)")
     p.add_argument("--init-seed", type=int, help="weight init seed (--data only; unset: 0)")
     p.add_argument("--time-sampler", choices=("uniform", "logit_normal"))
-    p.add_argument("--mu", type=float, help="logit-normal location (needs --time-sampler; unset: 0)")
-    p.add_argument("--sigma", type=float, help="logit-normal scale (needs --time-sampler; unset: 1)")
+    p.add_argument("--mu", type=float, help=f"logit-normal location (needs --time-sampler; unset: {TimeSampler.mu:g})")
+    p.add_argument("--sigma", type=float, help=f"logit-normal scale (needs --time-sampler; unset: {TimeSampler.sigma:g})")
     p.add_argument("--save", default="", help="write a checkpoint here")
     p.add_argument("--trace", default="", help="write the per-step loss trace here (TSV)")
 

@@ -29,6 +29,7 @@ MIXTURE_HIDDEN = (16, 16)
 MIXTURE_DATA_SEED = 11
 MIXTURE_INIT_SEED = 5
 MIXTURE_SAMPLE_STEPS = 128
+MIXTURE_SAMPLE_FRAMES = 1000
 
 # Low rate + logit-normal time draws keep the early loss high for long
 # enough that the trailing/leading decay ratio measures real learning
@@ -53,9 +54,9 @@ def mixture_condition(class_id: int) -> np.ndarray:
     return pool_global(features) - MIXTURE_COND_SHIFT
 
 
-def mixture_dataset(seed: int = MIXTURE_DATA_SEED) -> list[tuple[np.ndarray, np.ndarray]]:
+def mixture_dataset() -> list[tuple[np.ndarray, np.ndarray]]:
     """(x1, condition) pairs for both classes, one frame per point."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MIXTURE_DATA_SEED)
     dataset: list[tuple[np.ndarray, np.ndarray]] = []
     for class_id in MIXTURE_CLASS_IDS:
         mean = np.asarray(MIXTURE_MEANS[class_id], dtype=np.float64)
@@ -65,33 +66,25 @@ def mixture_dataset(seed: int = MIXTURE_DATA_SEED) -> list[tuple[np.ndarray, np.
     return dataset
 
 
-def mixture_model(seed: int = MIXTURE_INIT_SEED) -> VelocityModel:
-    cond_dim = 2 + MIXTURE_COND_CHANNELS
-    return VelocityModel.initialize(2, cond_dim, MIXTURE_HIDDEN, np.random.default_rng(seed))
+def mixture_model() -> VelocityModel:
+    rng = np.random.default_rng(MIXTURE_INIT_SEED)
+    return VelocityModel.initialize(2, 2 + MIXTURE_COND_CHANNELS, MIXTURE_HIDDEN, rng)
 
 
-def train_mixture(config: TrainConfig | None = None) -> tuple[VelocityModel, list[float]]:
+def train_mixture() -> tuple[VelocityModel, list[float]]:
     """Train a fresh model on the frozen mixture. Returns (model, trace)."""
     model = mixture_model()
-    trace = train(model, mixture_dataset(), config if config is not None else MIXTURE_TRAIN)
-    return model, trace
+    return model, train(model, mixture_dataset(), MIXTURE_TRAIN)
 
 
-def sample_mixture(
-    model: VelocityModel,
-    class_id: int,
-    frames: int = 1000,
-    steps: int = MIXTURE_SAMPLE_STEPS,
-    cfg: CfgSpec | None = None,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Draw points for one class from a trained model."""
-    rng = np.random.default_rng(100 + class_id if seed is None else seed)
+def sample_mixture(model: VelocityModel, class_id: int) -> np.ndarray:
+    """Draw MIXTURE_SAMPLE_FRAMES points for one class from a trained
+    model, unguided, from the class's own seed."""
     return euler_sample(
         model,
-        steps=steps,
-        cfg=cfg if cfg is not None else CfgSpec(1.0),
+        steps=MIXTURE_SAMPLE_STEPS,
+        cfg=CfgSpec(1.0),
         global_cond=mixture_condition(class_id),
-        frames=frames,
-        rng=rng,
+        frames=MIXTURE_SAMPLE_FRAMES,
+        rng=np.random.default_rng(100 + class_id),
     )

@@ -279,6 +279,8 @@ def _draw_masks(sizes: list[int], config: TrainConfig, rng) -> list[np.ndarray]:
     return masks
 
 
+# Overflow is reported as DivergenceDetected, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: VelocityModel,
     dataset,
@@ -296,9 +298,10 @@ def train(
     bit-identical traces.
 
     Raises:
-        DivergenceDetected: as soon as a batch loss is non-finite. Only the
-            rows the loss covers are evaluated, so a non-finite velocity on
-            a visible frame of masked pretraining does not raise it.
+        DivergenceDetected: as soon as a batch loss is non-finite, or when
+            the last step leaves a weight non-finite. Only the rows the loss
+            covers are evaluated, so a non-finite velocity on a visible
+            frame of masked pretraining does not raise it.
         ShapeMismatch: when a latent is not (frames, model.latent_dim),
             or the items carry different external conditions.
         ShrinkNotSupported: when local features have more rows than their latent.
@@ -372,4 +375,7 @@ def train(
             )
         model.apply_gradients(batch_grads, config.rate(step))
         trace.append(batch_loss)
+    # A non-finite weight makes the next loss non-finite; the last step has none.
+    if not all(np.isfinite(w).all() for w in (*model.weights, *model.biases)):
+        raise DivergenceDetected(f"non-finite weights after step {config.steps - 1}")
     return trace

@@ -228,7 +228,7 @@ def intensity_vector(signal: FoaSignal) -> IntensityVector:
     )
 
 
-def estimate_doa(signal: FoaSignal, eps: float = INTENSITY_EPS) -> Direction:
+def estimate_doa(signal: FoaSignal) -> Direction:
     """Estimate the direction of arrival from the intensity vector.
 
     Azimuth comes from the full two-argument arctangent of (iy, ix) so all
@@ -236,12 +236,12 @@ def estimate_doa(signal: FoaSignal, eps: float = INTENSITY_EPS) -> Direction:
     against the horizontal intensity magnitude.
 
     Raises:
-        ZeroEnergy: when the intensity magnitude falls below ``eps``.
+        ZeroEnergy: when the intensity magnitude falls below ``INTENSITY_EPS``.
     """
     iv = intensity_vector(signal)
-    if iv.magnitude < eps:
+    if iv.magnitude < INTENSITY_EPS:
         raise ZeroEnergy(
-            f"intensity magnitude {iv.magnitude:.3e} below {eps:.3e}; "
+            f"intensity magnitude {iv.magnitude:.3e} below {INTENSITY_EPS:.3e}; "
             "direction undefined"
         )
     horizontal = math.hypot(iv.ix, iv.iy)

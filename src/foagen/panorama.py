@@ -270,9 +270,9 @@ def fov_cameras(
 def make_fov_cuts(
     erp,
     preset: str,
-    hfov: float = 2.0 * math.pi / 3.0,
-    out_width: int = 256,
-    out_height: int = 256,
+    hfov: float = CameraSpec.hfov,
+    out_width: int = CameraSpec.out_width,
+    out_height: int = CameraSpec.out_height,
 ) -> list[np.ndarray]:
     """Perspective cuts for the cameras of :func:`fov_cameras`."""
     return [
@@ -336,9 +336,9 @@ def stationarity_verdict(
 def settle_stationarity(
     shapes: Sequence[tuple[int, int, int]],
     frame_at: Callable[[int], np.ndarray | StoredFrame],
-    interval: int = 8,
-    mse_threshold: float = 1e-3,
-    ratio_threshold: float = 0.85,
+    interval: int,
+    mse_threshold: float,
+    ratio_threshold: float,
 ) -> bool:
     """The verdict of :func:`stationarity_verdict` over all frames, from
     the fewest frames read.

@@ -135,7 +135,7 @@ def test_segment_clips_spans():
     assert spans[1].end_seconds == 20.0
     assert spans[1].start_sample == 160000
     assert spans[1].end_sample == 320000
-    assert segment_clips(ClipManifestEntry("b", "b.wav", 9.99, 16000)) == []
+    assert segment_clips(ClipManifestEntry("b", "b.wav", 9.99, 16000), clip_seconds=10.0) == []
     with pytest.raises(ValueError):
         segment_clips(entry, clip_seconds=0.0)
 

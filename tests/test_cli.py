@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 import os
 import struct
 import threading
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from foagen.audio_io import (
     write_matrix_text,
     write_wav,
 )
-from foagen.cleaning import ClipManifestEntry, write_manifest
+from foagen.cleaning import ClipManifestEntry, FilterThresholds, write_manifest
 from foagen.container import encode, write_bytes
 from foagen import cli
 from foagen.cli import main
 from foagen.flow import (
     MIXTURE_TRAIN,
     CfgSpec,
+    MaskSpec,
     euler_sample,
     load_model,
     mixture_condition,
@@ -32,8 +34,8 @@ from foagen.flow import (
 )
 from foagen.flow.network import CHECKPOINT_MAGIC
 from foagen.foa import Direction, MonoSignal, StereoSignal, spatialize_mono
-from foagen.metrics import eval_doa_batch
-from foagen.panorama import make_fov_cuts, read_frame, write_frame
+from foagen.metrics import StftConfig, eval_doa_batch
+from foagen.panorama import CameraSpec, make_fov_cuts, read_frame, write_frame
 
 RATE = 16000
 
@@ -679,6 +681,21 @@ def test_mask_stats(capsys):
     assert abs(float(kv["partial_fraction"]) - 0.3) < 0.08
 
 
+@pytest.mark.parametrize("hidden, flags", [
+    ([(4, 6)], ["--min-len", "3"]),  # one span, two frames long
+    ([(2, 5), (9, 12)], ["--spans", "1"]),  # two spans where one is asked for
+])
+def test_mask_stats_reports_spans_that_break_the_spec(capsys, monkeypatch, hidden, flags):
+    mask = np.zeros(30, dtype=bool)
+    for start, stop in hidden:
+        mask[start:stop] = True
+    monkeypatch.setattr(cli, "make_mask", lambda frames, spec, rng: (mask.copy(), False))
+    code, kv = run_cli(capsys, "mask-stats", "--frames", "30", "--draws", "3", *flags)
+    assert code == 0
+    assert kv["partial"] == "3"
+    assert kv["spans_ok"] == "false"
+
+
 @pytest.mark.parametrize("draws", ["0", "-1"])
 def test_mask_stats_refuses_fewer_than_one_draw(capsys, draws):
     code, kv = run_cli(capsys, "mask-stats", "--frames", "30", "--draws", draws)
@@ -955,6 +972,28 @@ def test_fm_sample_condition_flags_exclusive(tmp_path, capsys):
     )
     assert code == 1
     assert kv["error"].startswith("DimensionMismatch")
+
+
+def _subcommand_flags(command):
+    (commands,) = (
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest: a for a in commands.choices[command]._actions}
+
+
+def test_cli_defaults_are_the_library_config_defaults():
+    clean = _subcommand_flags("clean")
+    for f in fields(FilterThresholds):  # _cmd_clean maps the flags by dest
+        assert clean[f.name].option_strings == ["--" + f.name.replace("_", "-")]
+        assert clean[f.name].default == f.default
+    stft = _subcommand_flags("eval-stft")
+    assert StftConfig(cli._int_list(stft["windows"].default), stft["hop"].default) == StftConfig()
+    cut = _subcommand_flags("cut-fov")
+    assert 120 / cli.DEGREES == CameraSpec.hfov  # the one default stated in degrees
+    assert cut["hfov"].default == 120
+    assert (cut["width"].default, cut["height"].default) == (CameraSpec.out_width, CameraSpec.out_height)
+    mask = _subcommand_flags("mask-stats")
+    assert (mask["spans"].default, mask["min_len"].default) == (MaskSpec.n_mask, MaskSpec.l_mask)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -1,0 +1,117 @@
+"""Every defaulted parameter in foagen is one some caller sets.
+
+A default that no call overrides is a constant in disguise: it widens the
+signature, and its value is stated where no reader looks for a constant.
+This walks every function in ``src/foagen`` and every call in ``src/``,
+``tests/`` and ``perfbench/``, matching calls by name. A call of a class
+counts as a call of its ``__init__``; a ``*args`` or ``**kwargs`` at a
+call site counts as passing every parameter it could fill.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "foagen"
+CALLERS = ("src", "tests", "perfbench")
+
+# (function name, parameter) pairs allowed to keep a default no call sets.
+ALLOWED: set[tuple[str, str]] = set()
+
+
+def _trees(directory: Path):
+    for path in sorted(directory.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defaulted(func: ast.FunctionDef, method: bool):
+    """(position or None, name) of each defaulted parameter; the position
+    counts from the first argument a caller passes, None for keyword-only."""
+    positional = func.args.posonlyargs + func.args.args
+    skip = 1 if method else 0
+    first_default = len(positional) - len(func.args.defaults)
+    for index in range(first_default, len(positional)):
+        yield index - skip, positional[index].arg
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _functions():
+    """(called name, file, line, position, parameter) of each defaulted
+    parameter in the package; an ``__init__`` is called by its class name."""
+    for path, tree in _trees(PACKAGE):
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        static = any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in item.decorator_list
+                        )
+                        methods[item] = (node.name, not static)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner, method = methods.get(node, (None, False))
+            name = owner if node.name == "__init__" and owner else node.name
+            for position, param in _defaulted(node, method):
+                yield name, path.relative_to(ROOT), node.lineno, position, param
+
+
+def _called_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _passed():
+    """Called name -> the positions and keywords some call passes; "*" and
+    "**" stand for a star argument that could fill any of them."""
+    passed = defaultdict(set)
+    for directory in CALLERS:
+        for _, tree in _trees(ROOT / directory):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = _called_name(node)
+                if name is None:
+                    continue
+                seen = passed[name]
+                for position, arg in enumerate(node.args):
+                    seen.add("*" if isinstance(arg, ast.Starred) else position)
+                for keyword in node.keywords:
+                    seen.add("**" if keyword.arg is None else keyword.arg)
+    return passed
+
+
+def _unset_defaults():
+    passed = _passed()
+    unset = []
+    for name, path, line, position, param in _functions():
+        seen = passed.get(name, set())
+        by_position = position is not None and (
+            "*" in seen or any(isinstance(p, int) and p >= position for p in seen)
+        )
+        if by_position or param in seen or "**" in seen:
+            continue
+        if (name, param) not in ALLOWED:
+            unset.append(f"{path}:{line} {name}({param}=...)")
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    assert _unset_defaults() == []
+
+
+def test_the_guard_sees_positional_keyword_and_class_calls():
+    functions = {(name, param): position for name, _, _, position, param in _functions()}
+    # container.Reader(head, FRAME_MAGIC, size) passes size by position.
+    assert functions[("Reader", "size")] == 2
+    passed = _passed()
+    assert 2 in passed["Reader"]
+    assert "bit_depth" in passed["write_frame"]
