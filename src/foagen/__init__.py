@@ -25,6 +25,7 @@ from .metrics import (
     frechet_distance,
     kl_divergence,
     multires_stft_distance,
+    pair_directions,
     phi_error,
     spatial_angle_error,
     theta_error,
@@ -52,6 +53,7 @@ __all__ = [
     "intensity_vector",
     "kl_divergence",
     "multires_stft_distance",
+    "pair_directions",
     "panorama",
     "phi_error",
     "spatial_angle_error",

@@ -120,7 +120,8 @@ def window_dbfs(samples, window_ms: float, sample_rate: int) -> np.ndarray:
     dropped). An all-zero window yields -inf.
 
     Raises:
-        EmptySignal: when not even one complete window fits.
+        EmptySignal: when the window holds no sample or not even one
+            complete window fits.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1:
@@ -129,9 +130,7 @@ def window_dbfs(samples, window_ms: float, sample_rate: int) -> np.ndarray:
         raise ValueError("samples must be (n,) or (channels, n)")
     window = int(round(window_ms * sample_rate / 1000.0))
     if window < 1:
-        raise ValueError(
-            f"window of {window_ms} ms at {sample_rate} Hz holds no samples"
-        )
+        raise EmptySignal(f"window of {window_ms} ms at {sample_rate} Hz holds no samples")
     channels, n = arr.shape
     count = n // window
     if count == 0:

@@ -14,9 +14,7 @@ import functools
 import math
 import os
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +48,7 @@ from .flow import (
     save_model,
     train,
 )
-from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance
+from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance, pair_directions
 from .panorama import (
     FOV_PRESETS,
     CameraSpec,
@@ -162,31 +160,6 @@ def _wav_pair_paths(truth: str, estimate: str) -> list[tuple[str, str]]:
     return [(t_files[name], e_files[name]) for name in sorted(t_files)]
 
 
-def _loaded_pairs(pool, load, paths, window: int, failed: dict[str, str]):
-    """Yield ``load(pair)`` for each pair of ``paths``, in order.
-
-    At most ``window`` loads run ahead of the pair in hand, so at most
-    ``window + 1`` loaded pairs are alive once the consumer drops each
-    pair before it asks for the next. A pair whose load raises a
-    FoagenError is skipped, and its error type is recorded in ``failed``
-    under the truth file's name.
-    """
-    todo = iter(paths)
-    ahead = deque((pair, pool.submit(load, pair)) for pair in islice(todo, window))
-    while ahead:
-        pair, future = ahead.popleft()
-        try:
-            loaded = future.result()
-        except FoagenError as exc:
-            failed[Path(pair[0]).name] = type(exc).__name__
-            loaded = None
-        following = next(todo, None)
-        if following is not None:
-            ahead.append((following, pool.submit(load, following)))
-        if loaded is not None:
-            yield loaded
-
-
 def _emit_failed(failed: dict[str, str]) -> None:
     _emit("failed", len(failed))
     for name in sorted(failed):
@@ -196,19 +169,28 @@ def _emit_failed(failed: dict[str, str]) -> None:
 def _cmd_eval_doa(args) -> int:
     paths = _wav_pair_paths(args.truth, args.estimate)
 
-    def load(pair):
-        return (
-            _require(read_wav(pair[0], ambix=args.ambix), FoaSignal),
-            _require(read_wav(pair[1], ambix=args.ambix), FoaSignal),
-        )
-
-    failed: dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    def directions(pair):
+        # Only the directions or an error's name leave the task, so no
+        # signal outlives it: at most ``jobs`` pairs are held at once.
         try:
-            result = eval_doa_batch(_loaded_pairs(pool, load, paths, args.jobs, failed))
-        except EmptyBatch:
-            _emit_failed(failed)  # say why no pair was left to evaluate
-            raise
+            truth = _require(read_wav(pair[0], ambix=args.ambix), FoaSignal)
+            estimate = _require(read_wav(pair[1], ambix=args.ambix), FoaSignal)
+        except FoagenError as exc:
+            return type(exc).__name__
+        return pair_directions(truth, estimate)
+
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = list(pool.map(directions, paths))
+    failed = {
+        Path(truth).name: outcome
+        for (truth, _), outcome in zip(paths, outcomes)
+        if isinstance(outcome, str)
+    }
+    try:
+        result = eval_doa_batch(o for o in outcomes if not isinstance(o, str))
+    except EmptyBatch:
+        _emit_failed(failed)  # say why no pair was left to evaluate
+        raise
     _emit_angle("d_theta", result.errors.d_theta, args.degrees)
     _emit_angle("d_phi", result.errors.d_phi, args.degrees)
     _emit_angle("d_angular", result.errors.d_angular, args.degrees)
@@ -509,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("estimate", help="matching file or directory")
     p.add_argument("--degrees", action="store_true", help="print errors in degrees")
     p.add_argument("--ambix", action="store_true")
-    p.add_argument("--jobs", type=int, help="parallel file loads; at most jobs + 1 pairs are held at once; unset: usable CPU count")
+    p.add_argument("--jobs", type=int, help="parallel pair loads, each worker estimating its pair's directions; at most jobs pairs are held at once; unset: usable CPU count")
 
     p = _add(subparsers, "eval-fd", _cmd_eval_fd, "Frechet distance between two feature matrices.")
     p.add_argument("a", help=".fmat container or delimited text")

@@ -192,9 +192,9 @@ def build_condition(
     2. ``local`` features, stretched to the latent frame count. The
        model's linear first layer projects them and adds the result to
        the projected view, which is the paper's "project, then add".
-    3. ``global_cond``: a vector is tiled over frames, and a (frames,
-       channels) block gives each row its own global channels, which is
-       how a stack of several sequences carries one vector each.
+    3. ``global_cond``, a vector tiled over frames. A stack of several
+       sequences, each with its own vector, passes its per-row vectors
+       as ``local`` features at full frame rate instead.
 
     The unconditional branch is not built here: it is
     ``VelocityModel.forward(t, None, x)``, which sees every condition
@@ -210,15 +210,12 @@ def build_condition(
             local = upsample_features(local, frames)
         blocks.append(local)
     if global_cond is not None:
-        block = np.asarray(global_cond, dtype=np.float64)
-        if block.ndim == 1:
-            block = np.tile(block, (frames, 1))
-        if block.ndim != 2 or block.shape[0] != frames or block.shape[1] == 0:
+        vector = np.asarray(global_cond, dtype=np.float64)
+        if vector.ndim != 1 or vector.size == 0:
             raise ShapeMismatch(
-                "global condition must be a non-empty vector or a "
-                f"({frames}, channels) block, got shape {np.shape(global_cond)}"
+                f"global condition must be a non-empty vector, got shape {vector.shape}"
             )
-        blocks.append(block)
+        blocks.append(np.tile(vector, (frames, 1)))
     return np.concatenate([view, *blocks], axis=1)
 
 

@@ -59,24 +59,24 @@ def euler_sample(
     local: np.ndarray | None = None,
     global_cond: np.ndarray | None = None,
     frames: int | None = None,
-    start: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Integrate the velocity field with ``steps`` Euler updates.
 
-    The state starts from ``start`` when given, otherwise from standard
-    normal noise drawn with ``rng``. Updates are x += (1/steps) * v
-    evaluated at t = k/steps for k = 0 .. steps-1. The condition
-    channels come from :func:`build_condition` over the masked latent's
-    view; external features without a masked condition get an all-zero
-    view (an entirely hidden latent). With no condition at all, and for
-    the unguided half of every guided step, the model is called with
+    The state starts from standard normal noise drawn with ``rng``, of
+    ``frames`` rows or, when unset, the masked condition's frame count.
+    Updates are x += (1/steps) * v evaluated at t = k/steps for
+    k = 0 .. steps-1. The condition channels come from
+    :func:`build_condition` over the masked latent's view; external
+    features without a masked condition get an all-zero view (an
+    entirely hidden latent). With no condition at all, and for the
+    unguided half of every guided step, the model is called with
     ``cond=None``, its unconditional branch; with no condition, guidance
     has nothing to blend, so each step makes one call at any scale.
 
-    Returns the final (frames, latent_dim) state. A state of no frames,
-    from ``frames`` below 1 or a ``start`` with no rows, and a ``local``
-    or ``global_cond`` holding a NaN or infinity raise ValueError.
+    Returns the final (frames, latent_dim) state. ``frames`` below 1 and
+    a ``local`` or ``global_cond`` holding a NaN or infinity raise
+    ValueError, before any noise is drawn.
     """
     steps = int(steps)
     if steps < 1:
@@ -84,23 +84,15 @@ def euler_sample(
     for name, features in (("local", local), ("global_cond", global_cond)):
         if features is not None and not np.isfinite(np.asarray(features, np.float64)).all():
             raise ValueError(f"{name} contains non-finite values")
-    if start is not None:
-        x = np.array(start, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != model.latent_dim:
-            raise ShapeMismatch(
-                f"start must be (frames, {model.latent_dim}), got {x.shape}"
-            )
-    else:
-        if frames is None:
-            if masked_cond is None:
-                raise ValueError("frames is required without a start or condition")
-            frames = masked_cond.n_frames
-        if rng is None:
-            raise ValueError("an rng is required to draw the starting noise")
-        x = rng.standard_normal((int(frames), model.latent_dim))
-    n_frames = x.shape[0]
+    if frames is None:
+        if masked_cond is None:
+            raise ValueError("frames is required without a condition")
+        frames = masked_cond.n_frames
+    n_frames = int(frames)
     if n_frames < 1:
         raise ValueError(f"frames must be at least 1, got {n_frames}")
+    if rng is None:
+        raise ValueError("an rng is required to draw the starting noise")
 
     if masked_cond is not None and masked_cond.n_frames != n_frames:
         raise ShapeMismatch(
@@ -116,6 +108,7 @@ def euler_sample(
             view = masked_cond.condition_view()
         cond_matrix = build_condition(view, local, global_cond)
 
+    x = rng.standard_normal((n_frames, model.latent_dim))
     step_size = 1.0 / steps
     # With no condition both halves of a guided step would be the same
     # forward(t, None, x), and v + s * (v - v) = v for finite v.

@@ -327,10 +327,6 @@ def train(
         covered_only = masks is not None and config.masked_frames_only
         selected = np.array([np.count_nonzero(mask) for mask in masks]) if covered_only else counts
         scales = 1.0 / (selected * (batch * dims))
-        if kind == "global":
-            globals_ = conds[indices]
-            if dropped is not None:
-                globals_[dropped] = 0.0
 
         batch_loss = 0.0
         batch_grads = None
@@ -343,18 +339,21 @@ def train(
                 view = np.zeros(x1.shape)
             else:
                 view = np.where(np.concatenate(masks[first:stop])[:, None], 0.0, x1)
-            local = global_rows = None
+            # Per-row external channels at full frame rate: a global
+            # vector repeated over its item's frames, or upsampled features.
+            rows = None
             if kind == "global":
-                global_rows = globals_[first:stop].repeat(n, axis=0)[keep]
+                rows = conds[indices[first:stop]].repeat(n, axis=0)
             elif kind == "local":
-                local = np.concatenate([
+                rows = np.concatenate([
                     conds[i] if conds[i].shape[0] == f else upsample_features(conds[i], f)
                     for i, f in zip(picks[first:stop], sizes[first:stop])
                 ])
+            if rows is not None:
                 if dropped is not None:
-                    local[dropped[first:stop].repeat(n)] = 0.0
-                local = local[keep]
-            cond = build_condition(view, local, global_rows)
+                    rows[dropped[first:stop].repeat(n)] = 0.0
+                rows = rows[keep]
+            cond = build_condition(view, rows)
             # Scored without cfm_loss's checks; see the module docstring.
             t = times[first:stop].repeat(n)[keep]
             x0 = noise[offsets[first] : offsets[stop]][keep]

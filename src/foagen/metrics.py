@@ -96,25 +96,24 @@ class BatchDoaResult:
     pairs_excluded: int
 
 
-def _pair_directions(pair: tuple[FoaSignal, FoaSignal]) -> tuple[Direction, Direction] | None:
-    """Both directions of a (reference, estimate) pair, or None when either
+def pair_directions(truth: FoaSignal, estimate: FoaSignal) -> tuple[Direction, Direction] | None:
+    """Both directions of a (truth, estimate) pair, or None when either
     signal is too weak to define one."""
-    gt_signal, est_signal = pair
     try:
-        return estimate_doa(gt_signal), estimate_doa(est_signal)
+        return estimate_doa(truth), estimate_doa(estimate)
     except ZeroEnergy:
         return None
 
 
 def eval_doa_batch(
-    pairs: Iterable[tuple[FoaSignal, FoaSignal]],
+    directions: Iterable[tuple[Direction, Direction] | None],
 ) -> BatchDoaResult:
-    """Mean direction-of-arrival errors over (reference, estimate) pairs.
+    """Mean direction-of-arrival errors over (truth, estimate) direction
+    pairs, such as :func:`pair_directions` returns.
 
-    ``pairs`` is consumed once, in order, and no pair is held after its
-    directions are estimated, so a lazy iterable keeps only the pair in
-    hand alive. Pairs whose intensity is too weak to define a direction
-    are excluded from the means and counted in ``pairs_excluded``.
+    ``directions`` is consumed once, in order. A None stands for a pair
+    whose intensity is too weak to define a direction: it is excluded
+    from the means and counted in ``pairs_excluded``.
 
     Raises:
         EmptyBatch: when the batch is empty or every pair was excluded.
@@ -123,11 +122,11 @@ def eval_doa_batch(
     d_phis: list[float] = []
     d_angulars: list[float] = []
     excluded = 0
-    for directions in map(_pair_directions, pairs):
-        if directions is None:
+    for pair in directions:
+        if pair is None:
             excluded += 1
             continue
-        gt, est = directions
+        gt, est = pair
         d_thetas.append(theta_error(gt.azimuth, est.azimuth))
         d_phis.append(phi_error(gt.elevation, est.elevation))
         d_angulars.append(spatial_angle_error(gt, est))

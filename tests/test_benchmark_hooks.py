@@ -7,6 +7,8 @@ metric, so these tests load the tracer from its file, unchanged, and
 check its hooks against the package.
 """
 
+import argparse
+import ast
 import importlib
 import importlib.util
 import sys
@@ -21,6 +23,7 @@ from foagen.flow import CfgSpec, TrainConfig, VelocityModel, euler_sample, train
 from foagen.panorama import write_frame
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS_PATH = SPANS_PATH.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +94,49 @@ def test_flow_spans_see_the_network_calls_of_training_and_sampling(spans):
     assert metrics[f"{net}.forward.rows"] == 5
     backward = [s for s in recorded if s.name == f"{net}.backward"]
     assert len(backward) == 2 and all(s.flop > 0 for s in backward)  # flops scale with rows
+
+
+def _benchmark_command_lines():
+    """The literal argument lists of every ``ops.cli(...)`` and
+    ``cli.main([...])`` call in the benchmark's workloads, read without
+    running it. An element that is not a literal is None."""
+    lines = []
+    for node in ast.walk(ast.parse(WORKLOADS_PATH.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        if not isinstance(owner, ast.Name):
+            continue
+        if (owner.id, node.func.attr) == ("ops", "cli"):
+            args = node.args
+        elif (owner.id, node.func.attr) == ("cli", "main") and isinstance(node.args[0], ast.List):
+            args = node.args[0].elts  # not Ops.cli's own cli.main(argv)
+        else:
+            continue
+        lines.append([a.value if isinstance(a, ast.Constant) else None for a in args])
+    return lines
+
+
+def test_the_parser_accepts_every_benchmark_flag_and_choice():
+    # A flag the benchmark passes, dropped from the parser, would make
+    # every run of that workload fail instead of this test.
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    lines = _benchmark_command_lines()
+    seen = set()
+    for argv in lines:
+        command = argv[0]
+        assert isinstance(command, str) and command in subparsers.choices, argv
+        options = subparsers.choices[command]._option_string_actions
+        for flag, value in zip(argv, [*argv[1:], None]):
+            if not (isinstance(flag, str) and flag.startswith("--")):
+                continue
+            assert flag in options, f"{command} {flag}"
+            seen.add((command, flag))
+            action = options[flag]
+            if action.choices is not None and value is not None:
+                parsed = action.type(str(value)) if action.type else str(value)
+                assert parsed in action.choices, f"{command} {flag} {value}"
+    assert {("clean", "--jobs"), ("cut-fov", "--jobs"), ("eval-doa", "--jobs")} <= seen
+    assert ("cut-fov", "--preset") in seen and ("spatialize", "--encoding") in seen

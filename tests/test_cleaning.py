@@ -78,7 +78,7 @@ def test_window_dbfs_matches_per_window_loop():
 def test_window_dbfs_validation():
     with pytest.raises(EmptySignal):
         window_dbfs(np.ones(10), 20.0, RATE)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptySignal, match="window of 0.1 ms at 1000 Hz holds no samples"):
         window_dbfs(np.ones(100), 0.1, RATE)  # window rounds to zero samples
     with pytest.raises(ValueError, match="samples must be"):
         window_dbfs(np.ones((2, 2, 400)), 20.0, RATE)

@@ -34,7 +34,7 @@ from foagen.flow import (
 )
 from foagen.flow.network import CHECKPOINT_MAGIC
 from foagen.foa import Direction, MonoSignal, StereoSignal, spatialize_mono
-from foagen.metrics import StftConfig, eval_doa_batch
+from foagen.metrics import StftConfig, eval_doa_batch, pair_directions
 from foagen.panorama import CameraSpec, make_fov_cuts, read_frame, write_frame
 
 RATE = 16000
@@ -242,7 +242,9 @@ def test_eval_doa_counts_a_pair_it_cannot_load_and_scores_the_rest(tmp_path, cap
     assert kv["excluded"] == "0"
     assert kv["failed"] == "1"
     assert kv["failed.p01.wav"] == "CorruptHeader"
-    good = [(read_wav(truth_dir / n), read_wav(est_dir / n)) for n in ("p00.wav", "p02.wav")]
+    good = [
+        pair_directions(read_wav(truth_dir / n), read_wav(est_dir / n)) for n in ("p00.wav", "p02.wav")
+    ]
     assert kv["d_angular"] == "%.12g" % eval_doa_batch(good).errors.d_angular
 
 
@@ -280,7 +282,7 @@ def test_eval_doa_output_does_not_depend_on_jobs(tmp_path, capsys):
     assert "evaluated=6" in lines and "failed=0" in lines
 
 
-def test_eval_doa_holds_at_most_jobs_plus_one_pairs(tmp_path, capsys, monkeypatch):
+def test_eval_doa_holds_at_most_jobs_pairs(tmp_path, capsys, monkeypatch):
     truth_dir, est_dir = _foa_pair_dirs(tmp_path, 10)
     jobs = 2
     lock = threading.RLock()  # a finalizer may run while its own thread holds it
@@ -304,7 +306,7 @@ def test_eval_doa_holds_at_most_jobs_plus_one_pairs(tmp_path, capsys, monkeypatc
     code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", jobs)
     assert code == 0
     assert kv["evaluated"] == "10"
-    assert 0 < peak <= 2 * (jobs + 1)
+    assert 0 < peak <= 2 * jobs
 
 
 def test_eval_fd_and_kl(tmp_path, capsys):
@@ -655,6 +657,25 @@ def test_clean_refuses_a_window_that_overflows_a_sample_count(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_clean_skips_the_silence_filter_for_a_window_shorter_than_a_sample(tmp_path, capsys):
+    for name in ("a", "b"):
+        write_wav(MonoSignal(np.full(1600, 0.1), RATE), tmp_path / f"{name}.wav")
+    write_manifest(tmp_path / "m.jsonl", [
+        ClipManifestEntry(name, f"{name}.wav", 0.1, RATE) for name in ("a", "b")
+    ])
+    report = tmp_path / "r.jsonl"
+    code, kv = run_cli(
+        capsys, "clean", tmp_path / "m.jsonl", "--report", report, "--base-dir", tmp_path,
+        "--window-ms", "0.01",
+    )
+    assert code == 0
+    assert "error" not in kv
+    assert kv["skipped.silent"] == "2"
+    rows = [json.loads(line) for line in report.read_text().splitlines()]
+    assert [row["id"] for row in rows] == ["a", "b"]
+    assert all("silent" in row["skipped"] for row in rows)
+
+
 @pytest.mark.parametrize("flag", ["silence_dbfs", "min_alignment", "frame_mse"])
 def test_clean_rejects_a_nan_threshold(tmp_path, capsys, flag):
     write_wav(MonoSignal(np.ones(2500) * 0.1, 1000), tmp_path / "long.wav")
@@ -912,10 +933,12 @@ def test_fm_sample_refuses_zero_frames(tmp_path, capsys):
         capsys, "fm-train", "--fixture", "mixture", "--steps", "5", "--save", ckpt
     )
     assert code == 0
-    code, kv = run_cli(capsys, "fm-sample", "--model", ckpt, "--frames", "0", "--steps", "2")
-    assert code == 1
-    assert kv["error"].startswith("ValueError")
-    assert "samples" not in kv
+    for frames in ("0", "-1"):
+        # Refused by the frame-count check, before numpy draws any noise.
+        code, kv = run_cli(capsys, "fm-sample", "--model", ckpt, "--frames", frames, "--steps", "2")
+        assert code == 1
+        assert kv["error"] == f"ValueError frames must be at least 1, got {frames}"
+        assert "samples" not in kv
 
 
 def test_fm_sample_refuses_a_non_finite_condition(tmp_path, capsys):

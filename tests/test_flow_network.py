@@ -135,13 +135,10 @@ def test_backward_only_reads_cache_and_grad_out():
 
 def test_build_condition_per_row_global_block():
     view = np.zeros((3, 2))
-    g = np.array([0.5, -0.5])
-    np.testing.assert_array_equal(
-        build_condition(view, global_cond=np.tile(g, (3, 1))),
-        build_condition(view, global_cond=g),
-    )
     with pytest.raises(ShapeMismatch):
         build_condition(view, global_cond=np.ones((2, 2)))
+    with pytest.raises(ShapeMismatch):
+        build_condition(view, global_cond=np.ones((3, 2)))  # a per-row block is local
     with pytest.raises(ShapeMismatch):
         build_condition(view, global_cond=np.ones(0))
     with pytest.raises(ShapeMismatch, match="local features must be 2-D"):

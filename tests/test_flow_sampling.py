@@ -73,29 +73,32 @@ def test_cfg_spec_rejects_non_finite():
         CfgSpec(float("nan"))
 
 
+def _start(frames, dims, seed):
+    """The noise that ``euler_sample`` starts from with ``default_rng(seed)``."""
+    return np.random.default_rng(seed).standard_normal((frames, dims))
+
+
 def test_euler_constant_field_is_step_count_invariant():
     # sum of steps * (1/steps) * v telescopes to exactly one unit of v
     v = np.array([0.75, -1.5])
-    start = np.array([[1.0, 2.0], [0.0, 0.0], [-3.0, 0.5]])
+    start = _start(3, 2, seed=1)
     for steps in (1, 2, 3, 7, 64):
-        out = euler_sample(_ConstantField(v), steps, start=start)
+        out = euler_sample(_ConstantField(v), steps, frames=3, rng=np.random.default_rng(1))
         expect = start + v
         assert np.max(np.abs(out - expect)) <= 1e-12
 
 
 def test_euler_single_step_moves_by_initial_velocity():
     x1 = np.array([[4.0, -1.0]])
-    start = np.array([[1.0, 1.0]])
-    out = euler_sample(_StraightLineField(x1), 1, start=start)
+    out = euler_sample(_StraightLineField(x1), 1, frames=1, rng=np.random.default_rng(2))
     # one step of size 1 along x1 - x0 lands exactly on x1
     np.testing.assert_allclose(out, x1, rtol=0, atol=1e-12)
 
 
 def test_euler_zero_model_returns_start():
     model = _ConstantField(np.zeros(2))
-    start = np.array([[1.0, -2.0]])
-    out = euler_sample(model, 16, start=start)
-    assert np.array_equal(out, start)
+    out = euler_sample(model, 16, frames=1, rng=np.random.default_rng(3))
+    assert np.array_equal(out, _start(1, 2, seed=3))
 
 
 def test_euler_noise_start_is_seeded():
@@ -109,18 +112,15 @@ def test_euler_noise_start_is_seeded():
 def test_euler_validation_errors():
     model = _ConstantField(np.zeros(2))
     with pytest.raises(ValueError):
-        euler_sample(model, 0, start=np.zeros((1, 2)))
-    with pytest.raises(ShapeMismatch):
-        euler_sample(model, 4, start=np.zeros((1, 3)))
+        euler_sample(model, 0, frames=1, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        euler_sample(model, 4)  # no start, no frames, no condition
+        euler_sample(model, 4)  # no frames, no condition
     with pytest.raises(ValueError):
         euler_sample(model, 4, frames=3)  # noise start needs an rng
     for frames in (0, -1):
-        with pytest.raises(ValueError):
+        # Refused before the noise is drawn, not by numpy's draw.
+        with pytest.raises(ValueError, match=f"^frames must be at least 1, got {frames}$"):
             euler_sample(model, 4, frames=frames, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match="at least 1"):
-        euler_sample(model, 4, start=np.zeros((0, 2)))
 
 
 class _NoSteps(_ConstantField):
@@ -136,9 +136,9 @@ def test_euler_refuses_non_finite_conditions_before_a_step(rows):
     local = np.zeros((rows, 1))
     local[-1, 0] = np.nan
     with pytest.raises(ValueError, match="local contains non-finite values"):
-        euler_sample(model, 4, local=local, start=np.zeros((6, 2)))
+        euler_sample(model, 4, local=local, frames=6, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="global_cond contains non-finite values"):
-        euler_sample(model, 4, global_cond=[0.0, np.inf], start=np.zeros((6, 2)))
+        euler_sample(model, 4, global_cond=[0.0, np.inf], frames=6, rng=np.random.default_rng(0))
 
 
 def test_euler_frames_from_masked_condition():
@@ -152,18 +152,18 @@ def test_euler_condition_frame_mismatch():
     model = VelocityModel.initialize(2, 2, (4,), np.random.default_rng(4))
     cond = MaskedLatent(np.zeros((6, 2)), np.ones(6, dtype=bool))
     with pytest.raises(ShapeMismatch):
-        euler_sample(model, 3, masked_cond=cond, start=np.zeros((4, 2)))
+        euler_sample(model, 3, masked_cond=cond, frames=4, rng=np.random.default_rng(0))
 
 
 def test_guided_sampling_matches_manual_blend():
     """CFG inside the sampler equals blending the two fields by hand."""
     model = VelocityModel.initialize(2, 4, (5,), np.random.default_rng(6))
     g = np.array([1.0, -1.0])
-    start = np.random.default_rng(8).standard_normal((3, 2))
+    start = _start(3, 2, seed=8)
     scale = 2.5
 
     got = euler_sample(
-        model, 2, CfgSpec(scale), global_cond=g, start=start.copy()
+        model, 2, CfgSpec(scale), global_cond=g, frames=3, rng=np.random.default_rng(8)
     )
 
     from foagen.flow import build_condition
@@ -183,8 +183,8 @@ def test_guided_sampling_matches_manual_blend():
 def test_unconditioned_sampling_on_a_conditioned_model(scale):
     """No condition at all feeds every condition channel zero, guided or not."""
     model = VelocityModel.initialize(2, 6, (5,), np.random.default_rng(11))
-    start = np.random.default_rng(12).standard_normal((5, 2))
-    got = euler_sample(model, 3, CfgSpec(scale), start=start.copy())
+    start = _start(5, 2, seed=12)
+    got = euler_sample(model, 3, CfgSpec(scale), frames=5, rng=np.random.default_rng(12))
 
     zeros = np.zeros((5, model.cond_dim))
     x = start.copy()
@@ -210,8 +210,8 @@ class _CountingModel:
 def test_guidance_without_a_condition_makes_one_forward_per_step():
     """With no condition a guided step would blend two identical fields."""
     model = _CountingModel(mixture_model())
-    start = np.random.default_rng(13).standard_normal((4, 2))
-    got = euler_sample(model, 8, CfgSpec(5.0), start=start.copy())
+    start = _start(4, 2, seed=13)
+    got = euler_sample(model, 8, CfgSpec(5.0), frames=4, rng=np.random.default_rng(13))
     assert model.calls == 8
 
     # Two forwards per step, blended as cfg_velocity blends them.
@@ -233,7 +233,7 @@ def test_euler_sample_appends_local_features_after_the_view():
             return cond[:, 2:].copy()
 
     local = np.random.default_rng(2).standard_normal((3, 2))  # upsampled to 6 frames
-    start = np.random.default_rng(7).standard_normal((6, 2))
-    got = euler_sample(LocalEcho(), 4, local=local, start=start)
+    start = _start(6, 2, seed=7)
+    got = euler_sample(LocalEcho(), 4, local=local, frames=6, rng=np.random.default_rng(7))
     # Four steps of 1/4 add the upsampled features once.
     np.testing.assert_allclose(got, start + upsample_features(local, 6), rtol=0, atol=1e-12)

@@ -305,19 +305,19 @@ def _train_through_cfm_loss(model, dataset, config):
             keep = mask if covered_only else np.ones(mask.size, dtype=bool)
             x1 = np.concatenate([x1s[indices[d]] for d in draws])
             view = np.where(mask[:, None], 0.0, x1)
-            local = global_rows = None
+            # Global vectors, one per row, go in as full-rate local features.
+            local = None
             if kind == "global":
-                global_rows = np.repeat(conds[indices[first:stop]], counts[first:stop], axis=0)
-                global_rows[np.repeat(dropped[first:stop], counts[first:stop])] = 0.0
+                local = np.repeat(conds[indices[first:stop]], counts[first:stop], axis=0)
+                local[np.repeat(dropped[first:stop], counts[first:stop])] = 0.0
+                local = local[keep]
             elif kind == "local":
                 local = np.concatenate([
                     upsample_features(conds[indices[d]], counts[d]) for d in draws
                 ])
                 local[np.repeat(dropped[first:stop], counts[first:stop])] = 0.0
                 local = local[keep]
-            cond = build_condition(
-                view[keep], local, None if global_rows is None else global_rows[keep]
-            )
+            cond = build_condition(view[keep], local)
             per_row = np.repeat(1.0 / (batch * selected[first:stop] * dims), counts[first:stop])
             loss, grads = cfm_loss(
                 model,

@@ -20,6 +20,7 @@ from foagen.metrics import (
     frechet_distance,
     kl_divergence,
     multires_stft_distance,
+    pair_directions,
     phi_error,
     spatial_angle_error,
     theta_error,
@@ -328,8 +329,19 @@ def _silent() -> FoaSignal:
     return FoaSignal([[0, 0], [0, 0], [0, 0], [0, 0]], 44100)
 
 
+def _batch(pairs):
+    return eval_doa_batch(pair_directions(truth, est) for truth, est in pairs)
+
+
+def test_pair_directions_of_a_pair_and_of_a_silent_one():
+    front, left = pair_directions(_front(), _left())
+    assert (front.azimuth, left.azimuth) == (0.0, pytest.approx(math.pi / 2, abs=1e-15))
+    assert pair_directions(_front(), _silent()) is None
+    assert pair_directions(_silent(), _front()) is None
+
+
 def test_eval_doa_identical_pair():
-    result = eval_doa_batch([(_front(), _front())])
+    result = _batch([(_front(), _front())])
     assert result.errors.d_theta == 0.0
     assert result.errors.d_phi == 0.0
     assert result.errors.d_angular == 0.0
@@ -339,13 +351,13 @@ def test_eval_doa_identical_pair():
 
 def test_eval_doa_mean_over_pairs():
     # per-pair theta errors are 0 and pi/2, so the mean is pi/4
-    result = eval_doa_batch([(_front(), _front()), (_front(), _left())])
+    result = _batch([(_front(), _front()), (_front(), _left())])
     assert result.errors.d_theta == pytest.approx(math.pi / 4, abs=1e-15)
     assert result.pairs_evaluated == 2
 
 
 def test_eval_doa_excludes_silent_pairs():
-    result = eval_doa_batch([(_front(), _front()), (_silent(), _front())])
+    result = _batch([(_front(), _front()), (_silent(), _front())])
     assert result.pairs_evaluated == 1
     assert result.pairs_excluded == 1
     assert result.errors.d_theta == 0.0
@@ -353,21 +365,21 @@ def test_eval_doa_excludes_silent_pairs():
 
 def test_eval_doa_empty_batches():
     with pytest.raises(EmptyBatch):
-        eval_doa_batch([])
-    with pytest.raises(EmptyBatch):
-        eval_doa_batch([(_silent(), _silent())])
+        _batch([])
+    with pytest.raises(EmptyBatch, match="^all 1 pairs were excluded as directionless$"):
+        _batch([(_silent(), _silent())])
 
 
 def test_eval_doa_consumes_a_generator_once_like_the_list():
-    pairs = [(_front(), _front()), (_front(), _left()), (_silent(), _front())]
+    directions = [pair_directions(_front(), _front()), pair_directions(_front(), _left()), None]
     consumed = []
 
     def lazy():
-        for pair in pairs:
+        for pair in directions:
             consumed.append(pair)
             yield pair
 
-    assert eval_doa_batch(lazy()) == eval_doa_batch(pairs)
-    assert consumed == pairs
+    assert eval_doa_batch(lazy()) == eval_doa_batch(directions)
+    assert consumed == directions
     with pytest.raises(EmptyBatch, match="^no signal pairs to evaluate$"):
         eval_doa_batch(pair for pair in [])
