@@ -141,20 +141,18 @@ def read_wav(path, ambix: bool = False):
     if ambix and channels != 4:
         raise SpecMismatch("ambix ordering applies to 4-channel files only")
     raw = np.frombuffer(data, dtype=dtype, count=n_frames * channels)
-    pcm16 = dtype.kind == "i"
+    step = _PCM16_STEP if dtype.kind == "i" else 1.0
     rows = _AMBIX_ROWS if ambix else range(channels)
     matrix = np.empty((channels, n_frames))
-    # Each file column straight into its row; the finiteness mask is one
-    # row long.
     for column, row in zip(raw.reshape(n_frames, channels).T, rows):
-        decoded = np.multiply(
-            column, _PCM16_STEP if pcm16 else 1.0, out=matrix[row], dtype=np.float64
-        )
-        if not pcm16 and not np.isfinite(decoded).all():
-            raise ParseError(f"{path}: float32 payload holds non-finite samples")
+        np.multiply(column, step, out=matrix[row], dtype=np.float64)
     if ambix:
         matrix[0] /= _AMBIX_SCALE
-    return kind(matrix, sample_rate)
+    try:
+        return kind(matrix, sample_rate)
+    except ValueError:
+        # A signal refuses no decoded sample but a non-finite float32 one.
+        raise ParseError(f"{path}: float32 payload holds non-finite samples") from None
 
 
 def write_wav(signal, path, encoding: str = "float32", ambix: bool = False) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 from . import container
 from .audio_io import read_wav
 from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
-from .panorama import check_frame, read_stored, settle_stationarity
+from .panorama import settle_stationarity
 
 # The largest sample rate a WAV header's 32-bit field can state.
 _MAX_WAV_RATE = 0xFFFFFFFF
@@ -353,23 +353,12 @@ def _evaluate_entry(
 ) -> tuple[str, list[str], list[str]]:
     """Run every applicable filter; reasons and skip notes accumulate.
 
-    Every frame the pattern matches is checked from its header and file
-    length, and so is the shape of every compared pair: one unreadable
-    frame or mismatched pair anywhere skips the stationarity filter.
-    Only frames 0, k, 2k, ... (k = ``frame_interval``), the ones the
-    verdict compares, are read, in order and only until the verdict is
-    settled; see :func:`~foagen.panorama.settle_stationarity`. They are
-    compared in their stored integers, block by block: a pair's sum of
-    squared differences stops after the first block that already puts
-    its MSE at or above ``frame_mse``, which the rest of the sum, never
-    negative, could not undo. An OS read error inside the pixels of a
-    frame that is never read, uncompared or compared after the decision,
-    goes unnoticed.
+    The stationarity verdict over the frames the pattern matches is
+    :func:`~foagen.panorama.settle_stationarity`'s: any frame or pair it
+    cannot judge skips the filter.
     """
     def resolve(path: str) -> str:
-        if base_dir is not None and not os.path.isabs(path):
-            return os.path.join(base_dir, path)
-        return path
+        return os.path.join(base_dir or "", path)
 
     reasons: list[str] = []
     skipped: list[str] = []
@@ -380,8 +369,7 @@ def _evaluate_entry(
         frame_paths = [] if "\x00" in pattern else sorted(glob.glob(pattern))
         try:
             if settle_stationarity(
-                [check_frame(p) for p in frame_paths],
-                lambda i: read_stored(frame_paths[i]),
+                frame_paths,
                 thresholds.frame_interval,
                 thresholds.frame_mse,
                 thresholds.stationary_ratio,

@@ -63,6 +63,10 @@ from .panorama import (
 
 DEGREES = 180.0 / math.pi
 
+# The model fm-train --data builds when --hidden or --init-seed is unset.
+_DATA_HIDDEN = (32,)
+_DATA_INIT_SEED = 0
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -388,8 +392,8 @@ def _cmd_fm_train(args) -> int:
         ]
         latent_dim = x1.shape[1]
         cond_dim = latent_dim + (cond.shape[1] if cond is not None else 0)
-        hidden = _int_list(args.hidden) if args.hidden is not None else (32,)
-        init_seed = args.init_seed if args.init_seed is not None else 0
+        hidden = _int_list(args.hidden) if args.hidden is not None else _DATA_HIDDEN
+        init_seed = args.init_seed if args.init_seed is not None else _DATA_INIT_SEED
         model = VelocityModel.initialize(
             latent_dim, cond_dim, hidden, np.random.default_rng(init_seed)
         )
@@ -559,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, help="unset: fixture/library default")
     p.add_argument("--batch", type=int, help="unset: fixture/library default")
     p.add_argument("--seed", type=int, help="unset: fixture/library default")
-    p.add_argument("--hidden", help="comma-separated hidden widths (--data only; unset: 32)")
-    p.add_argument("--init-seed", type=int, help="weight init seed (--data only; unset: 0)")
+    p.add_argument("--hidden", help=f"comma-separated hidden widths (--data only; unset: {','.join(map(str, _DATA_HIDDEN))})")
+    p.add_argument("--init-seed", type=int, help=f"weight init seed (--data only; unset: {_DATA_INIT_SEED})")
     p.add_argument("--time-sampler", choices=("uniform", "logit_normal"))
     p.add_argument("--mu", type=float, help=f"logit-normal location (needs --time-sampler; unset: {TimeSampler.mu:g})")
     p.add_argument("--sigma", type=float, help=f"logit-normal scale (needs --time-sampler; unset: {TimeSampler.sigma:g})")

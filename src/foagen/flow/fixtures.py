@@ -49,7 +49,13 @@ MIXTURE_TRAIN = TrainConfig(
 
 
 def mixture_condition(class_id: int) -> np.ndarray:
-    """Frozen 4-channel embedding for one mixture class."""
+    """Frozen 4-channel embedding for one mixture class.
+
+    Raises:
+        ValueError: when ``class_id`` is not in ``MIXTURE_CLASS_IDS``.
+    """
+    if class_id not in MIXTURE_CLASS_IDS:
+        raise ValueError(f"mixture class must be one of {MIXTURE_CLASS_IDS}, got {class_id!r}")
     features = synth_features(0, 1, MIXTURE_COND_CHANNELS, class_id)
     return pool_global(features) - MIXTURE_COND_SHIFT
 

@@ -59,7 +59,8 @@ def euler_sample(
     local: np.ndarray | None = None,
     global_cond: np.ndarray | None = None,
     frames: int | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Integrate the velocity field with ``steps`` Euler updates.
 
@@ -91,8 +92,6 @@ def euler_sample(
     n_frames = int(frames)
     if n_frames < 1:
         raise ValueError(f"frames must be at least 1, got {n_frames}")
-    if rng is None:
-        raise ValueError("an rng is required to draw the starting noise")
 
     if masked_cond is not None and masked_cond.n_frames != n_frames:
         raise ShapeMismatch(

@@ -194,15 +194,9 @@ def spatialize_mono(signal: MonoSignal, direction: Direction) -> FoaSignal:
     channels carry it scaled by the direction cosines.
     """
     s = signal.samples
-    cos_el = math.cos(direction.elevation)
-    gains = (
-        math.cos(direction.azimuth) * cos_el,
-        math.sin(direction.azimuth) * cos_el,
-        math.sin(direction.elevation),
-    )
     channels = np.empty((4, s.shape[0]))
     np.divide(s, math.sqrt(2.0), out=channels[0])
-    np.multiply.outer(gains, s, out=channels[1:])
+    np.multiply.outer(direction.unit_vector(), s, out=channels[1:])
     return FoaSignal(channels, signal.sample_rate)
 
 

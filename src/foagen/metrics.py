@@ -23,7 +23,7 @@ from .errors import (
     SupportViolation,
     ZeroEnergy,
 )
-from .foa import Direction, FoaSignal, estimate_doa, TWO_PI
+from .foa import Direction, FoaSignal, estimate_doa, wrap_azimuth
 
 
 def _check_finite_angle(value: float, name: str) -> float:
@@ -34,16 +34,16 @@ def _check_finite_angle(value: float, name: str) -> float:
 
 
 def theta_error(gt: float, est: float) -> float:
-    """Circular azimuth error in [0, pi].
+    """Circular azimuth error in [0, pi]: the size of the difference
+    wrapped by :func:`~foagen.foa.wrap_azimuth`, so adding full turns to
+    either argument does not change the result.
 
-    The raw difference is reduced modulo 2*pi and the shorter way around
-    the circle is taken, so adding full turns to either argument does not
-    change the result.
+    Raises:
+        ValueError: when either angle, or their difference, is not finite.
     """
     gt = _check_finite_angle(gt, "gt")
     est = _check_finite_angle(est, "est")
-    raw = (gt - est) % TWO_PI
-    return min(raw, TWO_PI - raw)
+    return abs(wrap_azimuth(gt - est))
 
 
 def phi_error(gt: float, est: float) -> float:

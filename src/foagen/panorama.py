@@ -334,35 +334,36 @@ def stationarity_verdict(
 
 
 def settle_stationarity(
-    shapes: Sequence[tuple[int, int, int]],
-    frame_at: Callable[[int], np.ndarray | StoredFrame],
+    paths: Sequence,
     interval: int,
     mse_threshold: float,
     ratio_threshold: float,
 ) -> bool:
-    """The verdict of :func:`stationarity_verdict` over all frames, from
-    the fewest frames read.
+    """The verdict of :func:`stationarity_verdict` over the frames stored
+    at ``paths``, from the fewest frames read.
 
-    ``shapes`` holds the (height, width, channels) of every frame, as
-    :func:`check_frame` reports it, and ``frame_at(i)`` reads frame i,
-    as a float frame or as a :class:`StoredFrame`; two stored anymaps
-    are compared from their integers, with the verdict their decoded
-    frames would give. The shapes of every compared pair are checked
-    first, so a mismatch anywhere raises even when the verdict would be
-    settled before it. The comparisons then run in order, each compared
-    frame read once and at most two held, and stop as soon as the
-    stationary count already exceeds the ratio or can no longer reach it.
+    Every frame is checked by :func:`check_frame` and every compared
+    pair's shapes first, so an unreadable frame or a mismatch anywhere
+    raises even when the verdict would be settled before it. The
+    comparisons then run in order, each compared frame read once by
+    :func:`read_stored` and at most two held, and stop as soon as the
+    stationary count already exceeds the ratio or can no longer reach
+    it; two stored anymaps are compared from their integers, with the
+    verdict their decoded frames would give. An OS read error inside the
+    pixels of a frame never read goes unnoticed.
 
     Raises:
         TooFewFrames: when fewer than two comparisons are available.
         ShapeMismatch: when the frames of a compared pair differ in shape.
+        FoagenError: what :func:`read_frame` raises on an unreadable frame.
     """
+    shapes = [check_frame(path) for path in paths]
     compared = _compared_frames(len(shapes), interval)
     comparisons = len(compared) - 1
     for i, j in zip(compared, compared[1:]):
         if shapes[i] != shapes[j]:
             raise ShapeMismatch(f"frames {i} and {j} differ in shape: {shapes[i]} vs {shapes[j]}")
-    counts = _stationary_counts(frame_at, compared, mse_threshold)
+    counts = _stationary_counts(lambda i: read_stored(paths[i]), compared, mse_threshold)
     for done, count in enumerate(counts, start=1):
         # The count only grows, by at most one per remaining comparison.
         remaining = comparisons - done

@@ -301,14 +301,24 @@ def test_read_wav_error_paths(tmp_path):
         (_wav_bytes(data=b""), CorruptHeader),  # no complete frame
         (_wav_bytes(rate=0), CorruptHeader),
         (_wav_bytes(block=4), CorruptHeader),  # block align disagrees with 2-byte frames
-        (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<ff", 0.5, math.nan)), ParseError),
-        (_wav_bytes(format_tag=3, bits=32, data=struct.pack("<f", -math.inf)), ParseError),
     ]
     for k, (blob, err) in enumerate(cases):
         path = tmp_path / f"bad{k}.wav"
         path.write_bytes(blob)
         with pytest.raises(err):
             read_wav(path)
+    non_finite = [
+        (struct.pack("<ff", 0.5, math.nan), 1, False),
+        (struct.pack("<f", -math.inf), 1, False),
+        # AmbiX reorders the rows and rescales the omni one first.
+        (struct.pack("<4f", 0.1, 0.2, math.nan, 0.3), 4, True),
+    ]
+    for k, (data, channels, ambix) in enumerate(non_finite):
+        path = tmp_path / f"non_finite{k}.wav"
+        path.write_bytes(_wav_bytes(format_tag=3, channels=channels, bits=32, data=data))
+        with pytest.raises(ParseError) as raised:
+            read_wav(path, ambix=ambix)
+        assert str(raised.value) == f"{path}: float32 payload holds non-finite samples"
     with pytest.raises(IoFailure):
         read_wav(tmp_path / "missing.wav")
 

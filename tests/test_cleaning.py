@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import foagen.cleaning
+import foagen.panorama
 from foagen.audio_io import write_wav
 from foagen.cleaning import (
     ClipManifestEntry,
@@ -429,13 +430,13 @@ def test_run_pipeline_decodes_only_compared_frames(tmp_path, monkeypatch):
     for path in static[1:]:
         path.write_bytes(static[0].read_bytes())
     calls = []
-    read_stored = foagen.cleaning.read_stored
+    read_stored = foagen.panorama.read_stored
 
     def counting_read_stored(path):
         calls.append(os.path.relpath(path, tmp_path))
         return read_stored(path)
 
-    monkeypatch.setattr(foagen.cleaning, "read_stored", counting_read_stored)
+    monkeypatch.setattr(foagen.panorama, "read_stored", counting_read_stored)
     entries = [
         ClipManifestEntry(clip, "none.wav", 1.0, RATE, frames_pattern=f"{clip}/*.fframe")
         for clip in ("moving", "static")

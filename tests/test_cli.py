@@ -3,9 +3,12 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -939,6 +942,41 @@ def test_fm_sample_refuses_zero_frames(tmp_path, capsys):
         assert code == 1
         assert kv["error"] == f"ValueError frames must be at least 1, got {frames}"
         assert "samples" not in kv
+
+
+def test_fm_sample_refuses_a_class_the_fixture_lacks(tmp_path, capsys):
+    ckpt = tmp_path / "m.fgvm"
+    code, _ = run_cli(
+        capsys, "fm-train", "--fixture", "mixture", "--steps", "5", "--save", ckpt
+    )
+    assert code == 0
+    for class_id in ("0", "3", "-1"):
+        code, kv = run_cli(
+            capsys, "fm-sample", "--model", ckpt, "--mixture-class", class_id,
+            "--frames", "5", "--steps", "2",
+        )
+        assert code == 1
+        assert kv["error"] == f"ValueError mixture class must be one of (1, 2), got {class_id}"
+        assert "samples" not in kv
+
+
+def test_installed_entry_point_exits_with_the_cli_codes(tmp_path):
+    # The module run as a script, as the console script runs it: sys.exit
+    # carries main's code to the process.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "foagen.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    missing = run("doa", tmp_path / "missing.wav")
+    assert missing.returncode == 1
+    assert missing.stdout.splitlines()[-1].startswith("error=IoFailure")
+    assert run().returncode == 2  # no subcommand
 
 
 def test_fm_sample_refuses_a_non_finite_condition(tmp_path, capsys):

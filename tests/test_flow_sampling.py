@@ -4,11 +4,13 @@ import pytest
 from foagen.conditioning import upsample_features
 from foagen.errors import ShapeMismatch
 from foagen.flow import (
+    MIXTURE_CLASS_IDS,
     CfgSpec,
     MaskedLatent,
     VelocityModel,
     cfg_velocity,
     euler_sample,
+    mixture_condition,
     mixture_model,
 )
 
@@ -113,14 +115,22 @@ def test_euler_validation_errors():
     model = _ConstantField(np.zeros(2))
     with pytest.raises(ValueError):
         euler_sample(model, 0, frames=1, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        euler_sample(model, 4)  # no frames, no condition
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^frames is required without a condition$"):
+        euler_sample(model, 4, rng=np.random.default_rng(0))  # no frames, no condition
+    with pytest.raises(TypeError, match="rng"):
         euler_sample(model, 4, frames=3)  # noise start needs an rng
     for frames in (0, -1):
         # Refused before the noise is drawn, not by numpy's draw.
         with pytest.raises(ValueError, match=f"^frames must be at least 1, got {frames}$"):
             euler_sample(model, 4, frames=frames, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("class_id", [0, 3, -1])
+def test_mixture_condition_refuses_a_class_the_fixture_lacks(class_id):
+    with pytest.raises(ValueError, match=rf"^mixture class must be one of \(1, 2\), got {class_id}$"):
+        mixture_condition(class_id)
+    for known in MIXTURE_CLASS_IDS:
+        assert mixture_condition(known).shape == (4,)
 
 
 class _NoSteps(_ConstantField):

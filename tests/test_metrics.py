@@ -36,6 +36,12 @@ def test_theta_error_basic():
     assert theta_error(0.1, 6.2) == pytest.approx(0.18318530717958601, abs=1e-15)
 
 
+def test_theta_error_refuses_a_difference_that_overflows():
+    # Both angles are finite; their difference is not, and has no direction.
+    with pytest.raises(ValueError, match="must be finite"):
+        theta_error(1e308, -1e308)
+
+
 def test_theta_error_symmetry_and_period():
     rng = np.random.default_rng(0)
     for _ in range(300):
