@@ -92,6 +92,14 @@ def _angle_in(value: float, degrees: bool) -> float:
     return value / DEGREES if degrees else value
 
 
+def _describe(exc: BaseException) -> str:
+    """``<ErrorType> <message>`` on one line, as an ``error=`` line gives it."""
+    # numpy raises a private subclass of MemoryError; name the public type.
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    message = str(exc).replace("\n", " ")
+    return f"{name} {message}"
+
+
 def _print_config(args: argparse.Namespace) -> None:
     for key in sorted(vars(args)):
         if key == "func":
@@ -174,13 +182,13 @@ def _cmd_eval_doa(args) -> int:
     paths = _wav_pair_paths(args.truth, args.estimate)
 
     def directions(pair):
-        # Only the directions or an error's name leave the task, so no
-        # signal outlives it: at most ``jobs`` pairs are held at once.
+        # Only the directions or an error's description leave the task, so
+        # no signal outlives it: at most ``jobs`` pairs are held at once.
         try:
             truth = _require(read_wav(pair[0], ambix=args.ambix), FoaSignal)
             estimate = _require(read_wav(pair[1], ambix=args.ambix), FoaSignal)
         except FoagenError as exc:
-            return type(exc).__name__
+            return _describe(exc)
         return pair_directions(truth, estimate)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -222,7 +230,7 @@ def _cmd_eval_stft(args) -> int:
     a = _require(read_wav(args.a, ambix=args.ambix), FoaSignal)
     b = _require(read_wav(args.b, ambix=args.ambix), FoaSignal)
     config = StftConfig(window_sizes=_int_list(args.windows), hop_fraction=args.hop)
-    _emit("stft_distance", multires_stft_distance(a, b, config))
+    _emit("stft_distance", multires_stft_distance(a, b, config, jobs=args.jobs))
     return 0
 
 
@@ -511,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", default=",".join(map(str, StftConfig.window_sizes)), help="comma-separated window sizes")
     p.add_argument("--hop", type=float, default=StftConfig.hop_fraction, help="hop as a fraction of the window")
     p.add_argument("--ambix", action="store_true")
+    p.add_argument("--jobs", type=int, help="parallel frame blocks; at most jobs blocks are held at once; unset: usable CPU count")
 
     p = _add(subparsers, "pad-erp", _cmd_pad_erp, "Pad a 2:1 equirectangular image to square.")
     p.add_argument("input", help=".pgm/.ppm/.fframe image")
@@ -594,10 +603,7 @@ def main(argv=None) -> int:
             raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (FoagenError, OSError, ValueError, MemoryError) as exc:
-        # numpy raises a private subclass of MemoryError; name the public type.
-        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        message = str(exc).replace("\n", " ")
-        print(f"error={name} {message}")
+        print(f"error={_describe(exc)}")
         return 1
 
 

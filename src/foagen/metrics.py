@@ -8,6 +8,7 @@ elevation errors are plain absolute differences on [-pi/2, pi/2].
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -265,7 +266,6 @@ class StftConfig:
 
 
 _LOG_EPS = 1e-8
-_NORM_EPS = 1e-12
 
 
 # Frames are transformed in blocks of about this many bytes per signal, over
@@ -274,14 +274,37 @@ _NORM_EPS = 1e-12
 _BLOCK_BYTES = 256 * 1024
 
 
-def _resolution_terms(a: np.ndarray, b: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Per-channel distance terms of two (4, n) channel matrices at one
-    resolution.
+def _block_sums(frames_a, frames_b, taper: np.ndarray, block: slice) -> np.ndarray:
+    """The (3, channels) sums over one block of frames: the L1 log-magnitude
+    difference, |A|^2 and |A - B|^2."""
+    mag_a = np.abs(np.fft.rfft(frames_a[:, block] * taper))
+    mag_b = np.abs(np.fft.rfft(frames_b[:, block] * taper))
+    norm_sq = np.einsum("cfk,cfk->c", mag_a, mag_a)
+    diff = mag_a - mag_b
+    diff_sq = np.einsum("cfk,cfk->c", diff, diff)
+    # |log(A + eps) - log(B + eps)| as one log of the ratio.
+    mag_a += _LOG_EPS
+    mag_b += _LOG_EPS
+    mag_a /= mag_b
+    np.log(mag_a, out=mag_a)
+    np.abs(mag_a, out=mag_a)
+    return np.stack((mag_a.sum(axis=(1, 2)), norm_sq, diff_sq))
+
+
+def _resolution_distance(
+    a: np.ndarray, b: np.ndarray, window: int, hop: int, jobs: int
+) -> float:
+    """The distance of two (4, n) channel matrices at one resolution: the
+    mean L1 log-magnitude difference plus the spectral convergence
+    ||A - B||_F / ||A||_F over the whole (4, frames, bins) spectrogram.
 
     The frames are a zero-copy view of the channels. They are tapered,
-    transformed and logged one block at a time, and each block adds to
-    three per-channel sums: the L1 log-magnitude difference, |A|^2 and
-    |A - B|^2, so no whole spectrogram is ever held.
+    transformed and logged one block at a time on ``min(jobs, blocks)``
+    threads, and each block yields three per-channel sums, so no whole
+    spectrogram is ever held.
+
+    Raises:
+        ZeroEnergy: when the reference spectrogram ``a`` is zero.
     """
     if a.shape[1] < window:
         padding = ((0, 0), (0, window - a.shape[1]))
@@ -293,44 +316,56 @@ def _resolution_terms(a: np.ndarray, b: np.ndarray, window: int, hop: int) -> np
     # Periodic Hann taper.
     taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
     step = max(1, _BLOCK_BYTES // (a.shape[0] * window * a.itemsize))
-    log_sum = np.zeros(a.shape[0])
-    norm_sq = np.zeros(a.shape[0])
-    diff_sq = np.zeros(a.shape[0])
-    for start in range(0, n_frames, step):
-        block = slice(start, start + step)
-        mag_a = np.abs(np.fft.rfft(frames_a[:, block] * taper))
-        mag_b = np.abs(np.fft.rfft(frames_b[:, block] * taper))
-        norm_sq += np.einsum("cfk,cfk->c", mag_a, mag_a)
-        diff = mag_a - mag_b
-        diff_sq += np.einsum("cfk,cfk->c", diff, diff)
-        # |log(A + eps) - log(B + eps)| as one log of the ratio.
-        mag_a += _LOG_EPS
-        mag_b += _LOG_EPS
-        mag_a /= mag_b
-        np.log(mag_a, out=mag_a)
-        np.abs(mag_a, out=mag_a)
-        log_sum += mag_a.sum(axis=(1, 2))
-    log_term = log_sum / (n_frames * (window // 2 + 1))
-    return log_term + np.sqrt(diff_sq) / np.maximum(np.sqrt(norm_sq), _NORM_EPS)
+    starts = range(0, n_frames, step)
+    workers = min(jobs, len(starts))
+
+    def run(k):
+        # Worker k takes blocks k, k + workers, ...: interleaved runs end
+        # together, and one task per worker spares a task per block.
+        return [_block_sums(frames_a, frames_b, taper, slice(s, s + step)) for s in starts[k::workers]]
+
+    if workers == 1:
+        runs = [run(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(run, range(workers)))
+    totals = np.zeros((3, a.shape[0]))
+    for i in range(len(starts)):  # in block order, so the sums do not depend on jobs
+        totals += runs[i % workers][i // workers]
+    log_sum, norm_sq, diff_sq = totals
+    norm = math.sqrt(norm_sq.sum())
+    if norm == 0.0:
+        raise ZeroEnergy(f"the reference spectrogram at window {window} is zero")
+    return float(np.mean(log_sum)) / (n_frames * (window // 2 + 1)) + math.sqrt(diff_sq.sum()) / norm
 
 
 def multires_stft_distance(
-    a: FoaSignal, b: FoaSignal, config: StftConfig | None = None
+    a: FoaSignal, b: FoaSignal, config: StftConfig | None = None, jobs: int = 1
 ) -> float:
     """Multi-resolution spectrogram distance between two ambisonic signals.
 
     For each analysis window size the distance adds an L1 log-magnitude
-    term and a spectral-convergence term (Frobenius error normalized by
-    the reference spectrogram norm); resolutions are averaged, and the
-    four channels each contribute with weight 1/4.
+    term, the mean over all four channels, and a spectral-convergence
+    term, ||A - B||_F / ||A||_F over the whole (4, frames, bins)
+    spectrogram (the Frobenius form of Yamamoto et al., Parallel WaveGAN);
+    resolutions are averaged. A silent reference channel thus leaves the
+    distance finite.
 
     Frames are transformed in blocks of a fixed byte size over the
-    signals' own (4, n) channel matrices, so the memory used is bounded by
-    the block, not by the signal length times the frame overlap.
+    signals' own (4, n) channel matrices. ``jobs`` threads, never more than
+    a resolution has blocks, each take an interleaved run of blocks; the
+    per-block sums are then added in block order, so the distance is the
+    same bits at every ``jobs``. The memory used is bounded by ``jobs``
+    blocks, not by the signal length times the frame overlap.
 
     Raises:
         LengthMismatch: when lengths or sample rates differ.
+        ZeroEnergy: when the reference ``a`` has no spectral energy at some
+            window size, as when it is zero in every channel.
+        ValueError: when ``jobs`` is below 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if config is None:
         config = StftConfig()
     if a.n_samples != b.n_samples:
@@ -344,6 +379,5 @@ def multires_stft_distance(
     per_resolution = []
     for window in config.window_sizes:
         hop = max(1, int(round(window * config.hop_fraction)))
-        channel_terms = _resolution_terms(a.channels, b.channels, window, hop)
-        per_resolution.append(0.25 * float(np.sum(channel_terms)))
+        per_resolution.append(_resolution_distance(a.channels, b.channels, window, hop, jobs))
     return float(np.mean(per_resolution))

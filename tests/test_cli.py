@@ -22,6 +22,7 @@ from foagen.audio_io import (
 )
 from foagen.cleaning import ClipManifestEntry, FilterThresholds, write_manifest
 from foagen.container import encode, write_bytes
+from foagen.errors import CorruptHeader
 from foagen import cli
 from foagen.cli import main
 from foagen.flow import (
@@ -36,7 +37,7 @@ from foagen.flow import (
     train,
 )
 from foagen.flow.network import CHECKPOINT_MAGIC
-from foagen.foa import Direction, MonoSignal, StereoSignal, spatialize_mono
+from foagen.foa import Direction, FoaSignal, MonoSignal, StereoSignal, spatialize_mono
 from foagen.metrics import StftConfig, eval_doa_batch, pair_directions
 from foagen.panorama import CameraSpec, make_fov_cuts, read_frame, write_frame
 
@@ -244,7 +245,7 @@ def test_eval_doa_counts_a_pair_it_cannot_load_and_scores_the_rest(tmp_path, cap
     assert kv["evaluated"] == "2"
     assert kv["excluded"] == "0"
     assert kv["failed"] == "1"
-    assert kv["failed.p01.wav"] == "CorruptHeader"
+    assert kv["failed.p01.wav"] == "CorruptHeader chunk b'fmt ' truncated"
     good = [
         pair_directions(read_wav(truth_dir / n), read_wav(est_dir / n)) for n in ("p00.wav", "p02.wav")
     ]
@@ -258,7 +259,21 @@ def test_eval_doa_counts_a_mono_file_as_unsupported(tmp_path, capsys):
     assert code == 0
     assert kv["evaluated"] == "1"
     assert kv["failed"] == "1"
-    assert kv["failed.p00.wav"] == "ChannelCountUnsupported"
+    assert kv["failed.p00.wav"] == "ChannelCountUnsupported expected a 4-channel input file, got 1 channels"
+
+
+def test_eval_doa_prints_a_failed_pair_on_one_line(tmp_path, capsys, monkeypatch):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 2)
+
+    def refuse_p01(path, ambix=False):
+        if Path(path).name == "p01.wav":
+            raise CorruptHeader("first\nsecond")
+        return read_wav(path, ambix=ambix)
+
+    monkeypatch.setattr(cli, "read_wav", refuse_p01)
+    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", "2")
+    assert code == 0
+    assert kv["failed.p01.wav"] == "CorruptHeader first second"
 
 
 def test_eval_doa_with_no_loadable_pair_is_an_empty_batch(tmp_path, capsys):
@@ -269,7 +284,7 @@ def test_eval_doa_with_no_loadable_pair_is_an_empty_batch(tmp_path, capsys):
     assert code == 1
     assert kv["error"] == "EmptyBatch no signal pairs to evaluate"
     assert kv["failed"] == "2"
-    assert kv["failed.p00.wav"] == kv["failed.p01.wav"] == "CorruptHeader"
+    assert kv["failed.p00.wav"] == kv["failed.p01.wav"] == "CorruptHeader chunk b'fmt ' truncated"
     assert "evaluated" not in kv
 
 
@@ -340,6 +355,21 @@ def test_eval_stft_identical_files(tmp_path, capsys):
     code, kv = run_cli(capsys, "eval-stft", a, a, "--windows", "256,512")
     assert code == 0
     assert float(kv["stft_distance"]) == 0.0
+
+
+def test_eval_stft_refuses_a_silent_reference(tmp_path, capsys):
+    a = tmp_path / "a.wav"
+    run_cli(capsys, "spatialize", _mono_wav(tmp_path / "m.wav", n=4000), a, "--theta", "0.3")
+    silent = tmp_path / "silent.wav"
+    write_wav(FoaSignal(np.zeros((4, 4000)), RATE), silent)
+    for b in (silent, a):
+        code, kv = run_cli(capsys, "eval-stft", silent, b, "--windows", "256", "--jobs", "2")
+        assert code == 1
+        assert kv["error"] == "ZeroEnergy the reference spectrogram at window 256 is zero"
+        assert "stft_distance" not in kv
+    code, kv = run_cli(capsys, "eval-stft", a, silent, "--windows", "256")
+    assert code == 0
+    assert math.isfinite(float(kv["stft_distance"]))
 
 
 def test_pad_erp(tmp_path, capsys):
@@ -1085,6 +1115,7 @@ def test_jobs_default_is_usable_cpu_count(tmp_path, capsys):
     ("eval-doa", ["t.wav", "e.wav"]),
     ("cut-fov", ["erp.ppm", "cuts"]),
     ("clean", ["manifest.jsonl"]),
+    ("eval-stft", ["a.wav", "b.wav"]),
 ])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_fail_cleanly(tmp_path, capsys, command, inputs, jobs):

@@ -161,8 +161,10 @@ RUNS = [
     ("eval-doa-file", ["eval-doa", "{}/truth/p0.wav", "{}/estimate/p0.wav", "--jobs", "1"]),
     ("eval-fd", ["eval-fd", "{}/a.txt", "{}/b.txt"]),
     ("eval-kl", ["eval-kl", "{}/p.txt", "{}/q.txt"]),
-    ("eval-stft", ["eval-stft", "{}/truth/p0.wav", "{}/estimate/p0.wav", "--windows", "64,256"]),
-    ("eval-stft-ambix", ["eval-stft", "{}/st.wav", "{}/st16.wav", "--windows", "128", "--hop", "0.5", "--ambix"]),
+    ("eval-stft", ["eval-stft", "{}/truth/p0.wav", "{}/estimate/p0.wav", "--windows", "64,256",
+                   "--jobs", "2"]),
+    ("eval-stft-ambix", ["eval-stft", "{}/st.wav", "{}/st16.wav", "--windows", "128", "--hop", "0.5", "--ambix",
+                         "--jobs", "1"]),
     ("pad-erp", ["pad-erp", "{}/erp8.pgm", "{}/pad8.pgm"]),
     ("pad-erp-16", ["pad-erp", "{}/erp16.ppm", "{}/pad16.ppm", "--bit-depth", "16"]),
     ("cut-fov-jobs1", ["cut-fov", "{}/erp8.pgm", "{}/cuts1", "--preset", "4cuts", "--width", "16",

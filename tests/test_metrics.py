@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,9 +13,10 @@ from foagen.errors import (
     NumericalFailure,
     OutOfRange,
     SupportViolation,
+    ZeroEnergy,
 )
 from foagen import metrics
-from foagen.foa import Direction, FoaSignal, MonoSignal, spatialize_mono
+from foagen.foa import Direction, FoaSignal, MonoSignal, StereoSignal, spatialize_mono, stereo_to_foa
 from foagen.metrics import (
     StftConfig,
     eval_doa_batch,
@@ -175,8 +178,12 @@ def _tone(freq: float, scale: float, n: int = 8192, rate: int = 44100) -> FoaSig
 def test_stft_identity_and_zeros():
     a = _tone(440.0, 1.0)
     assert multires_stft_distance(a, a) == 0.0
+    # Spectral convergence divides by the reference's norm: a silent
+    # reference has none, against itself as against anything else.
     zeros = FoaSignal((np.zeros(4096),) * 4, 44100)
-    assert multires_stft_distance(zeros, zeros) == 0.0
+    for b in (zeros, a):
+        with pytest.raises(ZeroEnergy, match="window 512"):
+            multires_stft_distance(zeros, FoaSignal(b.channels[:, :4096], 44100))
 
 
 def test_stft_scale_closer_than_detune():
@@ -233,13 +240,10 @@ def _oracle_stft_distance(a: FoaSignal, b: FoaSignal, config: StftConfig) -> flo
     per_resolution = []
     for window in config.window_sizes:
         hop = max(1, int(round(window * config.hop_fraction)))
-        terms = []
-        for ca, cb in zip(a.channels, b.channels):
-            mag_a, mag_b = magnitudes(ca, window, hop), magnitudes(cb, window, hop)
-            log_term = np.mean(np.abs(np.log(mag_a + 1e-8) - np.log(mag_b + 1e-8)))
-            norm_a = max(float(np.linalg.norm(mag_a)), 1e-12)
-            terms.append(log_term + np.linalg.norm(mag_a - mag_b) / norm_a)
-        per_resolution.append(0.25 * float(np.sum(terms)))
+        mag_a = np.stack([magnitudes(c, window, hop) for c in a.channels])
+        mag_b = np.stack([magnitudes(c, window, hop) for c in b.channels])
+        log_term = np.mean(np.abs(np.log(mag_a + 1e-8) - np.log(mag_b + 1e-8)))
+        per_resolution.append(log_term + np.linalg.norm(mag_a - mag_b) / np.linalg.norm(mag_a))
     return float(np.mean(per_resolution))
 
 
@@ -285,7 +289,7 @@ def test_stft_oracle_cases_end_in_a_partial_block():
 
 @pytest.mark.parametrize("silent", ["reference", "both"])
 def test_stft_silent_channel_matches_the_oracle(silent):
-    # A silent reference channel divides by the norm floor, not by zero.
+    # The other channels' energy normalizes the spectral convergence.
     a, b = _noise_foa(6000, seed=3), _noise_foa(6000, seed=4)
     zero = np.zeros(6000)
     a = FoaSignal([a.w, zero, a.y, a.z], a.sample_rate)
@@ -294,6 +298,98 @@ def test_stft_silent_channel_matches_the_oracle(silent):
     want = _oracle_stft_distance(a, b, SMALL)
     assert multires_stft_distance(a, b, SMALL) == pytest.approx(want, rel=1e-12)
     assert multires_stft_distance(a, a, SMALL) == 0.0
+
+
+def test_stft_of_a_stereo_derived_pair_is_finite_in_both_orders():
+    # stereo_to_foa leaves the y and z channels at zero, so a convergence
+    # taken channel by channel would divide by their zero norm.
+    rng = np.random.default_rng(0)
+    a = stereo_to_foa(StereoSignal(0.3 * rng.standard_normal((2, 16000)), 16000))
+    b = FoaSignal(a.channels + 1e-3 * rng.standard_normal((4, 16000)), 16000)
+    for config, want in ((StftConfig(window_sizes=(128,)), 6.58), (StftConfig(), 7.10)):
+        forward, swapped = multires_stft_distance(a, b, config), multires_stft_distance(b, a, config)
+        assert forward == pytest.approx(want, abs=0.005)
+        assert swapped == pytest.approx(forward, rel=1e-6)
+        assert multires_stft_distance(a, a, config) == 0.0
+
+
+# --- the block pool --------------------------------------------------------------
+
+
+def _block_counts(n: int, config: StftConfig) -> list[int]:
+    """Blocks per resolution of an n-sample float64 FOA signal."""
+    counts = []
+    for window in config.window_sizes:
+        hop = max(1, int(round(window * config.hop_fraction)))
+        frames = (max(n, window) - window) // hop + 1
+        counts.append(-(-frames // _block_frames(window)))
+    return counts
+
+
+def test_stft_does_not_depend_on_jobs():
+    a, b = _noise_foa(40000, seed=7), _noise_foa(40000, seed=8)
+    blocks = _block_counts(40000, StftConfig())
+    assert min(blocks) >= 4
+    want = multires_stft_distance(a, b, jobs=1)
+    for jobs in (2, 3, max(blocks) + 1):
+        assert multires_stft_distance(a, b, jobs=jobs) == want  # same bits
+
+
+def _traced_blocks(monkeypatch):
+    """Patch the block function to record the most blocks in flight at once,
+    the most threads alive during a block, and the threads that ran one."""
+    lock = threading.Lock()
+    seen = {"in_flight": 0, "peak": 0, "threads": 0, "idents": set()}
+    block_sums = metrics._block_sums
+
+    def traced(*args):
+        with lock:
+            seen["in_flight"] += 1
+            seen["peak"] = max(seen["peak"], seen["in_flight"])
+            seen["threads"] = max(seen["threads"], threading.active_count())
+            seen["idents"].add(threading.get_ident())
+        try:
+            time.sleep(0.01)  # give the other workers time to overlap
+            return block_sums(*args)
+        finally:
+            with lock:
+                seen["in_flight"] -= 1
+
+    monkeypatch.setattr(metrics, "_block_sums", traced)
+    return seen
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_stft_computes_at_most_jobs_blocks_at_once(monkeypatch, jobs):
+    config = StftConfig(window_sizes=(512,))
+    a, b = _noise_foa(20000, seed=9), _noise_foa(20000, seed=10)
+    assert _block_counts(20000, config) == [10]
+    seen = _traced_blocks(monkeypatch)
+    multires_stft_distance(a, b, config, jobs=jobs)
+    assert 1 <= seen["peak"] <= jobs
+    assert len(seen["idents"]) == jobs
+    if jobs == 1:  # the caller's own thread, no pool
+        assert seen["idents"] == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("n, blocks", [(2000, 1), (512 + 40 * 128, 3)])
+def test_stft_starts_no_more_workers_than_blocks(monkeypatch, n, blocks):
+    config = StftConfig(window_sizes=(512,))
+    assert _block_counts(n, config) == [blocks]
+    a, b = _noise_foa(n, seed=11), _noise_foa(n, seed=12)
+    seen = _traced_blocks(monkeypatch)
+    before = threading.active_count()
+    multires_stft_distance(a, b, config, jobs=64)
+    assert seen["threads"] <= before + (blocks if blocks > 1 else 0)
+    assert len(seen["idents"]) <= blocks
+    assert threading.active_count() == before
+
+
+def test_stft_refuses_jobs_below_one():
+    a = _noise_foa(1000, seed=13)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            multires_stft_distance(a, a, jobs=jobs)
 
 
 def test_stft_memory_is_bounded_by_the_block():
