@@ -40,7 +40,7 @@ import struct
 import numpy as np
 
 from . import container
-from .errors import CorruptHeader, ParseError, SpecMismatch, UnsupportedFormat
+from .errors import CorruptHeader, FoagenError, ParseError, SpecMismatch, UnsupportedFormat
 from .foa import signal_type
 
 MATRIX_MAGIC = b"FMAT0001"
@@ -104,10 +104,20 @@ def read_wav(path, ambix: bool = False):
         ChannelCountUnsupported: a channel count no signal type holds.
         ParseError: a float32 payload holding a NaN or infinite sample.
         IoFailure: the underlying read failed.
+
+    Each message names ``path`` once.
     """
-    blob = container.read_bytes(path)
+    blob = container.read_bytes(path)  # an IoFailure names the path itself
+    try:
+        return _decode_wav(blob, ambix)
+    except FoagenError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decode_wav(blob: bytes, ambix: bool):
+    """:func:`read_wav` of a file's bytes; no message names the file."""
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise CorruptHeader(f"{path} is not a RIFF/WAVE file")
+        raise CorruptHeader("not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -152,7 +162,7 @@ def read_wav(path, ambix: bool = False):
         return kind(matrix, sample_rate)
     except ValueError:
         # A signal refuses no decoded sample but a non-finite float32 one.
-        raise ParseError(f"{path}: float32 payload holds non-finite samples") from None
+        raise ParseError("float32 payload holds non-finite samples") from None
 
 
 def write_wav(signal, path, encoding: str = "float32", ambix: bool = False) -> None:
@@ -244,17 +254,6 @@ def read_matrix(path) -> np.ndarray:
     matrix = reader.floats(reader.ints("<QQ"))
     reader.end()
     return matrix
-
-
-def write_matrix_text(path, matrix) -> None:
-    """Write a matrix as delimited text, one row per line, values in ``%.17g``."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ValueError("matrix must be 1-D or 2-D")
-    text = "".join(" ".join("%.17g" % value for value in row) + "\n" for row in arr)
-    container.write_bytes(path, text.encode("utf-8"))
 
 
 def read_matrix_text(path) -> np.ndarray:

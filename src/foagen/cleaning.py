@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -295,12 +295,6 @@ def read_manifest(path) -> list[ClipManifestEntry]:
     return entries
 
 
-def write_manifest(path, entries) -> None:
-    """Write entries as line-delimited JSON, one clip per line."""
-    text = "".join(json.dumps(asdict(entry)) + "\n" for entry in entries)
-    container.write_bytes(path, text.encode("utf-8"))
-
-
 # --- the pipeline -----------------------------------------------------------------
 
 FILTER_ORDER = ("stationary", "silent", "speech", "alignment")
@@ -364,7 +358,8 @@ def _evaluate_entry(
     skipped: list[str] = []
 
     if entry.frames_pattern:
-        pattern = resolve(entry.frames_pattern)
+        # Only the manifest's pattern is one: the base directory is literal.
+        pattern = os.path.join(glob.escape(base_dir or ""), entry.frames_pattern)
         # glob refuses a NUL byte with ValueError; no file's name holds one.
         frame_paths = [] if "\x00" in pattern else sorted(glob.glob(pattern))
         try:

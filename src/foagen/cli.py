@@ -107,11 +107,13 @@ def _print_config(args: argparse.Namespace) -> None:
         _emit(f"config.{key}", getattr(args, key))
 
 
-def _require(signal, kind):
-    """``signal`` if it is a ``kind``, else ChannelCountUnsupported."""
+def _require(path, kind, ambix=False):
+    """The WAV file at ``path`` if it holds a ``kind`` signal, else
+    ChannelCountUnsupported naming the file."""
+    signal = read_wav(path, ambix=ambix)
     if not isinstance(signal, kind):
         raise ChannelCountUnsupported(
-            f"expected a {kind.n_channels}-channel input file, "
+            f"{path}: expected a {kind.n_channels}-channel input file, "
             f"got {len(signal.channels)} channels"
         )
     return signal
@@ -125,7 +127,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_spatialize(args) -> int:
-    mono = _require(read_wav(args.input), MonoSignal)
+    mono = _require(args.input, MonoSignal)
     direction = Direction(
         _angle_in(args.theta, args.degrees), _angle_in(args.phi, args.degrees)
     )
@@ -138,7 +140,7 @@ def _cmd_spatialize(args) -> int:
 
 
 def _cmd_stereo2foa(args) -> int:
-    stereo = _require(read_wav(args.input), StereoSignal)
+    stereo = _require(args.input, StereoSignal)
     foa = stereo_to_foa(stereo)
     write_wav(foa, args.output, args.encoding, ambix=args.ambix)
     _emit("samples", foa.w.shape[0])
@@ -147,7 +149,7 @@ def _cmd_stereo2foa(args) -> int:
 
 
 def _cmd_doa(args) -> int:
-    foa = _require(read_wav(args.input, ambix=args.ambix), FoaSignal)
+    foa = _require(args.input, FoaSignal, ambix=args.ambix)
     direction = estimate_doa(foa)
     _emit_angle("theta", direction.azimuth, args.degrees)
     _emit_angle("phi", direction.elevation, args.degrees)
@@ -185,8 +187,8 @@ def _cmd_eval_doa(args) -> int:
         # Only the directions or an error's description leave the task, so
         # no signal outlives it: at most ``jobs`` pairs are held at once.
         try:
-            truth = _require(read_wav(pair[0], ambix=args.ambix), FoaSignal)
-            estimate = _require(read_wav(pair[1], ambix=args.ambix), FoaSignal)
+            truth = _require(pair[0], FoaSignal, ambix=args.ambix)
+            estimate = _require(pair[1], FoaSignal, ambix=args.ambix)
         except FoagenError as exc:
             return _describe(exc)
         return pair_directions(truth, estimate)
@@ -227,8 +229,8 @@ def _cmd_eval_kl(args) -> int:
 
 
 def _cmd_eval_stft(args) -> int:
-    a = _require(read_wav(args.a, ambix=args.ambix), FoaSignal)
-    b = _require(read_wav(args.b, ambix=args.ambix), FoaSignal)
+    a = _require(args.a, FoaSignal, ambix=args.ambix)
+    b = _require(args.b, FoaSignal, ambix=args.ambix)
     config = StftConfig(window_sizes=_int_list(args.windows), hop_fraction=args.hop)
     _emit("stft_distance", multires_stft_distance(a, b, config, jobs=args.jobs))
     return 0
@@ -539,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add(subparsers, "clean", _cmd_clean, "Run the cleaning filters over a JSONL manifest.")
     p.add_argument("manifest")
     p.add_argument("--report", default="report.jsonl", help="output report path")
-    p.add_argument("--base-dir", default="", help="prefix for relative audio/frame paths")
+    p.add_argument("--base-dir", default="", help="prefix for relative audio/frame paths, taken literally: only frames_pattern is a glob")
     # Each threshold flag's dest names the FilterThresholds field it sets.
     p.add_argument("--silence-dbfs", type=float, default=FilterThresholds.silence_dbfs, help="window silence threshold (dBFS)")
     p.add_argument("--silence-ratio", type=float, default=FilterThresholds.silence_ratio, help="silent-window ratio above which a clip is removed")

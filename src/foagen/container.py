@@ -76,7 +76,9 @@ def _read(path, limit: int | None) -> tuple[bytes, int]:
         finally:
             os.close(fd)
     except (OSError, ValueError) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        # An OSError's own text repeats the path; its strerror does not.
+        reason = getattr(exc, "strerror", None) or exc
+        raise IoFailure(f"cannot read {path}: {reason}") from exc
 
 
 # Bytes asked of each read after the first.

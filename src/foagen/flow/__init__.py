@@ -1,6 +1,6 @@
 """Flow-matching engine: path, masking, network, training, sampling."""
 
-from .path import TimeSampler, interpolate, sample_time, velocity_target
+from .path import TimeSampler, sample_time
 from .masking import MaskSpec, MaskedLatent, make_mask, max_spans, random_mask_spec
 from .network import VelocityModel, build_condition, load_model, save_model
 from .training import TrainConfig, cfm_loss, train
@@ -30,7 +30,6 @@ __all__ = [
     "cfg_velocity",
     "cfm_loss",
     "euler_sample",
-    "interpolate",
     "load_model",
     "make_mask",
     "max_spans",
@@ -43,5 +42,4 @@ __all__ = [
     "save_model",
     "train",
     "train_mixture",
-    "velocity_target",
 ]

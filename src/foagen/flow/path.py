@@ -59,21 +59,6 @@ def _point_and_target(x0: np.ndarray, x1: np.ndarray, t) -> tuple[np.ndarray, np
     return t * x1 + (1.0 - t) * x0, x1 - x0
 
 
-def interpolate(x0, x1, t) -> np.ndarray:
-    """Point on the noise-to-data path at time t.
-
-    ``t`` is a scalar or a vector holding one time per row (frame).
-    """
-    a, b = _check_pair(x0, x1)
-    return _point_and_target(a, b, _check_time(t, a.shape[0]))[0]
-
-
-def velocity_target(x0, x1) -> np.ndarray:
-    """Regression target for the velocity field: x1 - x0."""
-    a, b = _check_pair(x0, x1)
-    return _point_and_target(a, b, 0.0)[1]
-
-
 @dataclass(frozen=True)
 class TimeSampler:
     """Law for drawing path times: uniform on [0, 1] or logit-normal.

@@ -19,7 +19,6 @@ from foagen.cleaning import (
     silence_verdict,
     speech_filter,
     window_dbfs,
-    write_manifest,
     write_report,
 )
 from foagen.errors import (
@@ -33,6 +32,8 @@ from foagen.errors import (
 )
 from foagen.foa import MonoSignal
 from foagen.panorama import StationarityResult, read_frame, stationarity_verdict, write_frame
+
+from _inputs import write_manifest
 
 RATE = 1000  # 20 ms windows are 20 samples at this rate
 
@@ -322,6 +323,16 @@ def test_run_pipeline_reasons_and_counts(tmp_path):
     }
     assert report.skipped["a_quiet_wordy"] == ["stationary"]
     assert report.skipped["c_missing"] == ["stationary", "silent", "speech"]
+    assert "b_loud_ok" not in report.skipped
+
+
+def test_run_pipeline_takes_the_base_dir_literally(tmp_path):
+    # "[1]" is part of the directory's name, not a glob character class.
+    base = tmp_path / "run[1]"
+    base.mkdir()
+    entries, base_dir = _pipeline_fixture(base)
+    report = run_pipeline(entries, base_dir=base_dir)
+    assert report.removed["d_static"] == ["stationary"]
     assert "b_loud_ok" not in report.skipped
 
 

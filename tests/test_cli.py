@@ -17,10 +17,9 @@ from foagen.audio_io import (
     read_matrix,
     read_wav,
     write_matrix,
-    write_matrix_text,
     write_wav,
 )
-from foagen.cleaning import ClipManifestEntry, FilterThresholds, write_manifest
+from foagen.cleaning import ClipManifestEntry, FilterThresholds
 from foagen.container import encode, write_bytes
 from foagen.errors import CorruptHeader
 from foagen import cli
@@ -40,6 +39,8 @@ from foagen.flow.network import CHECKPOINT_MAGIC
 from foagen.foa import Direction, FoaSignal, MonoSignal, StereoSignal, spatialize_mono
 from foagen.metrics import StftConfig, eval_doa_batch, pair_directions
 from foagen.panorama import CameraSpec, make_fov_cuts, read_frame, write_frame
+
+from _inputs import write_manifest
 
 RATE = 16000
 
@@ -245,7 +246,8 @@ def test_eval_doa_counts_a_pair_it_cannot_load_and_scores_the_rest(tmp_path, cap
     assert kv["evaluated"] == "2"
     assert kv["excluded"] == "0"
     assert kv["failed"] == "1"
-    assert kv["failed.p01.wav"] == "CorruptHeader chunk b'fmt ' truncated"
+    # The line is keyed by the truth file's name; its message names the bad file.
+    assert kv["failed.p01.wav"] == f"CorruptHeader {bad}: chunk b'fmt ' truncated"
     good = [
         pair_directions(read_wav(truth_dir / n), read_wav(est_dir / n)) for n in ("p00.wav", "p02.wav")
     ]
@@ -259,7 +261,9 @@ def test_eval_doa_counts_a_mono_file_as_unsupported(tmp_path, capsys):
     assert code == 0
     assert kv["evaluated"] == "1"
     assert kv["failed"] == "1"
-    assert kv["failed.p00.wav"] == "ChannelCountUnsupported expected a 4-channel input file, got 1 channels"
+    assert kv["failed.p00.wav"] == (
+        f"ChannelCountUnsupported {truth_dir / 'p00.wav'}: expected a 4-channel input file, got 1 channels"
+    )
 
 
 def test_eval_doa_prints_a_failed_pair_on_one_line(tmp_path, capsys, monkeypatch):
@@ -284,7 +288,8 @@ def test_eval_doa_with_no_loadable_pair_is_an_empty_batch(tmp_path, capsys):
     assert code == 1
     assert kv["error"] == "EmptyBatch no signal pairs to evaluate"
     assert kv["failed"] == "2"
-    assert kv["failed.p00.wav"] == kv["failed.p01.wav"] == "CorruptHeader chunk b'fmt ' truncated"
+    for name in ("p00.wav", "p01.wav"):
+        assert kv[f"failed.{name}"] == f"CorruptHeader {est_dir / name}: chunk b'fmt ' truncated"
     assert "evaluated" not in kv
 
 
@@ -335,14 +340,14 @@ def test_eval_fd_and_kl(tmp_path, capsys):
     assert code == 0
     assert float(kv["fd"]) < 1e-8
 
-    write_matrix_text(tmp_path / "p.txt", np.array([0.5, 0.5]))
-    write_matrix_text(tmp_path / "q.txt", np.array([0.25, 0.75]))
+    np.savetxt(tmp_path / "p.txt", [[0.5, 0.5]], fmt="%.17g")
+    np.savetxt(tmp_path / "q.txt", [[0.25, 0.75]], fmt="%.17g")
     code, kv = run_cli(capsys, "eval-kl", tmp_path / "p.txt", tmp_path / "q.txt")
     assert code == 0
     expect = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
     assert abs(float(kv["kl"]) - expect) < 1e-12
 
-    write_matrix_text(tmp_path / "z.txt", np.array([1.0, 0.0]))
+    np.savetxt(tmp_path / "z.txt", [[1.0, 0.0]], fmt="%.17g")
     code, kv = run_cli(capsys, "eval-kl", tmp_path / "p.txt", tmp_path / "z.txt")
     assert code == 1
     assert kv["error"].startswith("SupportViolation")
@@ -910,7 +915,7 @@ def test_fm_sample_condition_matches_the_library(source, cfg_scale, tmp_path, ca
     condition = mixture_condition(1)
     if source == "--cond":
         condition = np.array([0.25, -1.5, 3.0, 1e-3])
-        write_matrix_text(tmp_path / "c.txt", condition)
+        np.savetxt(tmp_path / "c.txt", [condition], fmt="%.17g")
         flag = ["--cond", tmp_path / "c.txt"]
     else:
         flag = ["--mixture-class", "1"]
@@ -1056,7 +1061,7 @@ def test_fm_sample_condition_flags_exclusive(tmp_path, capsys):
         capsys, "fm-train", "--data", tmp_path / "x.fmat",
         "--steps", "5", "--batch", "2", "--seed", "0", "--save", ckpt,
     )
-    write_matrix_text(tmp_path / "c.txt", np.array([1.0, 0.0]))
+    np.savetxt(tmp_path / "c.txt", [[1.0, 0.0]], fmt="%.17g")
     code, kv = run_cli(
         capsys, "fm-sample", "--model", ckpt,
         "--cond", tmp_path / "c.txt", "--mixture-class", "1",

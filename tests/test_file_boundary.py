@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from foagen import container
-from foagen.audio_io import write_matrix, write_matrix_text, write_wav
-from foagen.cleaning import ClipManifestEntry, FilterReport, write_manifest, write_report
+from foagen.audio_io import write_matrix, write_wav
+from foagen.cleaning import FilterReport, write_report
 from foagen.errors import IoFailure
 from foagen.flow import mixture_model, save_model
 from foagen.foa import MonoSignal
@@ -66,11 +66,7 @@ WRITERS = {
     "write_frame.pgm": lambda path: write_frame(path / "x.pgm", np.zeros((2, 4, 1))),
     "write_frame.fframe": lambda path: write_frame(path / "x.fframe", np.zeros((2, 4, 1))),
     "write_matrix": lambda path: write_matrix(path / "x.fmat", np.zeros((2, 2))),
-    "write_matrix_text": lambda path: write_matrix_text(path / "x.txt", np.zeros((2, 2))),
     "save_model": lambda path: save_model(mixture_model(), path / "x.fgvm"),
-    "write_manifest": lambda path: write_manifest(
-        path / "x.jsonl", [ClipManifestEntry("a", "a.wav", 1.0, 8000)]
-    ),
     "write_report": lambda path: write_report(path / "x.jsonl", _report()),
 }
 

@@ -11,11 +11,13 @@ import argparse
 import numpy as np
 
 from foagen import cli
-from foagen.audio_io import write_matrix_text, write_wav
-from foagen.cleaning import ClipManifestEntry, write_manifest
+from foagen.audio_io import write_wav
+from foagen.cleaning import ClipManifestEntry
 from foagen.flow import mixture_model, save_model
 from foagen.foa import Direction, MonoSignal, spatialize_mono
 from foagen.panorama import write_frame
+
+from _inputs import write_manifest
 
 VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", str(2**31))
 HUGE = str(2**31)
@@ -50,7 +52,7 @@ def _inputs(tmp):
     write_manifest(tmp / "m.jsonl", [ClipManifestEntry(
         "a", "mono.wav", 0.1, 16000, frames_pattern="f*.pgm", word_count=3, alignment_score=1.5,
     )])
-    write_matrix_text(tmp / "d.txt", rng.standard_normal((4, 2)))
+    np.savetxt(tmp / "d.txt", rng.standard_normal((4, 2)), fmt="%.17g")
     save_model(mixture_model(), tmp / "m.fgvm")
     return {
         "spatialize": ["spatialize", tmp / "mono.wav", tmp / "out.wav", "--theta", "0.5"],

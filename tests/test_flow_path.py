@@ -4,59 +4,59 @@ import numpy as np
 import pytest
 
 from foagen.errors import ShapeMismatch
-from foagen.flow import TimeSampler, interpolate, sample_time, velocity_target
+from foagen.flow import TimeSampler, VelocityModel, cfm_loss, sample_time
+from foagen.flow.path import _check_time, _point_and_target
 
 
 def test_interpolate_endpoints_exact():
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((5, 3))
     x1 = rng.standard_normal((5, 3))
-    np.testing.assert_array_equal(interpolate(x0, x1, 0.0), x0)
-    np.testing.assert_array_equal(interpolate(x0, x1, 1.0), x1)
+    np.testing.assert_array_equal(_point_and_target(x0, x1, 0.0)[0], x0)
+    np.testing.assert_array_equal(_point_and_target(x0, x1, 1.0)[0], x1)
 
 
 def test_interpolate_midpoint():
-    got = interpolate(np.array([[0.0, 0.0]]), np.array([[2.0, 4.0]]), 0.5)
-    np.testing.assert_array_equal(got, [[1.0, 2.0]])
+    point, target = _point_and_target(np.array([[0.0, 0.0]]), np.array([[2.0, 4.0]]), 0.5)
+    np.testing.assert_array_equal(point, [[1.0, 2.0]])
+    np.testing.assert_array_equal(target, [[2.0, 4.0]])
 
 
-def test_interpolate_validation():
+def test_path_inputs_are_checked_through_cfm_loss():
+    # cfm_loss is the public entry of the path's input checks.
+    model = VelocityModel.initialize(2, 0, (4,), np.random.default_rng(5))
+
+    def loss(x0, x1, t):
+        return cfm_loss(model, x0, x1, t, None, np.ones(len(x0)))
+
+    x = np.zeros((3, 2))
+    assert np.isfinite(loss(x, x, np.array([0.0, 0.5, 1.0]))[0])
     with pytest.raises(ShapeMismatch):
-        interpolate(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
-    with pytest.raises(ValueError):
-        interpolate(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
+        loss(np.zeros((2, 2)), x, 0.5)
+    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\], got 1.5"):
+        loss(x, x, 1.5)
+    with pytest.raises(ShapeMismatch, match="one value per row"):
+        loss(x, x, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="on every row"):
+        loss(x, x, np.array([0.5, 1.5, 0.5]))
     with pytest.raises(ValueError, match="x0 must be a non-empty 2-D"):
-        interpolate(np.zeros((0, 2)), np.zeros((0, 2)), 0.5)
+        loss(np.zeros((0, 2)), np.zeros((0, 2)), 0.5)
     with pytest.raises(ValueError, match="x1 contains non-finite"):
-        interpolate(np.zeros((1, 2)), [[0.0, np.inf]], 0.5)
-
-
-def test_velocity_target():
-    np.testing.assert_array_equal(
-        velocity_target(np.array([[1.0]]), np.array([[3.0]])), [[2.0]]
-    )
-    x = np.random.default_rng(1).standard_normal((4, 2))
-    np.testing.assert_array_equal(velocity_target(x, x), np.zeros_like(x))
+        loss(np.zeros((1, 2)), [[0.0, np.inf]], 0.5)
 
 
 def test_velocity_is_path_derivative():
-    # the target equals the finite difference of the path at any t, h
+    # the target is x1 - x0 and equals the finite difference of the path
+    # at any t, h; the point lies t of the way along it from x0
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((3, 4))
     x1 = rng.standard_normal((3, 4))
-    u = velocity_target(x0, x1)
     for t, h in ((0.0, 0.5), (0.25, 0.25), (0.3, 0.17)):
-        fd = (interpolate(x0, x1, t + h) - interpolate(x0, x1, t)) / h
+        point, u = _point_and_target(x0, x1, t)
+        np.testing.assert_array_equal(u, x1 - x0)
+        fd = (_point_and_target(x0, x1, t + h)[0] - point) / h
         np.testing.assert_allclose(fd, u, atol=1e-12)
-
-
-def test_path_consistency_identity():
-    rng = np.random.default_rng(3)
-    x0 = rng.standard_normal((6, 2))
-    x1 = rng.standard_normal((6, 2))
-    u = velocity_target(x0, x1)
-    for t in (0.1, 0.5, 0.9):
-        np.testing.assert_allclose(interpolate(x0, x1, t) - x0, t * u, atol=1e-12)
+        np.testing.assert_allclose(point - x0, t * u, atol=1e-12)
 
 
 def test_time_sampler_validation():
@@ -106,10 +106,6 @@ def test_interpolate_per_row_times():
     x0 = rng.standard_normal((3, 2))
     x1 = rng.standard_normal((3, 2))
     t = np.array([0.0, 0.25, 1.0])
-    got = interpolate(x0, x1, t)
+    got = _point_and_target(x0, x1, _check_time(t, 3))[0]
     for row, t_row in enumerate(t):
-        np.testing.assert_array_equal(got[row], interpolate(x0, x1, t_row)[row])
-    with pytest.raises(ShapeMismatch):
-        interpolate(x0, x1, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        interpolate(x0, x1, np.array([0.5, 1.5, 0.5]))
+        np.testing.assert_array_equal(got[row], _point_and_target(x0, x1, t_row)[0][row])

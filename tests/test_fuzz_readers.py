@@ -20,14 +20,15 @@ from foagen.audio_io import (
     read_matrix_text,
     read_wav,
     write_matrix,
-    write_matrix_text,
     write_wav,
 )
-from foagen.cleaning import ClipManifestEntry, read_manifest, write_manifest
+from foagen.cleaning import ClipManifestEntry, read_manifest
 from foagen.errors import FoagenError
 from foagen.flow.network import VelocityModel, load_model, save_model
 from foagen.foa import FoaSignal, MonoSignal
 from foagen.panorama import check_frame, read_frame, write_frame
+
+from _inputs import write_manifest
 
 FUZZ = settings(
     derandomize=True,
@@ -56,7 +57,7 @@ def _valid_files(root: Path) -> dict[str, list[bytes]]:
     write_frame(paths["frame"][2], rng.random((2, 4, 3)))
     write_matrix(paths["matrix"][0], rng.standard_normal((3, 2)))
     save_model(VelocityModel.initialize(2, 1, (3,), rng), paths["model"][0])
-    write_matrix_text(paths["text"][0], rng.standard_normal((2, 3)))
+    np.savetxt(paths["text"][0], rng.standard_normal((2, 3)), fmt="%.17g")
     write_manifest(paths["manifest"][0], [
         ClipManifestEntry("a", "a.wav", 1.5, 16000, "a_*.pgm", ("x",), 3, 1.25),
         ClipManifestEntry("b", "b.wav", 2.0, 8000),

@@ -4,8 +4,10 @@ A default that no call overrides is a constant in disguise: it widens the
 signature, and its value is stated where no reader looks for a constant.
 This walks every function in ``src/foagen`` and every call in ``src/``,
 ``tests/`` and ``perfbench/``, matching calls by name. A call of a class
-counts as a call of its ``__init__``; a ``*args`` or ``**kwargs`` at a
-call site counts as passing every parameter it could fill.
+counts as a call of its ``__init__``; ``<x>.call(f, *args, **kwargs)``,
+how the benchmark times a library call, counts as ``f(*args, **kwargs)``;
+a ``*args`` or ``**kwargs`` at a call site counts as passing every
+parameter it could fill.
 """
 
 import ast
@@ -61,28 +63,37 @@ def _functions():
                 yield name, path.relative_to(ROOT), node.lineno, position, param
 
 
-def _called_name(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
+def _name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
     return None
 
 
-def _passed():
+def _called(call: ast.Call) -> tuple[str | None, list[ast.expr]]:
+    """The called name and the positional arguments it receives; through
+    ``<x>.call(f, ...)`` that is f's name and the arguments after f."""
+    func, args = call.func, call.args
+    if isinstance(func, ast.Attribute) and func.attr == "call" and args:
+        return _name(args[0]), args[1:]
+    return _name(func), args
+
+
+def _passed(callers=CALLERS):
     """Called name -> the positions and keywords some call passes; "*" and
     "**" stand for a star argument that could fill any of them."""
     passed = defaultdict(set)
-    for directory in CALLERS:
+    for directory in callers:
         for _, tree in _trees(ROOT / directory):
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
-                name = _called_name(node)
+                name, args = _called(node)
                 if name is None:
                     continue
                 seen = passed[name]
-                for position, arg in enumerate(node.args):
+                for position, arg in enumerate(args):
                     seen.add("*" if isinstance(arg, ast.Starred) else position)
                 for keyword in node.keywords:
                     seen.add("**" if keyword.arg is None else keyword.arg)
@@ -115,3 +126,7 @@ def test_the_guard_sees_positional_keyword_and_class_calls():
     passed = _passed()
     assert 2 in passed["Reader"]
     assert "bit_depth" in passed["write_frame"]
+    # perfbench's infill pass samples through ops.call(flow.euler_sample, ...).
+    benchmark = _passed(("perfbench",))
+    assert {"masked_cond", "local"} <= benchmark["euler_sample"]
+    assert 1 in benchmark["euler_sample"]  # steps, after the model
