@@ -45,17 +45,31 @@ def test_path_inputs_are_checked_through_cfm_loss():
         loss(np.zeros((1, 2)), [[0.0, np.inf]], 0.5)
 
 
+def test_velocity_target():
+    np.testing.assert_array_equal(
+        _point_and_target(np.array([[1.0]]), np.array([[3.0]]), 0.5)[1], [[2.0]]
+    )
+    x = np.random.default_rng(1).standard_normal((4, 2))
+    np.testing.assert_array_equal(_point_and_target(x, x, 0.5)[1], np.zeros_like(x))
+
+
 def test_velocity_is_path_derivative():
-    # the target is x1 - x0 and equals the finite difference of the path
-    # at any t, h; the point lies t of the way along it from x0
+    # the target equals the finite difference of the path at any t, h
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((3, 4))
     x1 = rng.standard_normal((3, 4))
     for t, h in ((0.0, 0.5), (0.25, 0.25), (0.3, 0.17)):
         point, u = _point_and_target(x0, x1, t)
-        np.testing.assert_array_equal(u, x1 - x0)
         fd = (_point_and_target(x0, x1, t + h)[0] - point) / h
         np.testing.assert_allclose(fd, u, atol=1e-12)
+
+
+def test_path_consistency_identity():
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((6, 2))
+    x1 = rng.standard_normal((6, 2))
+    for t in (0.1, 0.5, 0.9):
+        point, u = _point_and_target(x0, x1, t)
         np.testing.assert_allclose(point - x0, t * u, atol=1e-12)
 
 
