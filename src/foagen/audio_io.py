@@ -103,6 +103,7 @@ def read_wav(path, ambix: bool = False):
             ``WAV_ENCODINGS`` does not hold.
         ChannelCountUnsupported: a channel count no signal type holds.
         ParseError: a float32 payload holding a NaN or infinite sample.
+        SpecMismatch: ``ambix`` on a file that is not 4-channel.
         IoFailure: the underlying read failed.
 
     Each message names ``path`` once.

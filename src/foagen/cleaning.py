@@ -195,50 +195,33 @@ def alignment_filter(
 
 # --- segmentation ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClipSpan:
-    """A fixed-length span of a clip, in seconds and in samples."""
+def segment_clips(n_samples: int, sample_rate: int, clip_seconds: float) -> list[slice]:
+    """Non-overlapping fixed-length clips of an ``n_samples`` signal, as
+    sample slices; the trailing remainder is dropped.
 
-    index: int
-    start_seconds: float
-    end_seconds: float
-    start_sample: int
-    end_sample: int
-
-
-def segment_clips(entry: ClipManifestEntry, clip_seconds: float) -> list[ClipSpan]:
-    """Non-overlapping fixed-length spans; trailing remainder is dropped.
-
-    Each span holds ``round(clip_seconds * sample_rate)`` samples, and the
-    count is taken in whole samples, so every span lies inside the signal.
+    Each clip holds ``round(clip_seconds * sample_rate)`` samples, so every
+    clip lies inside the signal.
 
     Raises:
         ValueError: when ``clip_seconds`` is not positive and finite, is
-            shorter than one sample at the entry's rate, or is so long that
+            shorter than one sample at ``sample_rate``, or is so long that
             its sample count overflows a float.
     """
     if not 0.0 < clip_seconds < math.inf:
         raise ValueError(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
-    clip_samples = clip_seconds * entry.sample_rate
+    clip_samples = clip_seconds * sample_rate
     if math.isinf(clip_samples):
         raise ValueError(
-            f"clip_seconds {clip_seconds!r} overflows a sample count at {entry.sample_rate} Hz"
+            f"clip_seconds {clip_seconds!r} overflows a sample count at {sample_rate} Hz"
         )
     samples_per_clip = int(round(clip_samples))
     if samples_per_clip < 1:
         raise ValueError(
-            f"clip_seconds {clip_seconds!r} is shorter than one sample at {entry.sample_rate} Hz"
+            f"clip_seconds {clip_seconds!r} is shorter than one sample at {sample_rate} Hz"
         )
-    count = int(round(entry.duration * entry.sample_rate)) // samples_per_clip
     return [
-        ClipSpan(
-            index=k,
-            start_seconds=k * clip_seconds,
-            end_seconds=(k + 1) * clip_seconds,
-            start_sample=k * samples_per_clip,
-            end_sample=(k + 1) * samples_per_clip,
-        )
-        for k in range(count)
+        slice(k * samples_per_clip, (k + 1) * samples_per_clip)
+        for k in range(n_samples // samples_per_clip)
     ]
 
 
@@ -297,7 +280,34 @@ def read_manifest(path) -> list[ClipManifestEntry]:
 
 # --- the pipeline -----------------------------------------------------------------
 
-FILTER_ORDER = ("stationary", "silent", "speech", "alignment")
+def _stationary(entry: ClipManifestEntry, thresholds: FilterThresholds, base_dir: str) -> bool:
+    """:func:`~foagen.panorama.settle_stationarity`'s verdict over the
+    frames the entry's pattern matches."""
+    if not entry.frames_pattern:
+        raise MissingScore(f"entry {entry.id!r} has no frames_pattern")
+    # Only the manifest's pattern is one: the base directory is literal.
+    pattern = os.path.join(glob.escape(base_dir), entry.frames_pattern)
+    # glob refuses a NUL byte with ValueError; no file's name holds one.
+    frame_paths = [] if "\x00" in pattern else sorted(glob.glob(pattern))
+    return settle_stationarity(
+        frame_paths, thresholds.frame_interval, thresholds.frame_mse, thresholds.stationary_ratio
+    )
+
+
+def _silent(entry: ClipManifestEntry, thresholds: FilterThresholds, base_dir: str) -> bool:
+    signal = read_wav(os.path.join(base_dir, entry.audio_path))
+    return silence_verdict(signal.channels, signal.sample_rate, thresholds).silent
+
+
+# Each filter in report order; True removes the entry, and a FoagenError
+# (a missing score, an unreadable or too-short input) skips the filter.
+_FILTERS = {
+    "stationary": _stationary,
+    "silent": _silent,
+    "speech": lambda entry, thresholds, _: not speech_filter(entry, thresholds.max_words),
+    "alignment": lambda entry, thresholds, _: not alignment_filter(entry, thresholds.min_alignment),
+}
+FILTER_ORDER = tuple(_FILTERS)
 
 
 @dataclass
@@ -343,67 +353,24 @@ def write_report(path, report: FilterReport) -> None:
 def _evaluate_entry(
     entry: ClipManifestEntry,
     thresholds: FilterThresholds,
-    base_dir: str | None,
+    base_dir: str,
 ) -> tuple[str, list[str], list[str]]:
-    """Run every applicable filter; reasons and skip notes accumulate.
-
-    The stationarity verdict over the frames the pattern matches is
-    :func:`~foagen.panorama.settle_stationarity`'s: any frame or pair it
-    cannot judge skips the filter.
-    """
-    def resolve(path: str) -> str:
-        return os.path.join(base_dir or "", path)
-
+    """Run every filter; reasons and skip notes accumulate."""
     reasons: list[str] = []
     skipped: list[str] = []
-
-    if entry.frames_pattern:
-        # Only the manifest's pattern is one: the base directory is literal.
-        pattern = os.path.join(glob.escape(base_dir or ""), entry.frames_pattern)
-        # glob refuses a NUL byte with ValueError; no file's name holds one.
-        frame_paths = [] if "\x00" in pattern else sorted(glob.glob(pattern))
+    for name, removes in _FILTERS.items():
         try:
-            if settle_stationarity(
-                frame_paths,
-                thresholds.frame_interval,
-                thresholds.frame_mse,
-                thresholds.stationary_ratio,
-            ):
-                reasons.append("stationary")
+            if removes(entry, thresholds, base_dir):
+                reasons.append(name)
         except FoagenError:
-            # Unreadable or too-short sequences cannot be judged.
-            skipped.append("stationary")
-    else:
-        skipped.append("stationary")
-
-    try:
-        # A missing or unreadable WAV fails as IoFailure and is skipped.
-        signal = read_wav(resolve(entry.audio_path))
-        result = silence_verdict(signal.channels, signal.sample_rate, thresholds)
-        if result.silent:
-            reasons.append("silent")
-    except FoagenError:
-        skipped.append("silent")
-
-    try:
-        if not speech_filter(entry, thresholds.max_words):
-            reasons.append("speech")
-    except MissingScore:
-        skipped.append("speech")
-
-    try:
-        if not alignment_filter(entry, thresholds.min_alignment):
-            reasons.append("alignment")
-    except MissingScore:
-        skipped.append("alignment")
-
+            skipped.append(name)
     return entry.id, reasons, skipped
 
 
 def run_pipeline(
     entries,
     thresholds: FilterThresholds | None = None,
-    base_dir: str | None = None,
+    base_dir: str = "",
     jobs: int = 1,
 ) -> FilterReport:
     """Evaluate every entry against every applicable filter.
@@ -421,16 +388,11 @@ def run_pipeline(
         results = list(
             pool.map(lambda e: _evaluate_entry(e, thresholds, base_dir), entries)
         )
-
-    report = FilterReport(evaluated=len(entries))
-    report.counts = {name: 0 for name in FILTER_ORDER}
-    for entry_id, reasons, skipped in results:
-        if skipped:
-            report.skipped[entry_id] = skipped
-        if reasons:
-            report.removed[entry_id] = reasons
-            for reason in reasons:
-                report.counts[reason] += 1
-        else:
-            report.kept.append(entry_id)
-    return report
+    removed = {entry_id: reasons for entry_id, reasons, _ in results if reasons}
+    return FilterReport(
+        kept=[entry_id for entry_id, reasons, _ in results if not reasons],
+        removed=removed,
+        skipped={entry_id: skips for entry_id, _, skips in results if skips},
+        counts={name: sum(name in r for r in removed.values()) for name in FILTER_ORDER},
+        evaluated=len(entries),
+    )

@@ -23,7 +23,6 @@ from . import container
 from .audio_io import WAV_ENCODINGS, read_matrix_any, read_wav, write_matrix, write_wav
 from .cleaning import (
     FILTER_ORDER,
-    ClipManifestEntry,
     FilterThresholds,
     read_manifest,
     run_pipeline,
@@ -286,9 +285,7 @@ def _cmd_clean(args) -> int:
     thresholds = FilterThresholds(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(FilterThresholds)}
     )
-    report = run_pipeline(
-        entries, thresholds, base_dir=args.base_dir or None, jobs=args.jobs
-    )
+    report = run_pipeline(entries, thresholds, base_dir=args.base_dir, jobs=args.jobs)
     write_report(args.report, report)
     _emit("evaluated", report.evaluated)
     _emit("kept", len(report.kept))
@@ -303,27 +300,18 @@ def _cmd_clean(args) -> int:
 
 def _cmd_segment(args) -> int:
     signal = read_wav(args.input)
-    duration = signal.n_samples / signal.sample_rate
-    entry = ClipManifestEntry(
-        id=Path(args.input).stem,
-        audio_path=str(args.input),
-        duration=duration,
-        sample_rate=signal.sample_rate,
-    )
-    spans = segment_clips(entry, clip_seconds=args.clip_seconds)
-    _emit("segments", len(spans))
+    clips = segment_clips(signal.n_samples, signal.sample_rate, args.clip_seconds)
+    _emit("segments", len(clips))
     outdir = Path(args.outdir) if args.outdir else None
     if outdir is not None:
         container.make_dirs(outdir)
-    for span in spans:
-        _emit(f"segment.{span.index}", f"{span.start_sample}:{span.end_sample}")
+    for index, clip in enumerate(clips):
+        _emit(f"segment.{index}", f"{clip.start}:{clip.stop}")
         if outdir is not None:
-            piece = signal_from_channels(
-                signal.channels[:, span.start_sample : span.end_sample], signal.sample_rate
-            )
-            path = outdir / f"{entry.id}_seg{span.index:03d}.wav"
+            piece = signal_from_channels(signal.channels[:, clip], signal.sample_rate)
+            path = outdir / f"{Path(args.input).stem}_seg{index:03d}.wav"
             write_wav(piece, path)
-            _emit(f"segment.{span.index}.file", path)
+            _emit(f"segment.{index}.file", path)
     return 0
 
 
@@ -356,23 +344,20 @@ def _cmd_mask_stats(args) -> int:
     return 0
 
 
+def _given(**values) -> dict:
+    """The keyword arguments whose flag was given, that is, is not None."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _resolve_train_config(args, fixture: bool) -> TrainConfig:
-    base = MIXTURE_TRAIN if fixture else TrainConfig()
-    sampler = base.time_sampler
-    if args.time_sampler is not None:
-        sampler = TimeSampler(
-            args.time_sampler,
-            mu=args.mu if args.mu is not None else TimeSampler.mu,
-            sigma=args.sigma if args.sigma is not None else TimeSampler.sigma,
-        )
-    return dataclasses.replace(
-        base,
-        learning_rate=args.lr if args.lr is not None else base.learning_rate,
-        batch_size=args.batch if args.batch is not None else base.batch_size,
-        steps=args.steps if args.steps is not None else base.steps,
-        seed=args.seed if args.seed is not None else base.seed,
-        time_sampler=sampler,
+    overrides = _given(
+        learning_rate=args.lr, batch_size=args.batch, steps=args.steps, seed=args.seed
     )
+    if args.time_sampler is not None:
+        overrides["time_sampler"] = TimeSampler(
+            args.time_sampler, **_given(mu=args.mu, sigma=args.sigma)
+        )
+    return dataclasses.replace(MIXTURE_TRAIN if fixture else TrainConfig(), **overrides)
 
 
 def _cmd_fm_train(args) -> int:

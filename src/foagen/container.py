@@ -76,9 +76,15 @@ def _read(path, limit: int | None) -> tuple[bytes, int]:
         finally:
             os.close(fd)
     except (OSError, ValueError) as exc:
-        # An OSError's own text repeats the path; its strerror does not.
-        reason = getattr(exc, "strerror", None) or exc
-        raise IoFailure(f"cannot read {path}: {reason}") from exc
+        raise _failure("cannot read", path, exc) from exc
+
+
+def _failure(action: str, path, exc: OSError | ValueError) -> IoFailure:
+    """``IoFailure("<action> <path>: <reason>")`` for an OS call that
+    failed on ``path``, or refused it with ValueError for a NUL byte."""
+    # An OSError's own text repeats the path; its strerror does not.
+    reason = getattr(exc, "strerror", None) or exc
+    return IoFailure(f"{action} {path}: {reason}")
 
 
 # Bytes asked of each read after the first.
@@ -116,8 +122,8 @@ def write_bytes(path, *parts) -> None:
         with open(path, "wb") as fh:
             for part in parts:
                 fh.write(part)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise _failure("cannot write", path, exc) from exc
 
 
 def make_dirs(path) -> None:
@@ -125,8 +131,8 @@ def make_dirs(path) -> None:
     directory is kept."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise _failure("cannot create directory", path, exc) from exc
 
 
 def encode(magic: bytes, header_fmt: str, header, arrays) -> list:

@@ -130,44 +130,37 @@ def test_alignment_filter_boundary():
 
 
 def test_segment_clips_spans():
-    entry = ClipManifestEntry("a", "a.wav", 35.0, 16000)
-    spans = segment_clips(entry, clip_seconds=10.0)
-    assert len(spans) == 3  # trailing 5 s dropped
-    assert spans[1].start_seconds == 10.0
-    assert spans[1].end_seconds == 20.0
-    assert spans[1].start_sample == 160000
-    assert spans[1].end_sample == 320000
-    assert segment_clips(ClipManifestEntry("b", "b.wav", 9.99, 16000), clip_seconds=10.0) == []
-    with pytest.raises(ValueError):
-        segment_clips(entry, clip_seconds=0.0)
+    clips = segment_clips(35 * 16000, 16000, 10.0)
+    assert len(clips) == 3  # trailing 5 s dropped
+    assert clips[1] == slice(160000, 320000)
+    assert segment_clips(159840, 16000, 10.0) == []  # 9.99 s
+    with pytest.raises(ValueError, match="clip_seconds must be positive and finite, got 0.0"):
+        segment_clips(35 * 16000, 16000, 0.0)
 
 
 def test_segment_clips_count_whole_samples():
-    # 1.5 samples per clip rounds to 2: 800 spans of a 1600-sample signal,
+    # 1.5 samples per clip rounds to 2: 800 clips of a 1600-sample signal,
     # where a count in seconds made 1066 and ran past its end.
-    entry = ClipManifestEntry("a", "a.wav", 1600 / 16000, 16000)
-    spans = segment_clips(entry, clip_seconds=1.5 / 16000)
-    assert len(spans) == 800
-    assert (spans[-1].start_sample, spans[-1].end_sample) == (1598, 1600)
+    clips = segment_clips(1600, 16000, 1.5 / 16000)
+    assert len(clips) == 800
+    assert clips[-1] == slice(1598, 1600)
     # 0.3 / 0.1 is 2.9999999999999996 in floating point
-    assert len(segment_clips(ClipManifestEntry("b", "b.wav", 0.3, 1000), clip_seconds=0.1)) == 3
+    assert len(segment_clips(300, 1000, 0.1)) == 3
 
 
 def test_segment_clips_refuse_a_clip_shorter_than_one_sample():
-    entry = ClipManifestEntry("a", "a.wav", 0.1, 16000)
     with pytest.raises(ValueError, match="shorter than one sample at 16000 Hz"):
-        segment_clips(entry, clip_seconds=1e-9)
+        segment_clips(1600, 16000, 1e-9)
     with pytest.raises(ValueError, match="shorter than one sample"):
-        segment_clips(entry, clip_seconds=0.4 / 16000)
-    assert len(segment_clips(entry, clip_seconds=0.6 / 16000)) == 1600  # rounds up to one
+        segment_clips(1600, 16000, 0.4 / 16000)
+    assert len(segment_clips(1600, 16000, 0.6 / 16000)) == 1600  # rounds up to one
 
 
 def test_segment_clips_refuse_a_clip_whose_sample_count_overflows():
-    entry = ClipManifestEntry("a", "a.wav", 0.1, 16000)
     # 1e305 s times 16000 Hz is infinite in floating point
     with pytest.raises(ValueError, match=r"clip_seconds 1e\+305 overflows a sample count at 16000 Hz"):
-        segment_clips(entry, clip_seconds=1e305)
-    assert segment_clips(entry, clip_seconds=1e300) == []  # finite, longer than the entry
+        segment_clips(1600, 16000, 1e305)
+    assert segment_clips(1600, 16000, 1e300) == []  # finite, longer than the signal
 
 
 def test_manifest_round_trip(tmp_path):

@@ -87,6 +87,21 @@ def test_make_dirs_keeps_a_directory_and_fails_on_a_file_as_io_failure(tmp_path)
             container.make_dirs(path)
 
 
+def test_write_failures_name_the_path_once(tmp_path):
+    # make_dirs creates missing parents, so its OS failure is a file in the way.
+    (tmp_path / "f").write_bytes(b"")
+    cases = [
+        (lambda path: container.write_bytes(path, b"x"), "cannot write",
+         tmp_path / "missing" / "x.bin", "No such file or directory"),
+        (container.make_dirs, "cannot create directory", tmp_path / "f" / "sub", "Not a directory"),
+    ]
+    for write, action, os_path, os_reason in cases:
+        for path, reason in ((os_path, os_reason), ("a\x00b.bin", "embedded null byte")):
+            with pytest.raises(IoFailure) as raised:
+                write(path)
+            assert str(raised.value) == f"{action} {path}: {reason}"
+
+
 def test_write_report_summary_failure_is_io_failure(tmp_path):
     (tmp_path / "r.jsonl.summary").mkdir()  # the report is writable, its summary not
     with pytest.raises(IoFailure):

@@ -4,7 +4,9 @@ A default that no call overrides is a constant in disguise: it widens the
 signature, and its value is stated where no reader looks for a constant.
 This walks every function in ``src/foagen`` and every call in ``src/``,
 ``tests/`` and ``perfbench/``, matching calls by name. A call of a class
-counts as a call of its ``__init__``; ``<x>.call(f, *args, **kwargs)``,
+counts as a call of its ``__init__``, and the defaulted fields of a
+``@dataclass`` are that ``__init__``'s parameters, in field order, with
+``ClassVar`` ones left out; ``<x>.call(f, *args, **kwargs)``,
 how the benchmark times a library call, counts as ``f(*args, **kwargs)``;
 a ``*args`` or ``**kwargs`` at a call site counts as passing every
 parameter it could fill.
@@ -40,13 +42,36 @@ def _defaulted(func: ast.FunctionDef, method: bool):
             yield None, arg.arg
 
 
+def _fields(cls: ast.ClassDef):
+    """(line, position, name) of each defaulted field of a ``@dataclass``
+    class, else nothing."""
+    if not any(
+        _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in cls.decorator_list
+    ):
+        return
+    assert not cls.bases, f"{cls.name}: inherited fields would shift the positions"
+    fields = [
+        item for item in cls.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.unparse(item.annotation)
+    ]
+    for position, item in enumerate(fields):
+        if item.value is not None:
+            yield item.lineno, position, item.target.id
+
+
 def _functions():
     """(called name, file, line, position, parameter) of each defaulted
-    parameter in the package; an ``__init__`` is called by its class name."""
+    parameter in the package; an ``__init__`` or a dataclass field is
+    called by its class name."""
     for path, tree in _trees(PACKAGE):
         methods = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
+                for line, position, param in _fields(node):
+                    yield node.name, path.relative_to(ROOT), line, position, param
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         static = any(
@@ -130,3 +155,18 @@ def test_the_guard_sees_positional_keyword_and_class_calls():
     benchmark = _passed(("perfbench",))
     assert {"masked_cond", "local"} <= benchmark["euler_sample"]
     assert 1 in benchmark["euler_sample"]  # steps, after the model
+
+
+def test_the_guard_sees_dataclass_fields():
+    functions = {(name, param): position for name, _, _, position, param in _functions()}
+    # panorama.fov_cameras builds CameraSpec(yaw, pitch, hfov, out_width, out_height).
+    assert functions[("CameraSpec", "out_height")] == 4
+    assert 4 in _passed(("src",))["CameraSpec"]
+    # flow/fixtures.py freezes MIXTURE_TRAIN with TrainConfig(..., lr_tail=0.5).
+    assert ("TrainConfig", "lr_tail") in functions
+    assert "lr_tail" in _passed(("src",))["TrainConfig"]
+    # A ClassVar is no parameter and takes no position.
+    cls = ast.parse(
+        "@dataclass(frozen=True)\nclass C:\n    a: int\n    k: ClassVar[int] = 4\n    b: int = 1\n"
+    ).body[0]
+    assert list(_fields(cls)) == [(5, 1, "b")]
