@@ -51,7 +51,7 @@ from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence
 from .panorama import (
     FOV_PRESETS,
     CameraSpec,
-    encode_frame,
+    encode_stored,
     erp_to_perspective,
     fov_cameras,
     pad_to_square,
@@ -254,20 +254,21 @@ def _cmd_cut_fov(args) -> int:
     # Cuts sample the stored pixels; the ERP is never decoded whole.
     frame = read_stored(args.input)
     cameras = fov_cameras(args.preset, args.hfov / DEGREES, args.width, args.height)
+    # Cuts keep the ERP's format and are named by it: an anymap's are
+    # quantized to --bit-depth block by block as they render, so no task
+    # holds a float cut; a float container's stay float.
+    bit_depth = None if frame.maxval is None else args.bit_depth
     stem = Path(args.input).stem
-    suffix = Path(args.input).suffix or ".pgm"
     outdir = Path(args.outdir)
-    paths = [outdir / f"{stem}_cut{i}{suffix}" for i in range(len(cameras))]
+    paths = [outdir / f"{stem}_cut{i}{frame.suffix}" for i in range(len(cameras))]
     container.make_dirs(outdir)
 
     def encode_cut(i):
-        # Each task holds one float cut; only its file's bytes come back.
-        return encode_frame(paths[i], erp_to_perspective(frame, cameras[i]), args.bit_depth)
+        return encode_stored(erp_to_perspective(frame, cameras[i], bit_depth))
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         encoded = list(pool.map(encode_cut, range(len(cameras))))
 
-    # Every cut has encoded, so a cut that cannot be stored leaves no file.
     _emit("frames", len(cameras))
     for i, (cam, path, parts) in enumerate(zip(cameras, paths, encoded)):
         container.write_bytes(path, *parts)
@@ -520,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hfov", type=float, default=120.0, help="horizontal field of view in degrees")
     p.add_argument("--width", type=int, default=CameraSpec.out_width)
     p.add_argument("--height", type=int, default=CameraSpec.out_height)
-    p.add_argument("--bit-depth", type=int, choices=(8, 16), default=8)
+    p.add_argument("--bit-depth", type=int, choices=(8, 16), default=8,
+                   help="bits per sample of anymap cuts; a .fframe ERP gives float cuts")
     p.add_argument("--jobs", type=int, help="parallel cut rendering; unset: usable CPU count")
 
     p = _add(subparsers, "clean", _cmd_clean, "Run the cleaning filters over a JSONL manifest.")

@@ -167,12 +167,46 @@ def _bilinear_wrap_clamp(
         np.add(top, bottom, out=samples[:, c])
 
 
-# Output pixels per block of erp_to_perspective. Each per-pixel temporary
-# of a block then holds 16384 float64 values, 128 KiB, and stays in cache.
+# Pixels per block of erp_to_perspective and of anymap quantization. Each
+# per-pixel temporary of a block then holds 16384 float64 values, 128 KiB,
+# and stays in cache.
 _BLOCK_PIXELS = 1 << 14
 
 
-def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
+def _block_rows(width: int) -> int:
+    """Rows per block of whole rows of ``width`` pixels: about
+    ``_BLOCK_PIXELS`` pixels, or one row when a row is wider."""
+    return max(1, _BLOCK_PIXELS // width)
+
+
+def _anymap_dtype(bit_depth: int) -> np.dtype:
+    """The stored type of an anymap's pixels at ``bit_depth``."""
+    if bit_depth not in (8, 16):
+        raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
+    return np.dtype("u1" if bit_depth == 8 else ">u2")
+
+
+def _quantize(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Store ``rint(values * maxval)``, clipped to [0, maxval], in the
+    anymap integers ``out``; ``+-inf`` clips like any out-of-range value.
+
+    ``maxval`` is the largest value of ``out``'s type. ``scratch`` is a
+    float64 array of ``values``' shape for the scaled values, and may be
+    ``values`` itself.
+
+    Raises:
+        ValueError: when a value is NaN; ``out`` is then left unwritten.
+    """
+    maxval = np.iinfo(out.dtype).max
+    np.multiply(values, maxval, out=scratch)
+    np.rint(scratch, out=scratch)
+    np.clip(scratch, 0, maxval, out=scratch)  # NaN stays NaN
+    if np.isnan(scratch).any():
+        raise ValueError("frame holds NaN, which an anymap cannot store")
+    out[...] = scratch
+
+
+def erp_to_perspective(erp, camera: CameraSpec, bit_depth: int | None = None) -> np.ndarray:
     """Gnomonic (pinhole) cut of an ERP frame.
 
     Each output pixel's camera-plane ray is rotated by yaw about the
@@ -189,8 +223,14 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
     step is elementwise per output pixel, so the cut does not depend on
     the block size.
 
+    With ``bit_depth`` (8 or 16), each block is quantized as soon as it
+    is rendered and the cut is returned as the ``u1`` or ``>u2`` anymap
+    pixels that :func:`write_frame` stores for the float cut; no float
+    cut is held.
+
     Raises:
         NotErpAspect: when the input is not 2:1.
+        ValueError: with ``bit_depth``, when the cut holds NaN.
     """
     pixels, maxval = erp if isinstance(erp, StoredFrame) else (erp, None)
     frame = _check_erp(pixels if maxval is not None else _as_frame(pixels))
@@ -213,8 +253,14 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
     x_p = cos_p - sin_p * cam_up
     z_w = sin_p + cos_p * cam_up
 
-    out = np.empty((camera.out_height, camera.out_width, channels))
-    rows = max(1, _BLOCK_PIXELS // camera.out_width)
+    shape = (camera.out_height, camera.out_width, channels)
+    rows = _block_rows(camera.out_width)
+    if bit_depth is None:
+        out = np.empty(shape)
+    else:
+        # Each block renders into one float scratch and is quantized there.
+        out = np.empty(shape, _anymap_dtype(bit_depth))
+        scratch = np.empty((rows,) + shape[1:])
     for r0 in range(0, camera.out_height, rows):
         block = slice(r0, r0 + rows)
         x_w = cos_y * x_p[block] - sin_y * cam_left
@@ -223,7 +269,12 @@ def erp_to_perspective(erp, camera: CameraSpec) -> np.ndarray:
         latitude = np.arctan2(z_w[block], np.hypot(x_w, y_w))
         u = (longitude / (2.0 * math.pi) + 0.5) * width
         v = (0.5 - latitude / math.pi) * height
-        _bilinear_wrap_clamp(frame, u, v, maxval, out[block])
+        if bit_depth is None:
+            _bilinear_wrap_clamp(frame, u, v, maxval, out[block])
+        else:
+            values = scratch[: len(u)]  # the last block may be short
+            _bilinear_wrap_clamp(frame, u, v, maxval, values)
+            _quantize(values, out[block], values)
     return out
 
 
@@ -477,21 +528,6 @@ def _exceeds(count: int, comparisons: int, ratio_threshold: float) -> bool:
 # 8- or 16-bit) and the ``.fframe`` float container laid out in
 # foagen.container, which preserves values exactly.
 
-def encode_frame(path, frame, bit_depth: int = 8) -> list:
-    """The byte parts of the file :func:`write_frame` writes at ``path``,
-    in order; the format is chosen by extension (.pgm/.ppm/.fframe).
-
-    Raises what :func:`write_frame` raises before it creates the file.
-    """
-    arr = _as_frame(frame)
-    name = str(path)
-    if name.endswith(".fframe"):
-        return container.encode(FRAME_MAGIC, "<QQQ", arr.shape, [arr])
-    if name.endswith(".pgm") or name.endswith(".ppm"):
-        return _encode_pnm(name, arr, bit_depth)
-    raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
-
-
 def write_frame(path, frame, bit_depth: int = 8) -> None:
     """Write a frame; format chosen by extension (.pgm/.ppm/.fframe).
 
@@ -500,7 +536,29 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
     ValueError before the file is created. ``.fframe`` keeps every value
     exactly, NaN too.
     """
-    container.write_bytes(path, *encode_frame(path, frame, bit_depth))
+    arr = _as_frame(frame)
+    name = str(path)
+    if name.endswith(".fframe"):
+        parts = encode_stored(arr)
+    elif name.endswith(".pgm") or name.endswith(".ppm"):
+        parts = encode_stored(_quantized(name, arr, bit_depth))
+    else:
+        raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
+    container.write_bytes(path, *parts)
+
+
+def encode_stored(pixels: np.ndarray) -> list:
+    """The byte parts of the file that stores (height, width, channels)
+    ``pixels`` as they are: float64 values in the ``.fframe`` container,
+    or ``u1``/``>u2`` integers in an 8- or 16-bit anymap, such as
+    :func:`erp_to_perspective` returns with a ``bit_depth``.
+    """
+    if pixels.dtype == np.float64:
+        return container.encode(FRAME_MAGIC, "<QQQ", pixels.shape, [pixels])
+    height, width, channels = pixels.shape
+    magic = b"P5" if channels == 1 else b"P6"
+    header = b"%s\n%d %d\n%d\n" % (magic, width, height, np.iinfo(pixels.dtype).max)
+    return [header, pixels]
 
 
 class StoredFrame(NamedTuple):
@@ -510,6 +568,14 @@ class StoredFrame(NamedTuple):
 
     pixels: np.ndarray
     maxval: int | None
+
+    @property
+    def suffix(self) -> str:
+        """The extension of the format that stores this frame: ``.fframe``
+        for float pixels, else ``.pgm`` or ``.ppm`` by channel count."""
+        if self.maxval is None:
+            return ".fframe"
+        return ".pgm" if self.pixels.shape[2] == 1 else ".ppm"
 
 
 def read_stored(path) -> StoredFrame:
@@ -576,24 +642,22 @@ def _frame_layout(name: str, head: bytes, size: int) -> _Layout | None:
     raise UnsupportedFormat(f"{name!r} is neither a portable anymap nor a raw frame")
 
 
-def _encode_pnm(name: str, arr: np.ndarray, bit_depth: int) -> list:
-    if bit_depth not in (8, 16):
-        raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
+def _quantized(name: str, arr: np.ndarray, bit_depth: int) -> np.ndarray:
+    """The anymap pixels that store ``arr`` at ``bit_depth`` in the file
+    ``name``, quantized a block of rows at a time."""
+    dtype = _anymap_dtype(bit_depth)
     height, width, channels = arr.shape
     if name.endswith(".pgm") and channels != 1:
         raise UnsupportedFormat("grayscale .pgm needs a single-channel frame")
     if name.endswith(".ppm") and channels != 3:
         raise UnsupportedFormat("color .ppm needs a three-channel frame")
-    if np.isnan(arr).any():
-        raise ValueError(f"frame holds NaN, which {name!r} cannot store")
-    maxval = (1 << bit_depth) - 1
-    quantized = arr * maxval
-    np.rint(quantized, out=quantized)
-    np.clip(quantized, 0, maxval, out=quantized)
-    payload = np.ascontiguousarray(quantized, dtype=">u2" if bit_depth == 16 else "u1")
-    magic = b"P5" if channels == 1 else b"P6"
-    header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
-    return [header, payload]
+    payload = np.empty(arr.shape, dtype)
+    rows = _block_rows(width)
+    scratch = np.empty((rows, width, channels))
+    for r0 in range(0, height, rows):
+        block = arr[r0 : r0 + rows]
+        _quantize(block, payload[r0 : r0 + rows], scratch[: len(block)])
+    return payload
 
 
 # Anymap header: magic, width, height, maxval as whitespace-separated

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -428,44 +429,77 @@ def test_cut_fov_of_an_anymap_matches_the_cuts_of_the_decoded_frame(tmp_path, ca
         assert (outdir / f"erp_cut{i}{suffix}").read_bytes() == want.read_bytes()
 
 
-def test_cut_fov_and_pad_erp_refuse_to_quantize_nan(tmp_path, capsys):
-    # A float-container ERP with no suffix is cut into .pgm files.
+def test_pad_erp_refuses_to_quantize_nan(tmp_path, capsys):
     frame = np.random.default_rng(9).random((8, 16, 1))
+    frame[:, :8] = np.nan
+    write_frame(tmp_path / "erp.fframe", frame)
+    code = main([str(a) for a in ("pad-erp", tmp_path / "erp.fframe", tmp_path / "sq.pgm")])
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("error=ValueError frame holds NaN")
+    assert not (tmp_path / "sq.pgm").exists()
+
+
+def test_cut_fov_of_a_float_erp_writes_float_cuts(tmp_path, capsys):
+    # A float-container ERP, here with no suffix and holding NaN, is cut
+    # into .fframe files that keep every value; --bit-depth is unused.
+    frame = np.random.default_rng(10).random((8, 16, 1))
     frame[:, :8] = np.nan
     erp = tmp_path / "erp"
     write_frame(tmp_path / "erp.fframe", frame)
     (tmp_path / "erp.fframe").rename(erp)
     outdir = tmp_path / "cuts"
-    for argv, output in (
-        (("cut-fov", erp, outdir, "--width", "4", "--height", "4"), outdir / "erp_cut0.pgm"),
-        (("pad-erp", erp, tmp_path / "sq.pgm"), tmp_path / "sq.pgm"),
-    ):
-        code = main([str(a) for a in argv])
-        errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
-        assert code == 1
-        assert len(errors) == 1 and errors[0].startswith("error=ValueError frame holds NaN")
-        assert not output.exists()
-    assert list(outdir.iterdir()) == []
+    code, kv = run_cli(
+        capsys, "cut-fov", erp, outdir, "--preset", "2cuts", "--width", "4", "--height", "4",
+        "--bit-depth", "16",
+    )
+    assert code == 0
+    cuts = make_fov_cuts(frame, "2cuts", math.radians(120.0), 4, 4)
+    assert np.isnan(cuts[0]).any()
+    for i, cut in enumerate(cuts):
+        path = outdir / f"erp_cut{i}.fframe"
+        assert kv[f"frame.{i}"] == str(path)
+        np.testing.assert_array_equal(read_frame(path), cut)
+    assert len(list(outdir.iterdir())) == 2
 
 
-def test_cut_fov_writes_no_cut_when_a_later_cut_cannot_be_stored(tmp_path, capsys):
-    # NaN only at the seam: the front cut encodes, the rear cut cannot.
-    frame = np.random.default_rng(10).random((64, 128, 1))
-    frame[:, :4] = np.nan
-    frame[:, 124:] = np.nan
-    erp = tmp_path / "erp2"
-    write_frame(tmp_path / "erp2.fframe", frame)
-    (tmp_path / "erp2.fframe").rename(erp)
+@pytest.mark.parametrize("name", ["erp", "erp.PPM"])
+def test_cut_fov_names_its_cuts_by_the_format_it_writes(tmp_path, capsys, name):
+    # The ERP is read by its magic bytes, so a P6 file without a suffix,
+    # or with an upper-case one, is cut into .ppm files.
+    write_frame(tmp_path / "made.ppm", np.random.default_rng(11).random((16, 32, 3)))
+    erp = tmp_path / name
+    (tmp_path / "made.ppm").rename(erp)
     outdir = tmp_path / "cuts"
-    code = main([str(a) for a in (
-        "cut-fov", erp, outdir, "--preset", "4cuts", "--width", "8", "--height", "8",
-    )])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
-    assert [line for line in lines if line.startswith("frame")] == []
-    errors = [line for line in lines if line.startswith("error=")]
-    assert len(errors) == 1 and errors[0].startswith("error=ValueError frame holds NaN")
-    assert list(outdir.iterdir()) == []
+    code, kv = run_cli(
+        capsys, "cut-fov", erp, outdir, "--preset", "2cuts", "--width", "6", "--height", "5",
+    )
+    assert code == 0
+    for i, cut in enumerate(make_fov_cuts(read_frame(erp), "2cuts", math.radians(120.0), 6, 5)):
+        want = tmp_path / f"want{i}.ppm"
+        write_frame(want, cut)
+        path = outdir / f"erp_cut{i}.ppm"
+        assert kv[f"frame.{i}"] == str(path)
+        assert path.read_bytes() == want.read_bytes()
+
+
+def test_cut_fov_holds_no_float_cut(tmp_path, capsys):
+    # One float64 1024x1024 colour cut takes 25 MB; cut-fov quantizes
+    # each block of rows as it renders, so its traced peak stays below.
+    write_frame(tmp_path / "erp.ppm", np.random.default_rng(12).random((64, 128, 3)))
+    tracemalloc.start()
+    try:
+        code = main([str(a) for a in (
+            "cut-fov", tmp_path / "erp.ppm", tmp_path / "cuts", "--width", "1024", "--height", "1024",
+            "--jobs", "1",
+        )])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert (tmp_path / "cuts" / "erp_cut0.ppm").stat().st_size == len(b"P6\n1024 1024\n255\n") + 3 * 1024**2
+    assert peak < 1024 * 1024 * 3 * 8, peak
 
 
 @pytest.mark.parametrize("under_the_file", [False, True])

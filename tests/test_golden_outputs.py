@@ -171,6 +171,12 @@ RUNS = [
                        "--height", "12", "--jobs", "1"]),
     ("cut-fov-jobs2", ["cut-fov", "{}/erp16.ppm", "{}/cuts2", "--preset", "2cuts", "--hfov", "90",
                        "--width", "12", "--height", "12", "--bit-depth", "16", "--jobs", "2"]),
+    # 81 rows per render block, the last block partial.
+    ("cut-fov-blocks", ["cut-fov", "{}/erp8.pgm", "{}/cuts3", "--width", "200", "--height", "300",
+                        "--jobs", "1"]),
+    # One row per render block: a row is wider than a block.
+    ("cut-fov-wide", ["cut-fov", "{}/erp16.ppm", "{}/cuts4", "--hfov", "150", "--width", "16400",
+                      "--height", "3", "--bit-depth", "16", "--jobs", "1"]),
     ("clean", ["clean", "{}/manifest.jsonl", "--report", "{}/report.jsonl", "--base-dir", "{}",
                "--frame-interval", "2", "--jobs", "2"]),
     ("segment", ["segment", "{}/mono16.wav", "--clip-seconds", "0.05", "--outdir", "{}/segs"]),

@@ -283,6 +283,60 @@ def test_cut_does_not_depend_on_the_block_size(block, monkeypatch):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, camera)
 
 
+def _stored_payload(tmp_path, cut, bit_depth):
+    """The pixels write_frame stores for a float cut."""
+    path = tmp_path / ("cut.pgm" if cut.shape[2] == 1 else "cut.ppm")
+    write_frame(path, cut, bit_depth=bit_depth)
+    return read_stored(path).pixels
+
+
+@pytest.mark.parametrize("block", [7, 1 << 14])
+@pytest.mark.parametrize("bit_depth", [8, 16])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_quantized_cut_is_the_payload_write_frame_stores(tmp_path, monkeypatch, block, bit_depth, channels):
+    # 7-pixel blocks split every cut below, with a short last block.
+    monkeypatch.setattr(foagen.panorama, "_BLOCK_PIXELS", block)
+    rng = np.random.default_rng(25)
+    base = rng.random((16, 32, channels))
+    erps = {"float": base}
+    for maxval, dtype in ((255, "u1"), (65535, ">u2")):
+        erps[f"stored {dtype}"] = StoredFrame(np.rint(base * maxval).astype(dtype), maxval)
+    # Rows alternating in sign past +-0.9e308: each vertical lerp
+    # overflows to +-inf, which is clipped. A sampled inf corner would
+    # make a NaN instead (inf - inf), which the next test refuses.
+    sign = np.where(np.arange(16)[:, None, None] % 2, 1.0, -1.0)
+    erps["float overflowing"] = sign * (1.0 + 0.98 * base) * 0.9e308
+    cameras = [CameraSpec(0.3, 0.2, 2.0, 9, 13), CameraSpec(math.pi, -0.4, 1.2, 20, 6)]
+    dtype = "u1" if bit_depth == 8 else ">u2"
+    for name, erp in erps.items():
+        for camera in cameras:
+            with np.errstate(over="ignore"):
+                cut = erp_to_perspective(erp, camera)
+                got = erp_to_perspective(erp, camera, bit_depth=bit_depth)
+                want = _stored_payload(tmp_path, cut, bit_depth)
+            if name == "float overflowing":
+                assert np.isposinf(cut).any() and np.isneginf(cut).any() and not np.isnan(cut).any()
+            assert got.dtype == dtype and got.shape == cut.shape, (name, camera)
+            assert got.tobytes() == want.tobytes(), (name, camera)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_quantized_cut_refuses_nan_like_write_frame(tmp_path, value):
+    # A sampled inf corner makes NaN too, so both refuse the cut.
+    erp = np.random.default_rng(26).random((16, 32, 3))
+    erp[5:9, 14:18] = value
+    camera = CameraSpec(0.0, 0.0, 2.0, 8, 8)
+    with np.errstate(invalid="ignore"):
+        cut = erp_to_perspective(erp, camera)
+        assert np.isnan(cut).any()
+        for bit_depth in (8, 16):
+            with pytest.raises(ValueError, match="NaN"):
+                erp_to_perspective(erp, camera, bit_depth=bit_depth)
+            with pytest.raises(ValueError, match="NaN"):
+                write_frame(tmp_path / "cut.ppm", cut, bit_depth=bit_depth)
+    assert not (tmp_path / "cut.ppm").exists()
+
+
 def test_frame_mse_matches_squared_difference_mean():
     rng = np.random.default_rng(22)
     for shape in [(2, 4, 1), (17, 34, 3), (64, 128, 1)]:
