@@ -66,7 +66,7 @@ _BLOCK_FRAMES = 8192
 # One pcm16 code step: 1/32768.
 _PCM16_STEP = 2.0**-15
 
-# Largest value of a 32-bit RIFF size or byte-rate field.
+# Largest value of a 32-bit RIFF size, sample-rate or byte-rate field.
 _U32_MAX = 0xFFFFFFFF
 
 

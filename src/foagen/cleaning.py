@@ -25,12 +25,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import container
-from .audio_io import read_wav
+from .audio_io import _U32_MAX, read_wav
 from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
 from .panorama import settle_stationarity
-
-# The largest sample rate a WAV header's 32-bit field can state.
-_MAX_WAV_RATE = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -60,10 +57,11 @@ class FilterThresholds:
                 raise ValueError(f"{name} must be a number, got nan")
         if not 0.0 < self.window_ms < math.inf:
             raise ValueError(f"window_ms must be positive and finite, got {self.window_ms!r}")
-        # window_dbfs turns the window into a sample count for each clip's rate.
-        if math.isinf(self.window_ms * _MAX_WAV_RATE / 1000.0):
+        # window_dbfs turns the window into a sample count for each clip's
+        # rate, which a WAV header states in a 32-bit field.
+        if math.isinf(self.window_ms * _U32_MAX / 1000.0):
             raise ValueError(
-                f"window_ms {self.window_ms!r} overflows a sample count at {_MAX_WAV_RATE} Hz"
+                f"window_ms {self.window_ms!r} overflows a sample count at {_U32_MAX} Hz"
             )
         if self.frame_interval < 1:
             raise ValueError("frame_interval must be >= 1")

@@ -368,7 +368,7 @@ def _cmd_fm_train(args) -> int:
     for name in ("mu", "sigma"):
         if getattr(args, name) is not None and args.time_sampler is None:
             raise ValueError(f"--{name} needs --time-sampler")
-    for name in ("hidden", "init_seed"):
+    for name in ("hidden", "init_seed", "cond"):
         if getattr(args, name) is not None and args.fixture is not None:
             raise ValueError(f"--{name.replace('_', '-')} cannot be used with --fixture")
     if args.fixture is not None:

@@ -54,10 +54,6 @@ class InfeasibleSpec(FoagenError):
     """A mask specification cannot be satisfied for the sequence length."""
 
 
-class NoMaskedFrames(FoagenError):
-    """A masked-frame loss was requested but the mask selects nothing."""
-
-
 class DivergenceDetected(FoagenError):
     """Training produced a non-finite loss."""
 

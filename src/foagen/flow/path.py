@@ -15,47 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatch
 
-
-def as_latent(x, name: str = "latent") -> np.ndarray:
+def as_latent(x) -> np.ndarray:
     """Validate a (frames, dims) latent sequence and return it as float64."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D (frames, dims) array")
+        raise ValueError("latent must be a non-empty 2-D (frames, dims) array")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("latent contains non-finite values")
     return arr
 
 
-def _check_pair(x0, x1) -> tuple[np.ndarray, np.ndarray]:
-    a = as_latent(x0, "x0")
-    b = as_latent(x1, "x1")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"x0 and x1 shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def _check_time(t, rows: int):
-    """A scalar time as a float, or one time per row as a (rows, 1) column."""
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim == 0:
-        t = float(arr)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {t!r}")
-        return t
-    if arr.shape != (rows,):
-        raise ShapeMismatch(
-            f"t must be a scalar or one value per row ({rows},), got shape {arr.shape}"
-        )
-    if not bool(np.all((arr >= 0.0) & (arr <= 1.0))):
-        raise ValueError("t must lie in [0, 1] on every row")
-    return arr[:, None]
-
-
 def _point_and_target(x0: np.ndarray, x1: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """The path point t*x1 + (1-t)*x0 and the velocity target x1 - x0 of
-    checked inputs; ``t`` is a float or a (rows, 1) column."""
+    """The path point t*x1 + (1-t)*x0 and the velocity target x1 - x0;
+    ``t`` is a float or a column of one or ``rows`` times."""
     return t * x1 + (1.0 - t) * x0, x1 - x0
 
 

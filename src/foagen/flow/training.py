@@ -34,13 +34,10 @@ loss and to every gradient, yet cost a full forward and backward pass.
 Scoring the table gives the same loss and gradients as the per-draw sum,
 up to the order of float summation.
 
-A table is scored by ``_table_loss``, the same core that :func:`cfm_loss`
-runs after its checks, so there is one loss path. :func:`train` calls the
-core directly: the dataset check and the step's own draws already give
-finite float64 rows of matching shapes, times in [0, 1] and a positive
-weight on every row, so re-checking each table would only repeat that
-work. ``tests/test_flow_training.py`` pins that scoring each table through
-:func:`cfm_loss` gives the same trace and weights bit for bit.
+Each table is scored by one call of :func:`cfm_loss`, the one loss
+path, which checks only that the shapes agree. The values need no second
+check: the dataset check and the step's own draws already give finite
+float64 rows, times in [0, 1] and a positive weight on every row.
 
 A table holds at most ``_TABLE_ROWS`` rows. Draws are packed into tables
 greedily by their covered row counts, a draw that covers more rows than
@@ -67,10 +64,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..conditioning import upsample_features
-from ..errors import DivergenceDetected, NoMaskedFrames, ShapeMismatch
+from ..errors import DivergenceDetected, ShapeMismatch
 from .masking import MaskSpec, make_mask, random_mask_spec
 from .network import VelocityModel, build_condition
-from .path import TimeSampler, _check_pair, _check_time, _point_and_target, sample_time
+from .path import TimeSampler, _point_and_target, sample_time
 
 # Most rows one frame table may hold; see the module docstring.
 _TABLE_ROWS = 256
@@ -95,30 +92,31 @@ def cfm_loss(
     frames of one sequence, zero elsewhere, give that sequence's mean
     squared velocity error. :func:`train` stacks the covered rows of a
     step's draws and also divides by the batch size, so scoring its table
-    yields their batch loss; it runs the same core without these checks
-    (see the module docstring).
+    yields their batch loss.
+
+    Only shapes are checked, so that none broadcasts silently; values are
+    the caller's to keep finite, with times in [0, 1].
 
     Raises:
-        NoMaskedFrames: when no weight is positive.
         ShapeMismatch: when x0 and x1 disagree in shape, or ``t`` or
             ``weights`` does not hold one value per row.
     """
-    x0, x1 = _check_pair(x0, x1)
-    xt, target = _point_and_target(x0, x1, _check_time(t, x0.shape[0]))
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (xt.shape[0],):
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise ShapeMismatch(f"x0 and x1 shapes differ: {x0.shape} vs {x1.shape}")
+    rows = x0.shape[0]
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim and times.shape != (rows,):
         raise ShapeMismatch(
-            f"weights must hold one value per row ({xt.shape[0]},), got {weights.shape}"
+            f"t must be a scalar or one value per row ({rows},), got shape {times.shape}"
         )
-    if not bool((weights > 0.0).any()):
-        raise NoMaskedFrames("loss weights select no frames; nothing to train on")
-    return _table_loss(model, xt, target, t, cond, weights)
-
-
-def _table_loss(model: VelocityModel, xt, target, t, cond, weights):
-    """:func:`cfm_loss` of checked inputs: the path point ``xt``, the
-    velocity target (overwritten with the residual), the times as given
-    to the model, the condition and the float64 weights."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (rows,):
+        raise ShapeMismatch(
+            f"weights must hold one value per row ({rows},), got {weights.shape}"
+        )
+    xt, target = _point_and_target(x0, x1, times.reshape(-1, 1))
     predicted, cache = model.forward_cached(t, cond, xt)
     residual = np.subtract(predicted, target, out=target)
     loss = float(weights @ (residual**2).sum(axis=1))
@@ -354,12 +352,13 @@ def train(
                     rows[dropped[first:stop].repeat(n)] = 0.0
                 rows = rows[keep]
             cond = build_condition(view, rows)
-            # Scored without cfm_loss's checks; see the module docstring.
-            t = times[first:stop].repeat(n)[keep]
-            x0 = noise[offsets[first] : offsets[stop]][keep]
-            xt, target = _point_and_target(x0, x1, t[:, None])
-            loss, grads = _table_loss(
-                model, xt, target, t, cond, scales[first:stop].repeat(n)[keep]
+            loss, grads = cfm_loss(
+                model,
+                noise[offsets[first] : offsets[stop]][keep],
+                x1,
+                times[first:stop].repeat(n)[keep],
+                cond,
+                scales[first:stop].repeat(n)[keep],
             )
             batch_loss += loss
             if batch_grads is None:

@@ -104,6 +104,8 @@ def pad_to_square(erp) -> np.ndarray:
     return out
 
 
+# Non-finite lerps give IEEE results, not numpy warnings; see the docstring.
+@np.errstate(over="ignore", invalid="ignore")
 def _bilinear_wrap_clamp(
     erp: np.ndarray, u: np.ndarray, v: np.ndarray, maxval: int | None, out: np.ndarray
 ) -> None:
@@ -122,6 +124,13 @@ def _bilinear_wrap_clamp(
     divided by ``maxval`` into the float buffer, the same division
     :func:`read_frame` makes, so the result is bit-identical to sampling
     the decoded frame.
+
+    Each lerp a + (b - a) * f with a finite gives +-inf where b - a is
+    +-inf (an overflow, or b itself) and f > 0; it gives NaN where f = 0
+    instead, or where a or b is NaN, or a is +-inf. So a vertical lerp
+    that overflows gives +-inf, and a sampled NaN or +-inf corner gives
+    NaN, except a lone +-inf bottom-right corner with both fractions
+    positive, which passes its infinity through.
     """
     height, width, channels = erp.shape
     flat = np.ravel(erp)  # a C-order copy only for a non-contiguous view
@@ -198,7 +207,8 @@ def _quantize(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         ValueError: when a value is NaN; ``out`` is then left unwritten.
     """
     maxval = np.iinfo(out.dtype).max
-    np.multiply(values, maxval, out=scratch)
+    with np.errstate(over="ignore"):  # an overflow is +-inf, clipped below
+        np.multiply(values, maxval, out=scratch)
     np.rint(scratch, out=scratch)
     np.clip(scratch, 0, maxval, out=scratch)  # NaN stays NaN
     if np.isnan(scratch).any():

@@ -88,6 +88,7 @@ def test_flow_spans_see_the_network_calls_of_training_and_sampling(spans):
     recorded, busy = tracer.take()
     net = "flow.network"
     metrics = spans.layer_metrics(recorded, busy, {})
+    assert metrics["flow.training.cfm_loss.calls"] == 2  # train scores each table through it
     assert metrics[f"{net}.forward_cached.calls"] == 2  # one frame table per step
     assert metrics[f"{net}.forward.calls"] == 4  # conditional and unconditional per step
     assert metrics[f"{net}.forward_cached.rows"] == 12

@@ -900,6 +900,7 @@ def test_fm_train_lead_and_trail_windows_are_disjoint(steps, window, tmp_path, c
         ("data", ["--sigma", "2"], "--sigma needs --time-sampler"),
         ("fixture", ["--hidden", "7"], "--hidden cannot be used with --fixture"),
         ("fixture", ["--init-seed", "3"], "--init-seed cannot be used with --fixture"),
+        ("fixture", ["--cond", "missing.fmat"], "--cond cannot be used with --fixture"),
     ],
 )
 def test_fm_train_refuses_flags_that_cannot_act(source, flags, named, tmp_path, capsys):

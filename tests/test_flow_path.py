@@ -5,7 +5,7 @@ import pytest
 
 from foagen.errors import ShapeMismatch
 from foagen.flow import TimeSampler, VelocityModel, cfm_loss, sample_time
-from foagen.flow.path import _check_time, _point_and_target
+from foagen.flow.path import _point_and_target
 
 
 def test_interpolate_endpoints_exact():
@@ -23,7 +23,7 @@ def test_interpolate_midpoint():
 
 
 def test_path_inputs_are_checked_through_cfm_loss():
-    # cfm_loss is the public entry of the path's input checks.
+    # cfm_loss checks that the path's inputs agree in shape.
     model = VelocityModel.initialize(2, 0, (4,), np.random.default_rng(5))
 
     def loss(x0, x1, t):
@@ -33,16 +33,8 @@ def test_path_inputs_are_checked_through_cfm_loss():
     assert np.isfinite(loss(x, x, np.array([0.0, 0.5, 1.0]))[0])
     with pytest.raises(ShapeMismatch):
         loss(np.zeros((2, 2)), x, 0.5)
-    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\], got 1.5"):
-        loss(x, x, 1.5)
     with pytest.raises(ShapeMismatch, match="one value per row"):
         loss(x, x, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="on every row"):
-        loss(x, x, np.array([0.5, 1.5, 0.5]))
-    with pytest.raises(ValueError, match="x0 must be a non-empty 2-D"):
-        loss(np.zeros((0, 2)), np.zeros((0, 2)), 0.5)
-    with pytest.raises(ValueError, match="x1 contains non-finite"):
-        loss(np.zeros((1, 2)), [[0.0, np.inf]], 0.5)
 
 
 def test_velocity_target():
@@ -120,6 +112,6 @@ def test_interpolate_per_row_times():
     x0 = rng.standard_normal((3, 2))
     x1 = rng.standard_normal((3, 2))
     t = np.array([0.0, 0.25, 1.0])
-    got = _point_and_target(x0, x1, _check_time(t, 3))[0]
+    got = _point_and_target(x0, x1, t[:, None])[0]
     for row, t_row in enumerate(t):
         np.testing.assert_array_equal(got[row], _point_and_target(x0, x1, t_row)[0][row])

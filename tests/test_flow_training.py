@@ -274,8 +274,8 @@ def test_frame_tables_match_per_draw_reference(kind, masked_frames_only, p_cond)
 
 
 def _train_through_cfm_loss(model, dataset, config):
-    """``train`` as it builds its frame tables, with every table scored by
-    the public, fully checked :func:`cfm_loss`.
+    """``train`` rebuilt from its documented draws and frame tables, with
+    every table scored by a direct call of :func:`cfm_loss`.
 
     It draws in the same order and packs the same tables, so the trace and
     weights must equal ``train``'s bit for bit.

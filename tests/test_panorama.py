@@ -306,14 +306,16 @@ def test_quantized_cut_is_the_payload_write_frame_stores(tmp_path, monkeypatch, 
     # make a NaN instead (inf - inf), which the next test refuses.
     sign = np.where(np.arange(16)[:, None, None] % 2, 1.0, -1.0)
     erps["float overflowing"] = sign * (1.0 + 0.98 * base) * 0.9e308
+    # Finite lerps whose scaling by maxval overflows to +-inf, which is clipped.
+    sign = np.where(np.arange(channels) % 2, -1.0, 1.0)
+    erps["float past the scale"] = sign * (1.0 + 0.7 * base) * 1e308
     cameras = [CameraSpec(0.3, 0.2, 2.0, 9, 13), CameraSpec(math.pi, -0.4, 1.2, 20, 6)]
     dtype = "u1" if bit_depth == 8 else ">u2"
     for name, erp in erps.items():
         for camera in cameras:
-            with np.errstate(over="ignore"):
-                cut = erp_to_perspective(erp, camera)
-                got = erp_to_perspective(erp, camera, bit_depth=bit_depth)
-                want = _stored_payload(tmp_path, cut, bit_depth)
+            cut = erp_to_perspective(erp, camera)
+            got = erp_to_perspective(erp, camera, bit_depth=bit_depth)
+            want = _stored_payload(tmp_path, cut, bit_depth)
             if name == "float overflowing":
                 assert np.isposinf(cut).any() and np.isneginf(cut).any() and not np.isnan(cut).any()
             assert got.dtype == dtype and got.shape == cut.shape, (name, camera)
@@ -326,14 +328,13 @@ def test_quantized_cut_refuses_nan_like_write_frame(tmp_path, value):
     erp = np.random.default_rng(26).random((16, 32, 3))
     erp[5:9, 14:18] = value
     camera = CameraSpec(0.0, 0.0, 2.0, 8, 8)
-    with np.errstate(invalid="ignore"):
-        cut = erp_to_perspective(erp, camera)
-        assert np.isnan(cut).any()
-        for bit_depth in (8, 16):
-            with pytest.raises(ValueError, match="NaN"):
-                erp_to_perspective(erp, camera, bit_depth=bit_depth)
-            with pytest.raises(ValueError, match="NaN"):
-                write_frame(tmp_path / "cut.ppm", cut, bit_depth=bit_depth)
+    cut = erp_to_perspective(erp, camera)
+    assert np.isnan(cut).any()
+    for bit_depth in (8, 16):
+        with pytest.raises(ValueError, match="NaN"):
+            erp_to_perspective(erp, camera, bit_depth=bit_depth)
+        with pytest.raises(ValueError, match="NaN"):
+            write_frame(tmp_path / "cut.ppm", cut, bit_depth=bit_depth)
     assert not (tmp_path / "cut.ppm").exists()
 
 
