@@ -40,7 +40,7 @@ import struct
 import numpy as np
 
 from . import container
-from .errors import CorruptHeader, FoagenError, ParseError, SpecMismatch, UnsupportedFormat
+from .errors import CorruptHeader, FoagenError, InvalidValue, ParseError, SpecMismatch, UnsupportedFormat
 from .foa import signal_type
 
 MATRIX_MAGIC = b"FMAT0001"
@@ -161,7 +161,7 @@ def _decode_wav(blob: bytes, ambix: bool):
         matrix[0] /= _AMBIX_SCALE
     try:
         return kind(matrix, sample_rate)
-    except ValueError:
+    except InvalidValue:
         # A signal refuses no decoded sample but a non-finite float32 one.
         raise ParseError("float32 payload holds non-finite samples") from None
 
@@ -245,7 +245,7 @@ def write_matrix(path, matrix) -> None:
     """Write a 2-D float64 matrix to the ``.fmat`` container."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError("matrix must be 2-D")
+        raise InvalidValue("matrix must be 2-D")
     container.write_bytes(path, *container.encode(MATRIX_MAGIC, "<QQ", arr.shape, [arr]))
 
 

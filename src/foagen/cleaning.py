@@ -26,7 +26,7 @@ import numpy as np
 
 from . import container
 from .audio_io import _U32_MAX, read_wav
-from .errors import EmptySignal, FoagenError, IoFailure, ManifestParseError, MissingScore
+from .errors import EmptySignal, FoagenError, InvalidValue, IoFailure, ManifestParseError, MissingScore
 from .panorama import settle_stationarity
 
 
@@ -49,22 +49,22 @@ class FilterThresholds:
 
     def __post_init__(self):
         if not 0.0 <= self.silence_ratio <= 1.0:
-            raise ValueError("silence_ratio must lie in [0, 1]")
+            raise InvalidValue("silence_ratio must lie in [0, 1]")
         if not 0.0 <= self.stationary_ratio <= 1.0:
-            raise ValueError("stationary_ratio must lie in [0, 1]")
+            raise InvalidValue("stationary_ratio must lie in [0, 1]")
         for name in ("silence_dbfs", "min_alignment", "frame_mse"):
             if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
+                raise InvalidValue(f"{name} must be a number, got nan")
         if not 0.0 < self.window_ms < math.inf:
-            raise ValueError(f"window_ms must be positive and finite, got {self.window_ms!r}")
+            raise InvalidValue(f"window_ms must be positive and finite, got {self.window_ms!r}")
         # window_dbfs turns the window into a sample count for each clip's
         # rate, which a WAV header states in a 32-bit field.
         if math.isinf(self.window_ms * _U32_MAX / 1000.0):
-            raise ValueError(
+            raise InvalidValue(
                 f"window_ms {self.window_ms!r} overflows a sample count at {_U32_MAX} Hz"
             )
         if self.frame_interval < 1:
-            raise ValueError("frame_interval must be >= 1")
+            raise InvalidValue("frame_interval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,11 @@ class ClipManifestEntry:
             if isinstance(value, bool) or not isinstance(value, kinds[f.name]):
                 raise TypeError(f"{f.name} must be {kinds[f.name].__name__}, got {value!r}")
         if not self.id:
-            raise ValueError("entry id must be non-empty")
+            raise InvalidValue("entry id must be non-empty")
         if self.duration < 0.0 or not math.isfinite(self.duration):
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
+            raise InvalidValue(f"duration must be finite and >= 0, got {self.duration!r}")
         if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+            raise InvalidValue("sample_rate must be positive")
         if not isinstance(self.labels, (list, tuple)) or not all(
             isinstance(label, str) for label in self.labels
         ):
@@ -125,7 +125,7 @@ def window_dbfs(samples, window_ms: float, sample_rate: int) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
-        raise ValueError("samples must be (n,) or (channels, n)")
+        raise InvalidValue("samples must be (n,) or (channels, n)")
     window = int(round(window_ms * sample_rate / 1000.0))
     if window < 1:
         raise EmptySignal(f"window of {window_ms} ms at {sample_rate} Hz holds no samples")
@@ -201,20 +201,20 @@ def segment_clips(n_samples: int, sample_rate: int, clip_seconds: float) -> list
     clip lies inside the signal.
 
     Raises:
-        ValueError: when ``clip_seconds`` is not positive and finite, is
+        InvalidValue: when ``clip_seconds`` is not positive and finite, is
             shorter than one sample at ``sample_rate``, or is so long that
             its sample count overflows a float.
     """
     if not 0.0 < clip_seconds < math.inf:
-        raise ValueError(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
+        raise InvalidValue(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
     clip_samples = clip_seconds * sample_rate
     if math.isinf(clip_samples):
-        raise ValueError(
+        raise InvalidValue(
             f"clip_seconds {clip_seconds!r} overflows a sample count at {sample_rate} Hz"
         )
     samples_per_clip = int(round(clip_samples))
     if samples_per_clip < 1:
-        raise ValueError(
+        raise InvalidValue(
             f"clip_seconds {clip_seconds!r} is shorter than one sample at {sample_rate} Hz"
         )
     return [
@@ -378,7 +378,7 @@ def run_pipeline(
     on the worker count.
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise InvalidValue(f"jobs must be at least 1, got {jobs}")
     if thresholds is None:
         thresholds = FilterThresholds()
     entries = sorted(entries, key=lambda e: e.id)

@@ -29,7 +29,7 @@ from .cleaning import (
     segment_clips,
     write_report,
 )
-from .errors import ChannelCountUnsupported, DimensionMismatch, EmptyBatch, FoagenError
+from .errors import ChannelCountUnsupported, EmptyBatch, FoagenError, InvalidValue, ShapeMismatch
 from .foa import Direction, FoaSignal, MonoSignal, StereoSignal, estimate_doa, signal_from_channels, spatialize_mono, stereo_to_foa
 from .flow import (
     MIXTURE_TRAIN,
@@ -72,6 +72,8 @@ def _fmt(value) -> str:
         return "%.12g" % value
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     return str(value)
 
 
@@ -119,6 +121,8 @@ def _require(path, kind, ambix=False):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of a list flag; argparse turns the
+    ValueError of a bad token into a usage error."""
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
@@ -160,14 +164,14 @@ def _wav_pair_paths(truth: str, estimate: str) -> list[tuple[str, str]]:
     .wav files of two directories paired by file name."""
     t_path, e_path = Path(truth), Path(estimate)
     if t_path.is_dir() != e_path.is_dir():
-        raise DimensionMismatch("both arguments must be files or both directories")
+        raise ShapeMismatch("both arguments must be files or both directories")
     if not t_path.is_dir():
         return [(truth, estimate)]
     t_files = {p.name: str(p) for p in t_path.glob("*.wav")}
     e_files = {p.name: str(p) for p in e_path.glob("*.wav")}
     unmatched = sorted(t_files.keys() ^ e_files.keys())
     if unmatched:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"no file of the same name in the other directory for {', '.join(unmatched)}"
         )
     return [(t_files[name], e_files[name]) for name in sorted(t_files)]
@@ -230,7 +234,7 @@ def _cmd_eval_kl(args) -> int:
 def _cmd_eval_stft(args) -> int:
     a = _require(args.a, FoaSignal, ambix=args.ambix)
     b = _require(args.b, FoaSignal, ambix=args.ambix)
-    config = StftConfig(window_sizes=_int_list(args.windows), hop_fraction=args.hop)
+    config = StftConfig(window_sizes=args.windows, hop_fraction=args.hop)
     _emit("stft_distance", multires_stft_distance(a, b, config, jobs=args.jobs))
     return 0
 
@@ -321,7 +325,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_mask_stats(args) -> int:
     if args.draws < 1:
-        raise ValueError(f"draws must be at least 1, got {args.draws}")
+        raise InvalidValue(f"draws must be at least 1, got {args.draws}")
     spec = MaskSpec(p_cond=args.p_cond, n_mask=args.spans, l_mask=args.min_len)
     rng = np.random.default_rng(args.seed)
     partial = 0
@@ -363,14 +367,14 @@ def _resolve_train_config(args, fixture: bool) -> TrainConfig:
 
 def _cmd_fm_train(args) -> int:
     if (args.fixture is None) == (args.data is None):
-        raise DimensionMismatch("exactly one of --fixture or --data is required")
+        raise InvalidValue("exactly one of --fixture or --data is required")
     # A flag that cannot act is refused rather than ignored.
     for name in ("mu", "sigma"):
         if getattr(args, name) is not None and args.time_sampler is None:
-            raise ValueError(f"--{name} needs --time-sampler")
+            raise InvalidValue(f"--{name} needs --time-sampler")
     for name in ("hidden", "init_seed", "cond"):
         if getattr(args, name) is not None and args.fixture is not None:
-            raise ValueError(f"--{name.replace('_', '-')} cannot be used with --fixture")
+            raise InvalidValue(f"--{name.replace('_', '-')} cannot be used with --fixture")
     if args.fixture is not None:
         dataset = mixture_dataset()
         model = mixture_model()
@@ -379,7 +383,7 @@ def _cmd_fm_train(args) -> int:
         x1 = read_matrix_any(args.data)
         cond = read_matrix_any(args.cond) if args.cond else None
         if cond is not None and cond.shape[0] != x1.shape[0]:
-            raise DimensionMismatch(
+            raise ShapeMismatch(
                 f"{x1.shape[0]} data rows vs {cond.shape[0]} condition rows"
             )
         dataset = [
@@ -388,7 +392,7 @@ def _cmd_fm_train(args) -> int:
         ]
         latent_dim = x1.shape[1]
         cond_dim = latent_dim + (cond.shape[1] if cond is not None else 0)
-        hidden = _int_list(args.hidden) if args.hidden is not None else _DATA_HIDDEN
+        hidden = args.hidden if args.hidden is not None else _DATA_HIDDEN
         init_seed = args.init_seed if args.init_seed is not None else _DATA_INIT_SEED
         model = VelocityModel.initialize(
             latent_dim, cond_dim, hidden, np.random.default_rng(init_seed)
@@ -415,7 +419,7 @@ def _cmd_fm_train(args) -> int:
 def _cmd_fm_sample(args) -> int:
     model = load_model(args.model)
     if args.cond and args.mixture_class is not None:
-        raise DimensionMismatch("--cond and --mixture-class are mutually exclusive")
+        raise InvalidValue("--cond and --mixture-class are mutually exclusive")
     global_cond = None
     if args.cond:
         global_cond = read_matrix_any(args.cond).ravel()
@@ -504,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add(subparsers, "eval-stft", _cmd_eval_stft, "Multi-resolution STFT distance between two FOA WAVs.")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--windows", default=",".join(map(str, StftConfig.window_sizes)), help="comma-separated window sizes")
+    p.add_argument("--windows", type=_int_list, default=",".join(map(str, StftConfig.window_sizes)), help="comma-separated window sizes")
     p.add_argument("--hop", type=float, default=StftConfig.hop_fraction, help="hop as a fraction of the window")
     p.add_argument("--ambix", action="store_true")
     p.add_argument("--jobs", type=int, help="parallel frame blocks; at most jobs blocks are held at once; unset: usable CPU count")
@@ -561,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, help="unset: fixture/library default")
     p.add_argument("--batch", type=int, help="unset: fixture/library default")
     p.add_argument("--seed", type=int, help="unset: fixture/library default")
-    p.add_argument("--hidden", help=f"comma-separated hidden widths (--data only; unset: {','.join(map(str, _DATA_HIDDEN))})")
+    p.add_argument("--hidden", type=_int_list, help=f"comma-separated hidden widths (--data only; unset: {','.join(map(str, _DATA_HIDDEN))})")
     p.add_argument("--init-seed", type=int, help=f"weight init seed (--data only; unset: {_DATA_INIT_SEED})")
     p.add_argument("--time-sampler", choices=("uniform", "logit_normal"))
     p.add_argument("--mu", type=float, help=f"logit-normal location (needs --time-sampler; unset: {TimeSampler.mu:g})")
@@ -589,9 +593,14 @@ def main(argv=None) -> int:
     _print_config(args)
     try:
         if getattr(args, "jobs", 1) < 1:
-            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+            raise InvalidValue(f"jobs must be at least 1, got {args.jobs}")
+        # numpy's generators take no negative seed.
+        for name in ("seed", "init_seed"):
+            seed = getattr(args, name, None)
+            if seed is not None and seed < 0:
+                raise InvalidValue(f"--{name.replace('_', '-')} must be non-negative, got {seed}")
         return args.func(args)
-    except (FoagenError, OSError, ValueError, MemoryError) as exc:
+    except (FoagenError, MemoryError) as exc:
         print(f"error={_describe(exc)}")
         return 1
 

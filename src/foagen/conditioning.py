@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShrinkNotSupported
+from .errors import InvalidValue
 
 
 def _as_feature_seq(features) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("features must be a non-empty 2-D (frames, channels) array")
+        raise InvalidValue("features must be a non-empty 2-D (frames, channels) array")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("features contains non-finite values")
+        raise InvalidValue("features contains non-finite values")
     return arr
 
 
@@ -31,13 +31,13 @@ def upsample_features(features, target_len: int) -> np.ndarray:
     input frame a near-equal number of times.
 
     Raises:
-        ShrinkNotSupported: when ``target_len`` is shorter than the input.
+        InvalidValue: when ``target_len`` is shorter than the input.
     """
     arr = _as_feature_seq(features)
     frames = arr.shape[0]
     target_len = int(target_len)
     if target_len < frames:
-        raise ShrinkNotSupported(
+        raise InvalidValue(
             f"cannot shrink {frames} frames to {target_len}; "
             "this op only stretches"
         )
@@ -65,7 +65,7 @@ def synth_features(
     extractor in tests and fixtures.
     """
     if num_frames < 1 or num_channels < 1:
-        raise ValueError("num_frames and num_channels must be >= 1")
+        raise InvalidValue("num_frames and num_channels must be >= 1")
     rng = np.random.default_rng([int(seed), int(class_id)])
     half = num_frames // 2
     mags = rng.integers(0, 1 << 15, size=(half, num_channels))

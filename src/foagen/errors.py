@@ -1,8 +1,11 @@
 """Exception taxonomy shared by all foagen modules.
 
-Every domain failure raises a subclass of :class:`FoagenError` so callers
-(and the CLI) can distinguish contract violations from programming errors.
-Class names double as the machine-readable error codes printed by the CLI.
+Every refusal of input raises a subclass of :class:`FoagenError`, so
+callers (and the CLI) can tell refused input from programming errors: the
+CLI prints a FoagenError as an ``error=`` line, and any other exception
+escapes as a traceback. Class names double as the machine-readable error
+codes the CLI prints; README's error-code table lists each one and what
+raises it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,14 @@ from __future__ import annotations
 
 class FoagenError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class InvalidValue(FoagenError, ValueError):
+    """An argument, flag or flag combination that is refused as given."""
+
+
+class ShapeMismatch(FoagenError):
+    """Two inputs whose shapes, lengths or pairing must agree do not."""
 
 
 # --- direction / intensity ------------------------------------------------
@@ -20,24 +31,8 @@ class ZeroEnergy(FoagenError):
 
 # --- metric contracts -----------------------------------------------------
 
-class OutOfRange(FoagenError):
-    """An angle lies outside its documented domain."""
-
-
-class DimensionMismatch(FoagenError):
-    """Two inputs that must share a dimension do not."""
-
-
 class NumericalFailure(FoagenError):
     """A numerical routine left its stable regime (e.g. matrix sqrt)."""
-
-
-class SupportViolation(FoagenError):
-    """A distribution assigns mass where the reference assigns none."""
-
-
-class LengthMismatch(FoagenError):
-    """Signals that must share length/sample rate do not."""
 
 
 class EmptyBatch(FoagenError):
@@ -46,32 +41,8 @@ class EmptyBatch(FoagenError):
 
 # --- flow-matching engine ---------------------------------------------------
 
-class ShapeMismatch(FoagenError):
-    """Array shapes incompatible with the requested operation."""
-
-
-class InfeasibleSpec(FoagenError):
-    """A mask specification cannot be satisfied for the sequence length."""
-
-
 class DivergenceDetected(FoagenError):
     """Training produced a non-finite loss."""
-
-
-# --- conditioning -----------------------------------------------------------
-
-class ShrinkNotSupported(FoagenError):
-    """Feature upsampling was asked to shrink a sequence."""
-
-
-# --- panorama geometry ------------------------------------------------------
-
-class NotErpAspect(FoagenError):
-    """Frame does not have the 2:1 equirectangular aspect ratio."""
-
-
-class TooFewFrames(FoagenError):
-    """Not enough frames for the requested temporal comparison."""
 
 
 # --- data cleaning ----------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..conditioning import pool_global, synth_features
+from ..errors import InvalidValue
 from .network import VelocityModel
 from .path import TimeSampler
 from .sampling import CfgSpec, euler_sample
@@ -52,10 +53,10 @@ def mixture_condition(class_id: int) -> np.ndarray:
     """Frozen 4-channel embedding for one mixture class.
 
     Raises:
-        ValueError: when ``class_id`` is not in ``MIXTURE_CLASS_IDS``.
+        InvalidValue: when ``class_id`` is not in ``MIXTURE_CLASS_IDS``.
     """
     if class_id not in MIXTURE_CLASS_IDS:
-        raise ValueError(f"mixture class must be one of {MIXTURE_CLASS_IDS}, got {class_id!r}")
+        raise InvalidValue(f"mixture class must be one of {MIXTURE_CLASS_IDS}, got {class_id!r}")
     features = synth_features(0, 1, MIXTURE_COND_CHANNELS, class_id)
     return pool_global(features) - MIXTURE_COND_SHIFT
 

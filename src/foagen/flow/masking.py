@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InfeasibleSpec
+from ..errors import InvalidValue
 from .path import as_latent
 
 # Success probability of the geometric law for span-length extras.
@@ -38,11 +38,11 @@ class MaskSpec:
 
     def __post_init__(self):
         if not 0.0 <= float(self.p_cond) <= 1.0:
-            raise ValueError(f"p_cond must lie in [0, 1], got {self.p_cond!r}")
+            raise InvalidValue(f"p_cond must lie in [0, 1], got {self.p_cond!r}")
         if int(self.n_mask) < 1:
-            raise ValueError(f"n_mask must be >= 1, got {self.n_mask!r}")
+            raise InvalidValue(f"n_mask must be >= 1, got {self.n_mask!r}")
         if int(self.l_mask) < 1:
-            raise ValueError(f"l_mask must be >= 1, got {self.l_mask!r}")
+            raise InvalidValue(f"l_mask must be >= 1, got {self.l_mask!r}")
         object.__setattr__(self, "p_cond", float(self.p_cond))
         object.__setattr__(self, "n_mask", int(self.n_mask))
         object.__setattr__(self, "l_mask", int(self.l_mask))
@@ -68,9 +68,7 @@ class MaskedLatent:
         latent = as_latent(self.latent)
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != (latent.shape[0],):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match {latent.shape[0]} frames"
-            )
+            raise InvalidValue(f"mask shape {mask.shape} does not match {latent.shape[0]} frames")
         object.__setattr__(self, "latent", latent)
         object.__setattr__(self, "mask", mask)
 
@@ -124,13 +122,13 @@ def make_mask(
         mask that happens to cover everything still reports False.
 
     Raises:
-        InfeasibleSpec: when the spans cannot fit the sequence.
+        InvalidValue: when the spans cannot fit the sequence.
     """
     seq_len = int(seq_len)
     if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len!r}")
+        raise InvalidValue(f"seq_len must be >= 1, got {seq_len!r}")
     if spec.min_frames() > seq_len:
-        raise InfeasibleSpec(
+        raise InvalidValue(
             f"{spec.n_mask} spans of length >= {spec.l_mask} need at least "
             f"{spec.min_frames()} frames, sequence has {seq_len}"
         )
@@ -173,7 +171,7 @@ def random_mask_spec(
     """
     feasible = [n for n in span_choices if n >= 1 and n <= max_spans(seq_len, base.l_mask)]
     if not feasible:
-        raise InfeasibleSpec(
+        raise InvalidValue(
             f"no span count from {span_choices!r} fits {seq_len} frames "
             f"with l_mask={base.l_mask}"
         )

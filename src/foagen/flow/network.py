@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import container
-from ..errors import CorruptHeader, ShapeMismatch
+from ..errors import CorruptHeader, InvalidValue, ShapeMismatch
 from ..conditioning import upsample_features
 
 CHECKPOINT_MAGIC = b"FGVM0001"
@@ -45,22 +45,22 @@ class VelocityModel:
 
     def __post_init__(self):
         if self.latent_dim < 1 or self.cond_dim < 0:
-            raise ValueError("latent_dim must be >= 1 and cond_dim >= 0")
+            raise InvalidValue("latent_dim must be >= 1 and cond_dim >= 0")
         if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be non-empty and parallel")
+            raise InvalidValue("weights and biases must be non-empty and parallel")
         expected_in = self.latent_dim + self.cond_dim + 1
         if self.weights[0].shape[0] != expected_in:
-            raise ValueError(
+            raise InvalidValue(
                 f"first layer expects fan-in {expected_in}, "
                 f"got {self.weights[0].shape[0]}"
             )
         if self.weights[-1].shape[1] != self.latent_dim:
-            raise ValueError("last layer must emit latent_dim outputs")
+            raise InvalidValue("last layer must emit latent_dim outputs")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError(f"layer {i} weight/bias shapes inconsistent")
+                raise InvalidValue(f"layer {i} weight/bias shapes inconsistent")
             if i > 0 and w.shape[0] != self.weights[i - 1].shape[1]:
-                raise ValueError(f"layer {i} fan-in does not chain")
+                raise InvalidValue(f"layer {i} fan-in does not chain")
 
     @classmethod
     def initialize(
@@ -72,10 +72,12 @@ class VelocityModel:
     ) -> "VelocityModel":
         """Random init with 1/sqrt(fan_in) scaling; at least one hidden layer."""
         if not hidden:
-            raise ValueError("at least one hidden layer is required")
+            raise InvalidValue("at least one hidden layer is required")
         if min(hidden) < 1:
-            raise ValueError(f"hidden widths must be at least 1, got {min(hidden)}")
+            raise InvalidValue(f"hidden widths must be at least 1, got {min(hidden)}")
         widths = [latent_dim + cond_dim + 1, *hidden, latent_dim]
+        if max(a * b for a, b in zip(widths, widths[1:])) > np.iinfo(np.intp).max // 8:
+            raise InvalidValue(f"hidden widths {hidden} give a weight matrix numpy cannot address")
         weights = []
         biases = []
         for fan_in, fan_out in zip(widths, widths[1:]):

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InvalidValue
+
 
 def as_latent(x) -> np.ndarray:
     """Validate a (frames, dims) latent sequence and return it as float64."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("latent must be a non-empty 2-D (frames, dims) array")
+        raise InvalidValue("latent must be a non-empty 2-D (frames, dims) array")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("latent contains non-finite values")
+        raise InvalidValue("latent contains non-finite values")
     return arr
 
 
@@ -46,11 +48,11 @@ class TimeSampler:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "logit_normal"):
-            raise ValueError(f"unknown time sampler kind {self.kind!r}")
+            raise InvalidValue(f"unknown time sampler kind {self.kind!r}")
         if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
+            raise InvalidValue("mu must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be positive and finite")
+            raise InvalidValue("sigma must be positive and finite")
 
 
 def sample_time(sampler: TimeSampler, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import InvalidValue, ShapeMismatch
 from .masking import MaskedLatent
 from .network import VelocityModel, build_condition
 
@@ -27,7 +27,7 @@ class CfgSpec:
     def __post_init__(self):
         scale = float(self.scale)
         if not np.isfinite(scale):
-            raise ValueError("guidance scale must be finite")
+            raise InvalidValue("guidance scale must be finite")
         object.__setattr__(self, "scale", scale)
 
 
@@ -77,21 +77,21 @@ def euler_sample(
 
     Returns the final (frames, latent_dim) state. ``frames`` below 1 and
     a ``local`` or ``global_cond`` holding a NaN or infinity raise
-    ValueError, before any noise is drawn.
+    InvalidValue, before any noise is drawn.
     """
     steps = int(steps)
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
+        raise InvalidValue(f"steps must be >= 1, got {steps!r}")
     for name, features in (("local", local), ("global_cond", global_cond)):
         if features is not None and not np.isfinite(np.asarray(features, np.float64)).all():
-            raise ValueError(f"{name} contains non-finite values")
+            raise InvalidValue(f"{name} contains non-finite values")
     if frames is None:
         if masked_cond is None:
-            raise ValueError("frames is required without a condition")
+            raise InvalidValue("frames is required without a condition")
         frames = masked_cond.n_frames
     n_frames = int(frames)
     if n_frames < 1:
-        raise ValueError(f"frames must be at least 1, got {n_frames}")
+        raise InvalidValue(f"frames must be at least 1, got {n_frames}")
 
     if masked_cond is not None and masked_cond.n_frames != n_frames:
         raise ShapeMismatch(

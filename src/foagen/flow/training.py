@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..conditioning import upsample_features
-from ..errors import DivergenceDetected, ShapeMismatch
+from ..errors import DivergenceDetected, InvalidValue, ShapeMismatch
 from .masking import MaskSpec, make_mask, random_mask_spec
 from .network import VelocityModel, build_condition
 from .path import TimeSampler, _point_and_target, sample_time
@@ -154,15 +154,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(
+            raise InvalidValue(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}"
             )
         if self.batch_size < 1 or self.steps < 1:
-            raise ValueError("batch_size and steps must be >= 1")
+            raise InvalidValue("batch_size and steps must be >= 1")
         if not 0.0 <= self.cond_dropout <= 1.0:
-            raise ValueError("cond_dropout must lie in [0, 1]")
+            raise InvalidValue("cond_dropout must lie in [0, 1]")
         if not 0.0 <= self.lr_tail <= 1.0:
-            raise ValueError("lr_tail must lie in [0, 1]")
+            raise InvalidValue("lr_tail must lie in [0, 1]")
 
     def rate(self, step: int) -> float:
         """Learning rate of ``step`` (0-based).
@@ -189,12 +189,12 @@ def _check_dataset(dataset, latent_dim: int):
     Raises:
         ShapeMismatch: when a latent is not (frames, latent_dim), local
             features are not 2-D, or items carry different external conditions.
-        ShrinkNotSupported: when local features have more rows than their latent.
-        ValueError: when the dataset is empty, a latent or local features
-            are empty or not finite, or a global condition is not finite.
+        InvalidValue: when the dataset is empty, a latent or local features
+            are empty or not finite, a global condition is not finite, or
+            local features have more rows than their latent.
     """
     if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
+        raise InvalidValue("dataset must be non-empty")
     x1s, conds = [], []
     layout = None
     for x1, external in dataset:
@@ -225,7 +225,7 @@ def _check_dataset(dataset, latent_dim: int):
         x1s.append(x1)
         conds.append(external)
     if not _all_finite(x1s):
-        raise ValueError("x1 contains non-finite values")
+        raise InvalidValue("x1 contains non-finite values")
     frames = np.array([x1.shape[0] for x1 in x1s])
     kind = layout[0]
     if kind == "none":
@@ -233,7 +233,7 @@ def _check_dataset(dataset, latent_dim: int):
     elif kind == "global":
         conds = np.stack(conds)
         if not np.isfinite(conds).all():
-            raise ValueError("global condition contains non-finite values")
+            raise InvalidValue("global condition contains non-finite values")
     return x1s, frames, kind, conds
 
 
@@ -302,9 +302,9 @@ def train(
             frame of masked pretraining does not raise it.
         ShapeMismatch: when a latent is not (frames, model.latent_dim),
             or the items carry different external conditions.
-        ShrinkNotSupported: when local features have more rows than their latent.
-        ValueError: when the dataset is empty, a latent or local features
-            are empty or not finite, or a global condition is not finite.
+        InvalidValue: when the dataset is empty, a latent or local features
+            are empty or not finite, a global condition is not finite, or
+            local features have more rows than their latent.
     """
     x1s, frames, kind, conds = _check_dataset(dataset, model.latent_dim)
     dims = model.latent_dim

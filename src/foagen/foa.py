@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ChannelCountUnsupported, ZeroEnergy
+from .errors import ChannelCountUnsupported, InvalidValue, ZeroEnergy
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,7 +44,7 @@ INTENSITY_EPS = 1e-12
 def wrap_azimuth(angle: float) -> float:
     """Normalize an angle in radians into (-pi, pi]."""
     if not math.isfinite(angle):
-        raise ValueError(f"azimuth must be finite, got {angle!r}")
+        raise InvalidValue(f"azimuth must be finite, got {angle!r}")
     wrapped = angle % TWO_PI  # [0, 2*pi)
     if wrapped > math.pi:
         wrapped -= TWO_PI
@@ -66,9 +66,7 @@ class Direction:
         object.__setattr__(self, "azimuth", wrap_azimuth(float(self.azimuth)))
         elevation = float(self.elevation)
         if not math.isfinite(elevation) or abs(elevation) > math.pi / 2:
-            raise ValueError(
-                f"elevation must lie in [-pi/2, pi/2], got {self.elevation!r}"
-            )
+            raise InvalidValue(f"elevation must lie in [-pi/2, pi/2], got {self.elevation!r}")
         object.__setattr__(self, "elevation", elevation)
 
     def unit_vector(self) -> np.ndarray:
@@ -104,16 +102,16 @@ class Signal:
             channels = channels[None, :]
         name = type(self).__name__
         if channels.ndim != 2 or channels.shape[0] != self.n_channels or channels.shape[1] == 0:
-            raise ValueError(
+            raise InvalidValue(
                 f"{name} needs a non-empty ({self.n_channels}, n) array, "
                 f"got shape {np.shape(self.channels)}"
             )
         # Row by row, so the mask is one channel long.
         if not all(np.isfinite(row).all() for row in channels):
-            raise ValueError(f"{name} contains non-finite samples")
+            raise InvalidValue(f"{name} contains non-finite samples")
         rate = int(self.sample_rate)
         if rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+            raise InvalidValue(f"sample_rate must be positive, got {self.sample_rate!r}")
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "sample_rate", rate)
 
@@ -179,7 +177,7 @@ class IntensityVector:
         for name in ("ix", "iy", "iz"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise InvalidValue(f"{name} must be finite")
             object.__setattr__(self, name, value)
 
     @property

@@ -15,22 +15,14 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DimensionMismatch,
-    EmptyBatch,
-    LengthMismatch,
-    NumericalFailure,
-    OutOfRange,
-    SupportViolation,
-    ZeroEnergy,
-)
+from .errors import EmptyBatch, InvalidValue, NumericalFailure, ShapeMismatch, ZeroEnergy
 from .foa import Direction, FoaSignal, estimate_doa, wrap_azimuth
 
 
 def _check_finite_angle(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise InvalidValue(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -40,7 +32,7 @@ def theta_error(gt: float, est: float) -> float:
     either argument does not change the result.
 
     Raises:
-        ValueError: when either angle, or their difference, is not finite.
+        InvalidValue: when either angle, or their difference, is not finite.
     """
     gt = _check_finite_angle(gt, "gt")
     est = _check_finite_angle(est, "est")
@@ -51,15 +43,13 @@ def phi_error(gt: float, est: float) -> float:
     """Absolute elevation error in [0, pi].
 
     Raises:
-        OutOfRange: when either elevation leaves [-pi/2, pi/2].
+        InvalidValue: when either elevation leaves [-pi/2, pi/2].
     """
     gt = _check_finite_angle(gt, "gt")
     est = _check_finite_angle(est, "est")
     half_pi = math.pi / 2
     if abs(gt) > half_pi or abs(est) > half_pi:
-        raise OutOfRange(
-            f"elevations must lie in [-pi/2, pi/2], got {gt!r} and {est!r}"
-        )
+        raise InvalidValue(f"elevations must lie in [-pi/2, pi/2], got {gt!r} and {est!r}")
     return abs(gt - est)
 
 
@@ -148,11 +138,11 @@ def eval_doa_batch(
 def _as_feature_set(features, name: str) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D (n, d) array")
+        raise InvalidValue(f"{name} must be a 2-D (n, d) array")
     if arr.shape[0] < 2:
-        raise ValueError(f"{name} needs at least 2 rows to estimate covariance")
+        raise InvalidValue(f"{name} needs at least 2 rows to estimate covariance")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise InvalidValue(f"{name} contains non-finite values")
     return arr
 
 
@@ -190,13 +180,13 @@ def frechet_distance(a, b) -> float:
     sqrt(S_a) S_b sqrt(S_a), which is PSD whenever the inputs are.
 
     Raises:
-        DimensionMismatch: when the two sets have different feature widths.
+        ShapeMismatch: when the two sets have different feature widths.
         NumericalFailure: when the square root leaves the PSD regime.
     """
     a = _as_feature_set(a, "a")
     b = _as_feature_set(b, "b")
     if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"feature widths differ: {a.shape[1]} vs {b.shape[1]}"
         )
     mu_a = a.mean(axis=0)
@@ -220,28 +210,33 @@ def kl_divergence(p, q) -> float:
     Terms with p == 0 contribute zero regardless of q.
 
     Raises:
-        DimensionMismatch: when the vectors have different lengths.
-        SupportViolation: when p puts mass where q has none.
+        ShapeMismatch: when the vectors have different lengths.
+        InvalidValue: when p puts mass where q has none.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.ndim != 1 or q.ndim != 1:
-        raise ValueError("label distributions must be 1-D")
+        raise InvalidValue("label distributions must be 1-D")
     if p.shape != q.shape:
-        raise DimensionMismatch(f"lengths differ: {p.shape[0]} vs {q.shape[0]}")
+        raise ShapeMismatch(f"lengths differ: {p.shape[0]} vs {q.shape[0]}")
     for name, dist in (("p", p), ("q", q)):
         if np.any(dist < 0.0) or not np.all(np.isfinite(dist)):
-            raise ValueError(f"{name} must be non-negative and finite")
+            raise InvalidValue(f"{name} must be non-negative and finite")
         if abs(float(dist.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"{name} must sum to 1 within 1e-9")
+            raise InvalidValue(f"{name} must sum to 1 within 1e-9")
     support = p > 0.0
     if np.any(support & (q == 0.0)):
-        raise SupportViolation("p has mass on outcomes where q has none")
+        raise InvalidValue("p has mass on outcomes where q has none")
     ps = p[support]
     return float(np.sum(ps * np.log(ps / q[support])))
 
 
 # --- multi-resolution spectrogram distance -----------------------------------
+
+# The longest window whose zero-padded (4, window) float64 frame numpy can
+# address; a longer one is refused rather than failing inside numpy.
+_MAX_WINDOW = np.iinfo(np.intp).max // 32
+
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -253,15 +248,17 @@ class StftConfig:
     def __post_init__(self):
         sizes = tuple(int(w) for w in self.window_sizes)
         if len(sizes) == 0:
-            raise ValueError("window_sizes must be non-empty")
+            raise InvalidValue("window_sizes must be non-empty")
         if any(w <= 0 for w in sizes):
-            raise ValueError("window sizes must be positive")
+            raise InvalidValue("window sizes must be positive")
+        if max(sizes) > _MAX_WINDOW:
+            raise InvalidValue(f"window sizes must be at most {_MAX_WINDOW}")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("window sizes must be strictly increasing")
+            raise InvalidValue("window sizes must be strictly increasing")
         object.__setattr__(self, "window_sizes", sizes)
         hop = float(self.hop_fraction)
         if not 0.0 < hop <= 1.0:
-            raise ValueError("hop_fraction must lie in (0, 1]")
+            raise InvalidValue("hop_fraction must lie in (0, 1]")
         object.__setattr__(self, "hop_fraction", hop)
 
 
@@ -359,23 +356,19 @@ def multires_stft_distance(
     blocks, not by the signal length times the frame overlap.
 
     Raises:
-        LengthMismatch: when lengths or sample rates differ.
+        InvalidValue: when lengths or sample rates differ, or ``jobs`` is
+            below 1.
         ZeroEnergy: when the reference ``a`` has no spectral energy at some
             window size, as when it is zero in every channel.
-        ValueError: when ``jobs`` is below 1.
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise InvalidValue(f"jobs must be at least 1, got {jobs}")
     if config is None:
         config = StftConfig()
     if a.n_samples != b.n_samples:
-        raise LengthMismatch(
-            f"signal lengths differ: {a.n_samples} vs {b.n_samples}"
-        )
+        raise InvalidValue(f"signal lengths differ: {a.n_samples} vs {b.n_samples}")
     if a.sample_rate != b.sample_rate:
-        raise LengthMismatch(
-            f"sample rates differ: {a.sample_rate} vs {b.sample_rate}"
-        )
+        raise InvalidValue(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
     per_resolution = []
     for window in config.window_sizes:
         hop = max(1, int(round(window * config.hop_fraction)))

@@ -23,13 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import container
-from .errors import (
-    CorruptHeader,
-    NotErpAspect,
-    ShapeMismatch,
-    TooFewFrames,
-    UnsupportedFormat,
-)
+from .errors import CorruptHeader, InvalidValue, ShapeMismatch, UnsupportedFormat
 from .foa import wrap_azimuth
 
 FRAME_MAGIC = b"FFRM0001"
@@ -38,18 +32,18 @@ FRAME_MAGIC = b"FFRM0001"
 def _as_frame(frame, name: str = "frame") -> np.ndarray:
     arr = np.asarray(frame, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-        raise ValueError(
+        raise InvalidValue(
             f"{name} must be (height, width, channels) with 1 or 3 channels, "
             f"got shape {arr.shape}"
         )
     if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"{name} has an empty axis: {arr.shape}")
+        raise InvalidValue(f"{name} has an empty axis: {arr.shape}")
     return arr
 
 
 def _check_erp(frame: np.ndarray) -> np.ndarray:
     if frame.shape[1] != 2 * frame.shape[0]:
-        raise NotErpAspect(
+        raise InvalidValue(
             f"equirectangular frames are 2:1, got {frame.shape[0]}x{frame.shape[1]}"
         )
     return frame
@@ -74,14 +68,14 @@ class CameraSpec:
         object.__setattr__(self, "yaw", wrap_azimuth(float(self.yaw)))
         pitch = float(self.pitch)
         if not math.isfinite(pitch) or abs(pitch) > math.pi / 2:
-            raise ValueError(f"pitch must lie in [-pi/2, pi/2], got {self.pitch!r}")
+            raise InvalidValue(f"pitch must lie in [-pi/2, pi/2], got {self.pitch!r}")
         object.__setattr__(self, "pitch", pitch)
         hfov = float(self.hfov)
         if not 0.0 < hfov < math.pi:
-            raise ValueError(f"hfov must lie in (0, pi), got {self.hfov!r}")
+            raise InvalidValue(f"hfov must lie in (0, pi), got {self.hfov!r}")
         object.__setattr__(self, "hfov", hfov)
         if int(self.out_width) < 1 or int(self.out_height) < 1:
-            raise ValueError("output dimensions must be >= 1")
+            raise InvalidValue("output dimensions must be >= 1")
         object.__setattr__(self, "out_width", int(self.out_width))
         object.__setattr__(self, "out_height", int(self.out_height))
 
@@ -93,7 +87,7 @@ def pad_to_square(erp) -> np.ndarray:
     below.
 
     Raises:
-        NotErpAspect: when the input is not 2:1.
+        InvalidValue: when the input is not 2:1.
     """
     frame = _check_erp(_as_frame(erp))
     height, width, channels = frame.shape
@@ -191,7 +185,7 @@ def _block_rows(width: int) -> int:
 def _anymap_dtype(bit_depth: int) -> np.dtype:
     """The stored type of an anymap's pixels at ``bit_depth``."""
     if bit_depth not in (8, 16):
-        raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
+        raise InvalidValue(f"bit_depth must be 8 or 16, got {bit_depth!r}")
     return np.dtype("u1" if bit_depth == 8 else ">u2")
 
 
@@ -204,7 +198,7 @@ def _quantize(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     ``values`` itself.
 
     Raises:
-        ValueError: when a value is NaN; ``out`` is then left unwritten.
+        InvalidValue: when a value is NaN; ``out`` is then left unwritten.
     """
     maxval = np.iinfo(out.dtype).max
     with np.errstate(over="ignore"):  # an overflow is +-inf, clipped below
@@ -212,7 +206,7 @@ def _quantize(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     np.rint(scratch, out=scratch)
     np.clip(scratch, 0, maxval, out=scratch)  # NaN stays NaN
     if np.isnan(scratch).any():
-        raise ValueError("frame holds NaN, which an anymap cannot store")
+        raise InvalidValue("frame holds NaN, which an anymap cannot store")
     out[...] = scratch
 
 
@@ -239,8 +233,8 @@ def erp_to_perspective(erp, camera: CameraSpec, bit_depth: int | None = None) ->
     cut is held.
 
     Raises:
-        NotErpAspect: when the input is not 2:1.
-        ValueError: with ``bit_depth``, when the cut holds NaN.
+        InvalidValue: when the input is not 2:1, or, with ``bit_depth``,
+            when the cut holds NaN.
     """
     pixels, maxval = erp if isinstance(erp, StoredFrame) else (erp, None)
     frame = _check_erp(pixels if maxval is not None else _as_frame(pixels))
@@ -319,9 +313,7 @@ def fov_cameras(
     down).
     """
     if preset not in FOV_PRESETS:
-        raise ValueError(
-            f"unknown preset {preset!r}; expected one of {sorted(FOV_PRESETS)}"
-        )
+        raise InvalidValue(f"unknown preset {preset!r}; expected one of {sorted(FOV_PRESETS)}")
     return [
         CameraSpec(yaw, pitch, hfov, out_width, out_height)
         for yaw, pitch in FOV_PRESETS[preset]
@@ -383,7 +375,7 @@ def stationarity_verdict(
     the same decision and stops once it is settled.
 
     Raises:
-        TooFewFrames: when fewer than two comparisons are available.
+        InvalidValue: when fewer than two comparisons are available.
     """
     compared = _compared_frames(len(frames), interval)
     comparisons = len(compared) - 1
@@ -414,7 +406,7 @@ def settle_stationarity(
     pixels of a frame never read goes unnoticed.
 
     Raises:
-        TooFewFrames: when fewer than two comparisons are available.
+        InvalidValue: when fewer than two comparisons are available.
         ShapeMismatch: when the frames of a compared pair differ in shape.
         FoagenError: what :func:`read_frame` raises on an unreadable frame.
     """
@@ -440,10 +432,10 @@ def _compared_frames(frames: int, interval: int) -> range:
     compares, each with the next."""
     interval = int(interval)
     if interval < 1:
-        raise ValueError(f"interval must be >= 1, got {interval!r}")
+        raise InvalidValue(f"interval must be >= 1, got {interval!r}")
     comparisons = max(0, (frames - 1)) // interval
     if comparisons < 2:
-        raise TooFewFrames(
+        raise InvalidValue(
             f"{frames} frames at interval {interval} give {comparisons} comparisons; "
             "need at least 2"
         )
@@ -543,7 +535,7 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
 
     An anymap quantizes values in [0, 1] to its bit depth and clips any
     value outside them, +-inf included; a frame holding NaN raises
-    ValueError before the file is created. ``.fframe`` keeps every value
+    InvalidValue before the file is created. ``.fframe`` keeps every value
     exactly, NaN too.
     """
     arr = _as_frame(frame)

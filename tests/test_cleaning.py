@@ -25,10 +25,10 @@ from foagen.errors import (
     CorruptHeader,
     EmptySignal,
     FoagenError,
+    InvalidValue,
     ManifestParseError,
     MissingScore,
     ShapeMismatch,
-    TooFewFrames,
 )
 from foagen.foa import MonoSignal
 from foagen.panorama import StationarityResult, read_frame, stationarity_verdict, write_frame
@@ -505,12 +505,12 @@ def test_stationarity_outcome_matches_all_frames_reference(tmp_path, interval):
         wants[n] = want = _all_frames_outcome(frame_paths[n], thresholds)
         entry_id = f"n{n:02d}"
         assert _report_row(report, entry_id) == _expected_row(want), n
-        assert ("stationary" in report.skipped[entry_id]) == (want is TooFewFrames)
+        assert ("stationary" in report.skipped[entry_id]) == (want is InvalidValue)
         assert ("stationary" in report.removed.get(entry_id, [])) == (
-            want is not TooFewFrames and want.stationary
+            want is not InvalidValue and want.stationary
         )
-    assert any(v is not TooFewFrames and v.stationary for v in wants.values())
-    assert any(v is not TooFewFrames and not v.stationary for v in wants.values())
+    assert any(v is not InvalidValue and v.stationary for v in wants.values())
+    assert any(v is not InvalidValue and not v.stationary for v in wants.values())
 
 
 def _settling_comparison(moves, ratio):
@@ -594,7 +594,7 @@ def test_settled_verdict_equals_the_all_frames_verdict(tmp_path):
     # every branch was taken: both verdicts, each way to skip, and tail
     # faults behind an early decision
     assert {True, False} <= {v.stationary for v in outcomes if isinstance(v, StationarityResult)}
-    assert {TooFewFrames, CorruptHeader, ShapeMismatch} <= set(outcomes)
+    assert {InvalidValue, CorruptHeader, ShapeMismatch} <= set(outcomes)
     assert {("bad", True), ("shape", True)} <= seen
 
 

@@ -193,12 +193,12 @@ def test_eval_doa_pair_and_directory(tmp_path, capsys):
     (est_dir / "extra.wav").write_bytes((est_dir / "0.wav").read_bytes())
     code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir)
     assert code == 1
-    assert kv["error"].startswith("DimensionMismatch")
+    assert kv["error"].startswith("ShapeMismatch")
 
     for truth, estimate in ((a, est_dir), (truth_dir, a)):  # one file, one directory
         code, kv = run_cli(capsys, "eval-doa", truth, estimate)
         assert code == 1
-        assert kv["error"].startswith("DimensionMismatch")
+        assert kv["error"].startswith("ShapeMismatch")
 
 
 def test_eval_doa_pairs_directories_by_file_name(tmp_path, capsys):
@@ -213,7 +213,7 @@ def test_eval_doa_pairs_directories_by_file_name(tmp_path, capsys):
     # Sorted by position, b.wav would pair with c.wav and score zero error.
     code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir)
     assert code == 1
-    assert kv["error"] == "DimensionMismatch no file of the same name in the other directory for b.wav, c.wav"
+    assert kv["error"] == "ShapeMismatch no file of the same name in the other directory for b.wav, c.wav"
 
     (est_dir / "c.wav").rename(est_dir / "b.wav")
     code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir)
@@ -351,7 +351,7 @@ def test_eval_fd_and_kl(tmp_path, capsys):
     np.savetxt(tmp_path / "z.txt", [[1.0, 0.0]], fmt="%.17g")
     code, kv = run_cli(capsys, "eval-kl", tmp_path / "p.txt", tmp_path / "z.txt")
     assert code == 1
-    assert kv["error"].startswith("SupportViolation")
+    assert kv["error"].startswith("InvalidValue")
 
 
 def test_eval_stft_identical_files(tmp_path, capsys):
@@ -436,7 +436,7 @@ def test_pad_erp_refuses_to_quantize_nan(tmp_path, capsys):
     code = main([str(a) for a in ("pad-erp", tmp_path / "erp.fframe", tmp_path / "sq.pgm")])
     errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
     assert code == 1
-    assert len(errors) == 1 and errors[0].startswith("error=ValueError frame holds NaN")
+    assert len(errors) == 1 and errors[0].startswith("error=InvalidValue frame holds NaN")
     assert not (tmp_path / "sq.pgm").exists()
 
 
@@ -679,7 +679,7 @@ def test_segment_refuses_a_clip_shorter_than_one_sample(tmp_path, capsys):
         "--clip-seconds", "1e-9", "--outdir", outdir,
     )
     assert code == 1
-    assert kv["error"] == "ValueError clip_seconds 1e-09 is shorter than one sample at 16000 Hz"
+    assert kv["error"] == "InvalidValue clip_seconds 1e-09 is shorter than one sample at 16000 Hz"
     assert "segments" not in kv
     assert not outdir.exists()
 
@@ -692,7 +692,7 @@ def test_segment_refuses_a_clip_whose_sample_count_overflows(tmp_path, capsys):
         "--clip-seconds", "1e305", "--outdir", outdir,
     )
     assert code == 1
-    assert kv["error"] == "ValueError clip_seconds 1e+305 overflows a sample count at 16000 Hz"
+    assert kv["error"] == "InvalidValue clip_seconds 1e+305 overflows a sample count at 16000 Hz"
     assert "segments" not in kv
     assert not outdir.exists()
 
@@ -710,7 +710,7 @@ def test_clean_and_segment_reject_a_non_finite_duration(tmp_path, capsys, value)
         code = main([str(a) for a in argv] + [f"--{flag.replace('_', '-')}", value])
         errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
         assert code == 1
-        assert errors == [f"error=ValueError {flag} must be positive and finite, got {value}"]
+        assert errors == [f"error=InvalidValue {flag} must be positive and finite, got {value}"]
     assert not report.exists()
     assert not outdir.exists()
 
@@ -725,7 +725,7 @@ def test_clean_refuses_a_window_that_overflows_a_sample_count(tmp_path, capsys):
     ])
     errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
     assert code == 1
-    assert errors == ["error=ValueError window_ms 1e+308 overflows a sample count at 4294967295 Hz"]
+    assert errors == ["error=InvalidValue window_ms 1e+308 overflows a sample count at 4294967295 Hz"]
     assert not report.exists()
 
 
@@ -759,7 +759,7 @@ def test_clean_rejects_a_nan_threshold(tmp_path, capsys, flag):
     ])
     errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
     assert code == 1
-    assert errors == [f"error=ValueError {flag} must be a number, got nan"]
+    assert errors == [f"error=InvalidValue {flag} must be a number, got nan"]
     assert not report.exists()
 
 
@@ -793,7 +793,7 @@ def test_mask_stats_reports_spans_that_break_the_spec(capsys, monkeypatch, hidde
 def test_mask_stats_refuses_fewer_than_one_draw(capsys, draws):
     code, kv = run_cli(capsys, "mask-stats", "--frames", "30", "--draws", draws)
     assert code == 1
-    assert kv["error"] == f"ValueError draws must be at least 1, got {draws}"
+    assert kv["error"] == f"InvalidValue draws must be at least 1, got {draws}"
     assert "partial" not in kv
 
 
@@ -803,7 +803,7 @@ def test_fm_train_refuses_a_zero_width_hidden_layer(tmp_path, capsys):
         capsys, "fm-train", "--data", tmp_path / "x.fmat", "--steps", "2", "--hidden", "8,0",
     )
     assert code == 1
-    assert kv["error"] == "ValueError hidden widths must be at least 1, got 0"
+    assert kv["error"] == "InvalidValue hidden widths must be at least 1, got 0"
     assert "final_loss" not in kv
 
 
@@ -812,7 +812,7 @@ def test_fm_train_refuses_a_zero_width_hidden_layer(tmp_path, capsys):
 def test_fm_train_refuses_a_non_finite_learning_rate(capsys, rate):
     code, kv = run_cli(capsys, "fm-train", "--fixture", "mixture", "--steps", "5", "--lr", rate)
     assert code == 1
-    assert kv["error"] == f"ValueError learning_rate must be positive and finite, got {rate}"
+    assert kv["error"] == f"InvalidValue learning_rate must be positive and finite, got {rate}"
     assert "final_loss" not in kv
 
 
@@ -908,7 +908,7 @@ def test_fm_train_refuses_flags_that_cannot_act(source, flags, named, tmp_path, 
     given = ["--fixture", "mixture"] if source == "fixture" else ["--data", tmp_path / "x.fmat"]
     code, kv = run_cli(capsys, "fm-train", *given, "--steps", "1", *flags)
     assert code == 1
-    assert kv["error"] == f"ValueError {named}"
+    assert kv["error"] == f"InvalidValue {named}"
     assert "final_loss" not in kv
 
 
@@ -983,10 +983,10 @@ def test_fm_train_source_is_exclusive(tmp_path, capsys):
         capsys, "fm-train", "--fixture", "mixture", "--data", tmp_path / "x.fmat"
     )
     assert code == 1
-    assert kv["error"].startswith("DimensionMismatch")
+    assert kv["error"].startswith("InvalidValue")
     code, kv = run_cli(capsys, "fm-train")
     assert code == 1
-    assert kv["error"].startswith("DimensionMismatch")
+    assert kv["error"].startswith("InvalidValue")
 
 
 def test_fm_train_condition_rows_must_match(tmp_path, capsys):
@@ -997,7 +997,7 @@ def test_fm_train_condition_rows_must_match(tmp_path, capsys):
         "--cond", tmp_path / "c.fmat", "--steps", "1",
     )
     assert code == 1
-    assert kv["error"].startswith("DimensionMismatch")
+    assert kv["error"].startswith("ShapeMismatch")
 
 
 def test_fm_sample_refuses_zero_frames(tmp_path, capsys):
@@ -1010,7 +1010,7 @@ def test_fm_sample_refuses_zero_frames(tmp_path, capsys):
         # Refused by the frame-count check, before numpy draws any noise.
         code, kv = run_cli(capsys, "fm-sample", "--model", ckpt, "--frames", frames, "--steps", "2")
         assert code == 1
-        assert kv["error"] == f"ValueError frames must be at least 1, got {frames}"
+        assert kv["error"] == f"InvalidValue frames must be at least 1, got {frames}"
         assert "samples" not in kv
 
 
@@ -1026,7 +1026,7 @@ def test_fm_sample_refuses_a_class_the_fixture_lacks(tmp_path, capsys):
             "--frames", "5", "--steps", "2",
         )
         assert code == 1
-        assert kv["error"] == f"ValueError mixture class must be one of (1, 2), got {class_id}"
+        assert kv["error"] == f"InvalidValue mixture class must be one of (1, 2), got {class_id}"
         assert "samples" not in kv
 
 
@@ -1062,7 +1062,7 @@ def test_fm_sample_refuses_a_non_finite_condition(tmp_path, capsys):
         "--frames", "4", "--steps", "2", "--out", out,
     )
     assert code == 1
-    assert kv["error"] == "ValueError global_cond contains non-finite values"
+    assert kv["error"] == "InvalidValue global_cond contains non-finite values"
     assert "samples" not in kv
     assert not out.exists()
 
@@ -1075,7 +1075,7 @@ def test_fm_train_refuses_a_non_finite_condition(tmp_path, capsys):
         "--cond", tmp_path / "c.fmat", "--steps", "2",
     )
     assert code == 1
-    assert kv["error"] == "ValueError global condition contains non-finite values"
+    assert kv["error"] == "InvalidValue global condition contains non-finite values"
     assert "final_loss" not in kv
 
 
@@ -1102,7 +1102,7 @@ def test_fm_sample_condition_flags_exclusive(tmp_path, capsys):
         "--cond", tmp_path / "c.txt", "--mixture-class", "1",
     )
     assert code == 1
-    assert kv["error"].startswith("DimensionMismatch")
+    assert kv["error"].startswith("InvalidValue")
 
 
 def _subcommand_flags(command):
@@ -1163,5 +1163,63 @@ def test_jobs_below_one_fail_cleanly(tmp_path, capsys, command, inputs, jobs):
     code, kv = run_cli(capsys, command, *(tmp_path / name for name in inputs), "--jobs", jobs)
     assert code == 1
     assert kv["config.jobs"] == jobs
-    assert kv["error"] == f"ValueError jobs must be at least 1, got {jobs}"
+    assert kv["error"] == f"InvalidValue jobs must be at least 1, got {jobs}"
     assert not (tmp_path / "cuts").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("mask-stats", "--seed"),
+    ("fm-train", "--seed"),
+    ("fm-train", "--init-seed"),
+    ("fm-sample", "--seed"),
+])
+def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, command, flag):
+    # Refused before any input is read, so the inputs need not exist.
+    inputs = {"fm-train": ["--data", tmp_path / "x.fmat"], "fm-sample": ["--model", tmp_path / "m.fgvm"]}
+    code, kv = run_cli(capsys, command, *inputs.get(command, []), flag, "-1")
+    assert code == 1
+    assert kv["error"] == f"InvalidValue {flag} must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-stft", "a.wav", "b.wav", "--windows", "a,b"],
+    ["eval-stft", "a.wav", "b.wav", "--windows", "8,1e3"],
+    ["fm-train", "--data", "x.fmat", "--hidden", "x"],
+    ["fm-train", "--data", "x.fmat", "--steps", "x"],
+])
+def test_malformed_integer_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and f"argument {argv[-2]}: invalid" in captured.err
+
+
+@pytest.mark.parametrize("exc", [ValueError("boom"), OSError(5, "boom")])
+def test_an_error_that_is_not_a_refusal_escapes_as_a_traceback(tmp_path, capsys, monkeypatch, exc):
+    foa = spatialize_mono(MonoSignal(np.ones(64), RATE), Direction(0.5, 0.2))
+    write_wav(foa, tmp_path / "foa.wav")
+
+    def fail(signal):
+        raise exc
+
+    monkeypatch.setattr(cli, "estimate_doa", fail)
+    with pytest.raises(type(exc), match="boom"):
+        main(["doa", str(tmp_path / "foa.wav")])
+    assert "error=" not in capsys.readouterr().out
+
+
+def test_list_flag_past_what_numpy_can_address_is_refused(tmp_path, capsys):
+    # numpy would raise its own ValueError or TypeError for these sizes.
+    foa = spatialize_mono(MonoSignal(np.ones(64), RATE), Direction(0.5, 0.2))
+    write_wav(foa, tmp_path / "a.wav")
+    for windows in (f"8,{2**62}", f"8,{2**64}"):
+        code, kv = run_cli(capsys, "eval-stft", tmp_path / "a.wav", tmp_path / "a.wav", "--windows", windows)
+        assert code == 1
+        assert kv["error"] == f"InvalidValue window sizes must be at most {2**58 - 1}"
+    write_matrix(tmp_path / "x.fmat", np.zeros((4, 2)))
+    for hidden in (str(2**62), str(2**64)):
+        code, kv = run_cli(capsys, "fm-train", "--data", tmp_path / "x.fmat", "--steps", "1", "--hidden", hidden)
+        assert code == 1
+        assert kv["error"].startswith("InvalidValue hidden widths")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from foagen.conditioning import pool_global, synth_features, upsample_features
-from foagen.errors import ShrinkNotSupported
+from foagen.errors import InvalidValue
 
 
 def test_upsample_integer_ratio_repeats():
@@ -24,7 +24,7 @@ def test_upsample_floor_index_pattern():
 
 
 def test_upsample_rejects_shrinking():
-    with pytest.raises(ShrinkNotSupported):
+    with pytest.raises(InvalidValue):
         upsample_features(np.zeros((4, 2)), 3)
     with pytest.raises(ValueError, match="non-empty 2-D"):
         upsample_features(np.zeros((0, 2)), 3)

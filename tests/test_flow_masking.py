@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foagen.errors import InfeasibleSpec
+from foagen.errors import InvalidValue
 from foagen.flow import MaskSpec, MaskedLatent, make_mask, max_spans, random_mask_spec
 
 
@@ -24,7 +24,7 @@ def test_mask_spec_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="seq_len must be >= 1"):
         make_mask(0, MaskSpec(0.1, 1, 1), rng)
-    with pytest.raises(InfeasibleSpec, match="no span count"):
+    with pytest.raises(InvalidValue, match="no span count"):
         random_mask_spec(MaskSpec(0.1, 1, 4), 3, rng)  # one span of 4 needs 4 frames
 
 
@@ -79,7 +79,7 @@ def test_infeasible_spec():
     rng = np.random.default_rng(4)
     mask, _ = make_mask(11, spec, rng)
     assert _runs(mask) == [5, 5]
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(InvalidValue):
         make_mask(10, spec, rng)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from foagen.conditioning import upsample_features
-from foagen.errors import DivergenceDetected, FoagenError, ShapeMismatch, ShrinkNotSupported
+from foagen.errors import DivergenceDetected, FoagenError, InvalidValue, ShapeMismatch
 from foagen.flow import training
 from foagen.flow import (
     MaskSpec,
@@ -472,7 +472,7 @@ def _nan_local(rows):
          r"local features must be 2-D \(frames, channels\)"),
         ((np.zeros((3, 2)), _nan_local(3)), ValueError, "features contains non-finite values"),
         ((np.zeros((3, 2)), _nan_local(2)), ValueError, "features contains non-finite values"),
-        ((np.zeros((3, 2)), np.zeros((4, 1))), ShrinkNotSupported,
+        ((np.zeros((3, 2)), np.zeros((4, 1))), InvalidValue,
          "cannot shrink 4 frames to 3"),
     ],
     ids=["nan-latent", "wrong-width", "not-2d", "3d-local-features",

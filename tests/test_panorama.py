@@ -9,10 +9,9 @@ import foagen.container
 import foagen.panorama
 from foagen.errors import (
     CorruptHeader,
+    InvalidValue,
     IoFailure,
-    NotErpAspect,
     ShapeMismatch,
-    TooFewFrames,
     UnsupportedFormat,
 )
 from foagen.panorama import (
@@ -62,7 +61,7 @@ def test_pad_to_square_odd_remainder_goes_below():
 
 
 def test_pad_rejects_wrong_aspect():
-    with pytest.raises(NotErpAspect):
+    with pytest.raises(InvalidValue):
         pad_to_square(np.ones((4, 9, 1)))
 
 
@@ -497,7 +496,7 @@ def test_stationarity_threshold_is_strict():
 
 def test_stationarity_needs_two_comparisons():
     frame = np.zeros((2, 4, 1))
-    with pytest.raises(TooFewFrames):
+    with pytest.raises(InvalidValue):
         stationarity_verdict([frame] * 16, interval=8)
     with pytest.raises(ValueError, match="interval must be >= 1"):
         stationarity_verdict([frame] * 16, interval=0)
