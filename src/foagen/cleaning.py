@@ -71,9 +71,9 @@ class FilterThresholds:
 class ClipManifestEntry:
     """One media clip: paths, duration, and externally supplied scores.
 
-    The constructor checks every field's type and range; :func:`read_manifest`
-    relies on it and checks no field itself. Numbers are kept as given,
-    never converted, and ``bool`` is not a number.
+    The constructor refuses a field of the wrong type or range as ``InvalidValue``;
+    :func:`read_manifest` relies on it and checks no field itself. Numbers are
+    kept as given, never converted, must be finite, and ``bool`` is not one.
     """
 
     id: str
@@ -93,17 +93,20 @@ class ClipManifestEntry:
             if f.name not in kinds or (value is None and f.default is None):
                 continue
             if isinstance(value, bool) or not isinstance(value, kinds[f.name]):
-                raise TypeError(f"{f.name} must be {kinds[f.name].__name__}, got {value!r}")
+                raise InvalidValue(f"{f.name} must be {kinds[f.name].__name__}, got {value!r}")
+            # An exact comparison: NaN fails it, and no huge int is converted.
+            if kinds[f.name] is Real and not abs(value) < 2**1024:
+                raise InvalidValue(f"{f.name} must be finite, got {value!r}")
         if not self.id:
             raise InvalidValue("entry id must be non-empty")
-        if self.duration < 0.0 or not math.isfinite(self.duration):
-            raise InvalidValue(f"duration must be finite and >= 0, got {self.duration!r}")
+        if self.duration < 0:
+            raise InvalidValue(f"duration must be >= 0, got {self.duration!r}")
         if self.sample_rate <= 0:
             raise InvalidValue("sample_rate must be positive")
         if not isinstance(self.labels, (list, tuple)) or not all(
             isinstance(label, str) for label in self.labels
         ):
-            raise TypeError(f"labels must be a list of strings, got {self.labels!r}")
+            raise InvalidValue(f"labels must be a list of strings, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
@@ -229,12 +232,12 @@ def read_manifest(path) -> list[ClipManifestEntry]:
     """Read a line-delimited JSON manifest.
 
     Each line is one :class:`ClipManifestEntry` record; a ``null`` value
-    means the key is absent.
+    means the key is absent, so a ``null`` required key is a missing one.
 
     Raises:
-        ManifestParseError: naming the offending line on bad JSON, bad or
-            missing keys, or duplicate ids; or on an unreadable or non-UTF-8
-            file.
+        ManifestParseError: naming the offending line on bad JSON, missing or
+            unknown keys, a value the entry refuses (``InvalidValue``) or a
+            duplicate id; or on an unreadable or non-UTF-8 file.
     """
     keys = {f.name for f in fields(ClipManifestEntry)}
     required = {f.name for f in fields(ClipManifestEntry) if f.default is MISSING}
@@ -253,7 +256,8 @@ def read_manifest(path) -> list[ClipManifestEntry]:
             raise ManifestParseError(f"line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ManifestParseError(f"line {lineno}: expected an object")
-        missing = required - record.keys()
+        given = {key: value for key, value in record.items() if value is not None}
+        missing = required - given.keys()
         if missing:
             raise ManifestParseError(
                 f"line {lineno}: missing keys {sorted(missing)}"
@@ -264,10 +268,8 @@ def read_manifest(path) -> list[ClipManifestEntry]:
                 f"line {lineno}: unknown keys {sorted(unknown)}"
             )
         try:
-            entry = ClipManifestEntry(
-                **{key: value for key, value in record.items() if value is not None}
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            entry = ClipManifestEntry(**given)
+        except InvalidValue as exc:
             raise ManifestParseError(f"line {lineno}: {exc}") from exc
         if entry.id in seen:
             raise ManifestParseError(f"line {lineno}: duplicate id {entry.id!r}")

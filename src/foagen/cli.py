@@ -121,9 +121,11 @@ def _require(path, kind, ambix=False):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    """The comma-separated integers of a list flag; argparse turns the
-    ValueError of a bad token into a usage error."""
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    """The comma-separated integers of a list flag; a bad token is a usage error."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid list of integers: {text!r}") from None
 
 
 # --- audio subcommands --------------------------------------------------------------
@@ -605,9 +607,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -182,6 +182,16 @@ def test_manifest_round_trip(tmp_path):
     assert read_manifest(path) == entries
 
 
+@pytest.mark.parametrize("args", [
+    (1, "a", 1.0, 16000),
+    ("a", "a", 10**400, 16000),
+    ("a", "a", 1.0, 16000, None, ["rain", 1]),
+])
+def test_manifest_entry_refuses_a_field_as_invalid_value(args):
+    with pytest.raises(InvalidValue):
+        ClipManifestEntry(*args)
+
+
 def test_manifest_parse_errors(tmp_path):
     cases = {
         "bad-json": '{"id": "a"}\n{not json}\n',
@@ -242,6 +252,23 @@ def test_manifest_parse_errors(tmp_path):
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
             '"sample_rate": 16000, "alignment_score": "1.5"}\n'
         ),
+        # json reads NaN and Infinity; a score must be finite, as a threshold is
+        "alignment-nan": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "alignment_score": NaN}\n'
+        ),
+        "alignment-infinity": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "alignment_score": Infinity}\n'
+        ),
+        "alignment-minus-infinity": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1.0, '
+            '"sample_rate": 16000, "alignment_score": -Infinity}\n'
+        ),
+        "duration-past-float": (
+            '{"id": "a", "audio_path": "a.wav", "duration": 1' + "0" * 400 + ', '
+            '"sample_rate": 16000}\n'
+        ),
         "duplicate": (
             '{"id": "a", "audio_path": "a.wav", "duration": 1.0, "sample_rate": 16000}\n'
             '{"id": "a", "audio_path": "b.wav", "duration": 1.0, "sample_rate": 16000}\n'
@@ -253,6 +280,8 @@ def test_manifest_parse_errors(tmp_path):
         with pytest.raises(ManifestParseError) as err:
             read_manifest(path)
         assert "line" in str(err.value)
+    with pytest.raises(ManifestParseError, match=r"^line 1: missing keys \['id'\]$"):
+        read_manifest(tmp_path / "id-null.jsonl")
 
     not_utf8 = tmp_path / "latin1.jsonl"
     not_utf8.write_bytes(

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tomllib
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -1047,6 +1048,9 @@ def test_installed_entry_point_exits_with_the_cli_codes(tmp_path):
     assert missing.returncode == 1
     assert missing.stdout.splitlines()[-1].startswith("error=IoFailure")
     assert run().returncode == 2  # no subcommand
+    # The console script calls main itself and exits with what it returns.
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"foagen": "foagen.cli:main"}
 
 
 def test_fm_sample_refuses_a_non_finite_condition(tmp_path, capsys):
@@ -1194,6 +1198,7 @@ def test_malformed_integer_flag_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: ") and f"argument {argv[-2]}: invalid" in captured.err
+    assert "_int_list" not in captured.err
 
 
 @pytest.mark.parametrize("exc", [ValueError("boom"), OSError(5, "boom")])

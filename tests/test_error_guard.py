@@ -3,12 +3,15 @@ code an ``error=`` line prints.
 
 ``cli.main`` turns a FoagenError into an ``error=`` line and lets any
 other exception escape as a traceback, which marks a defect. So
-``src/foagen`` raises no bare ValueError, every FoagenError subclass is
-raised somewhere in ``src/`` (a code nothing raises is one no user can
-see), and README's error-code table has one row for each subclass.
+``src/foagen`` raises no bare ValueError, nor any other builtin exception
+class (a ``TypeError`` from foagen's own check would read as a defect),
+every FoagenError subclass is raised somewhere in ``src/`` (a code nothing
+raises is one no user can see), and README's error-code table has one row
+for each subclass.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -47,6 +50,18 @@ def test_no_bare_value_error_is_raised():
     raised = [
         f"{path}:{node.lineno}" for path, node in _src_nodes()
         if isinstance(node, ast.Raise) and node.exc is not None and _name(node.exc) == "ValueError"
+    ]
+    assert raised == []
+
+
+def test_no_builtin_exception_is_raised():
+    builtin = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    raised = [
+        f"{path}:{node.lineno}" for path, node in _src_nodes()
+        if isinstance(node, ast.Raise) and node.exc is not None and _name(node.exc) in builtin
     ]
     assert raised == []
 

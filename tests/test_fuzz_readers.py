@@ -229,6 +229,7 @@ def test_manifest_reader_on_arbitrary_field_values(scratch, records):
         assert type(entry.duration) in (int, float) and type(entry.sample_rate) is int
         assert type(entry.word_count) in (type(None), int)
         assert type(entry.alignment_score) in (type(None), int, float)
+        assert entry.alignment_score is None or math.isfinite(entry.alignment_score)
         assert entry.frames_pattern is None or isinstance(entry.frames_pattern, str)
         assert isinstance(entry.id, str) and isinstance(entry.audio_path, str)
         assert all(isinstance(label, str) for label in entry.labels)
