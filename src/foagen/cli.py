@@ -78,13 +78,15 @@ def _fmt(value) -> str:
 
 
 def _emit(key: str, value) -> None:
-    print(f"{key}={_fmt(value)}")
+    # A line break in a key or value prints as a space, so no path or
+    # message can forge a line of its own.
+    print(" ".join(f"{key}={_fmt(value)}".splitlines()))
 
 
 def _emit_angle(key: str, radians: float, degrees: bool) -> None:
     # Degrees are a display convenience; radians keep full precision.
     if degrees:
-        print(f"{key}={radians * DEGREES:.3f}")
+        _emit(key, f"{radians * DEGREES:.3f}")
     else:
         _emit(key, radians)
 
@@ -94,11 +96,11 @@ def _angle_in(value: float, degrees: bool) -> float:
 
 
 def _describe(exc: BaseException) -> str:
-    """``<ErrorType> <message>`` on one line, as an ``error=`` line gives it."""
+    """``<ErrorType> <message>``, as an ``error=`` line gives it; :func:`_emit`
+    prints any line break in the message as a space."""
     # numpy raises a private subclass of MemoryError; name the public type.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-    message = str(exc).replace("\n", " ")
-    return f"{name} {message}"
+    return f"{name} {exc}"
 
 
 def _print_config(args: argparse.Namespace) -> None:
@@ -414,7 +416,7 @@ def _cmd_fm_train(args) -> int:
     _emit("steps", len(trace))
     _emit("lead_loss", float(np.mean(trace[:window])))
     _emit("trail_loss", float(np.mean(trace[-window:])))
-    print("final_loss=%.17g" % trace[-1])
+    _emit("final_loss", "%.17g" % trace[-1])
     return 0
 
 
@@ -603,7 +605,7 @@ def main(argv=None) -> int:
                 raise InvalidValue(f"--{name.replace('_', '-')} must be non-negative, got {seed}")
         return args.func(args)
     except (FoagenError, MemoryError) as exc:
-        print(f"error={_describe(exc)}")
+        _emit("error", _describe(exc))
         return 1
 
 

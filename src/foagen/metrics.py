@@ -7,6 +7,7 @@ elevation errors are plain absolute differences on [-pi/2, pi/2].
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -289,16 +290,17 @@ def _block_sums(frames_a, frames_b, taper: np.ndarray, block: slice) -> np.ndarr
 
 
 def _resolution_distance(
-    a: np.ndarray, b: np.ndarray, window: int, hop: int, jobs: int
+    a: np.ndarray, b: np.ndarray, window: int, hop: int, jobs: int, pool_map
 ) -> float:
     """The distance of two (4, n) channel matrices at one resolution: the
     mean L1 log-magnitude difference plus the spectral convergence
     ||A - B||_F / ||A||_F over the whole (4, frames, bins) spectrogram.
 
     The frames are a zero-copy view of the channels. They are tapered,
-    transformed and logged one block at a time on ``min(jobs, blocks)``
-    threads, and each block yields three per-channel sums, so no whole
-    spectrogram is ever held.
+    transformed and logged one block at a time, and each block yields
+    three per-channel sums, so no whole spectrogram is ever held. The
+    blocks go through ``pool_map``, or run on the calling thread when
+    ``jobs`` or the block count is 1; their sums are added in block order.
 
     Raises:
         ZeroEnergy: when the reference spectrogram ``a`` is zero.
@@ -313,22 +315,11 @@ def _resolution_distance(
     # Periodic Hann taper.
     taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
     step = max(1, _BLOCK_BYTES // (a.shape[0] * window * a.itemsize))
-    starts = range(0, n_frames, step)
-    workers = min(jobs, len(starts))
-
-    def run(k):
-        # Worker k takes blocks k, k + workers, ...: interleaved runs end
-        # together, and one task per worker spares a task per block.
-        return [_block_sums(frames_a, frames_b, taper, slice(s, s + step)) for s in starts[k::workers]]
-
-    if workers == 1:
-        runs = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run, range(workers)))
+    blocks = [slice(s, s + step) for s in range(0, n_frames, step)]
+    each = map if min(jobs, len(blocks)) == 1 else pool_map
     totals = np.zeros((3, a.shape[0]))
-    for i in range(len(starts)):  # in block order, so the sums do not depend on jobs
-        totals += runs[i % workers][i // workers]
+    for sums in each(functools.partial(_block_sums, frames_a, frames_b, taper), blocks):
+        totals += sums
     log_sum, norm_sq, diff_sq = totals
     norm = math.sqrt(norm_sq.sum())
     if norm == 0.0:
@@ -349,9 +340,9 @@ def multires_stft_distance(
     distance finite.
 
     Frames are transformed in blocks of a fixed byte size over the
-    signals' own (4, n) channel matrices. ``jobs`` threads, never more than
-    a resolution has blocks, each take an interleaved run of blocks; the
-    per-block sums are then added in block order, so the distance is the
+    signals' own (4, n) channel matrices. Every resolution maps its blocks
+    over one pool of ``jobs`` threads, opened once per call; the per-block
+    sums come back and are added in block order, so the distance is the
     same bits at every ``jobs``. The memory used is bounded by ``jobs``
     blocks, not by the signal length times the frame overlap.
 
@@ -370,7 +361,8 @@ def multires_stft_distance(
     if a.sample_rate != b.sample_rate:
         raise InvalidValue(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
     per_resolution = []
-    for window in config.window_sizes:
-        hop = max(1, int(round(window * config.hop_fraction)))
-        per_resolution.append(_resolution_distance(a.channels, b.channels, window, hop, jobs))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for window in config.window_sizes:
+            hop = max(1, int(round(window * config.hop_fraction)))
+            per_resolution.append(_resolution_distance(a.channels, b.channels, window, hop, jobs, pool.map))
     return float(np.mean(per_resolution))

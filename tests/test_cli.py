@@ -282,6 +282,32 @@ def test_eval_doa_prints_a_failed_pair_on_one_line(tmp_path, capsys, monkeypatch
     assert kv["failed.p01.wav"] == "CorruptHeader first second"
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r"])
+def test_a_line_break_in_a_printed_key_or_value_prints_as_a_space(tmp_path, capsys, brk):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 1)
+    evil = f"evil{brk}d_angular=0.wav"
+    _mono_wav(truth_dir / evil)
+    _mono_wav(est_dir / evil)
+    assert main(["eval-doa", str(truth_dir), str(est_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    good = pair_directions(read_wav(truth_dir / "p00.wav"), read_wav(est_dir / "p00.wav"))
+    want = "d_angular=%.12g" % eval_doa_batch([good]).errors.d_angular
+    assert [line for line in lines if line.startswith("d_angular=")] == [want]
+    flat = str(truth_dir / evil).replace(brk, " ")
+    assert lines[-1] == (
+        f"failed.evil d_angular=0.wav=ChannelCountUnsupported {flat}:"
+        " expected a 4-channel input file, got 1 channels"
+    )
+
+    out = tmp_path / f"out{brk}put.wav"
+    assert main(["spatialize", str(_mono_wav(tmp_path / "m.wav")), str(out), "--theta", "0.3"]) == 0
+    assert out.exists()
+    lines = capsys.readouterr().out.splitlines()
+    flat = str(out).replace(brk, " ")
+    assert [line for line in lines if line.startswith("config.output=")] == [f"config.output={flat}"]
+    assert lines[-1] == f"output={flat}"
+
+
 def test_eval_doa_with_no_loadable_pair_is_an_empty_batch(tmp_path, capsys):
     truth_dir, est_dir = _foa_pair_dirs(tmp_path, 2)
     for path in est_dir.iterdir():

@@ -383,6 +383,21 @@ def test_stft_starts_no_more_workers_than_blocks(monkeypatch, n, blocks):
     assert threading.active_count() == before
 
 
+def test_stft_opens_one_pool_per_call(monkeypatch):
+    opened = []
+
+    class CountedPool(metrics.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", CountedPool)
+    a, b = _noise_foa(40000, seed=7), _noise_foa(40000, seed=8)
+    assert min(_block_counts(40000, StftConfig())) >= 2  # every resolution uses the pool
+    multires_stft_distance(a, b, jobs=2)
+    assert len(opened) == 1
+
+
 def test_stft_refuses_jobs_below_one():
     a = _noise_foa(1000, seed=13)
     for jobs in (0, -1):
