@@ -34,6 +34,7 @@ as the ``.fmat`` binary container laid out in :mod:`foagen.container`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 
@@ -94,6 +95,16 @@ def _chunks(blob: bytes):
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Put ``path: `` at the head of a FoagenError's message raised inside,
+    for decoders whose own messages do not name the file."""
+    try:
+        yield
+    except FoagenError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_wav(path, ambix: bool = False):
     """Read a WAV file into the signal type matching its channel count.
 
@@ -109,10 +120,8 @@ def read_wav(path, ambix: bool = False):
     Each message names ``path`` once.
     """
     blob = container.read_bytes(path)  # an IoFailure names the path itself
-    try:
+    with _naming(path):
         return _decode_wav(blob, ambix)
-    except FoagenError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _decode_wav(blob: bytes, ambix: bool):
@@ -250,10 +259,20 @@ def write_matrix(path, matrix) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`; bit-exact."""
-    reader = container.Reader(container.read_bytes(path), MATRIX_MAGIC)
-    matrix = reader.floats(reader.ints("<QQ"))
-    reader.end()
+    """Read a matrix written by :func:`write_matrix`; bit-exact.
+
+    Raises:
+        CorruptHeader: a bad magic, a short or long file, or a shape numpy
+            cannot hold.
+        IoFailure: the underlying read failed.
+
+    Each message names ``path`` once.
+    """
+    blob = container.read_bytes(path)  # an IoFailure names the path itself
+    with _naming(path):
+        reader = container.Reader(blob, MATRIX_MAGIC)
+        matrix = reader.floats(reader.ints("<QQ"))
+        reader.end()
     return matrix
 
 
@@ -262,29 +281,33 @@ def read_matrix_text(path) -> np.ndarray:
 
     Raises:
         ParseError: naming the line of the first bad token or ragged row,
-            or on bytes that are not UTF-8.
+            on a file with no data rows, or on bytes that are not UTF-8.
+        IoFailure: the underlying read failed.
+
+    Each message names ``path`` once.
     """
-    rows: list[list[float]] = []
     try:
-        lines = container.read_lines(path)
+        lines = container.read_lines(path)  # an IoFailure names the path itself
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text ({exc})") from exc
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.replace(",", " ").split()
-        try:
-            row = [float(token) for token in tokens]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad number ({exc})") from exc
-        if rows and len(row) != len(rows[0]):
-            raise ParseError(
-                f"line {lineno}: expected {len(rows[0])} columns, got {len(row)}"
-            )
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path} holds no data rows")
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    rows: list[list[float]] = []
+    with _naming(path):
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = stripped.replace(",", " ").split()
+            try:
+                row = [float(token) for token in tokens]
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad number ({exc})") from exc
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(
+                    f"line {lineno}: expected {len(rows[0])} columns, got {len(row)}"
+                )
+            rows.append(row)
+        if not rows:
+            raise ParseError("no data rows")
     return np.asarray(rows, dtype=np.float64)
 
 

@@ -245,7 +245,9 @@ def read_manifest(path) -> list[ClipManifestEntry]:
     seen: set[str] = set()
     try:
         lines = container.read_lines(path)
-    except (IoFailure, UnicodeDecodeError) as exc:
+    except IoFailure as exc:  # its message names the path
+        raise ManifestParseError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
         raise ManifestParseError(f"cannot read manifest {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

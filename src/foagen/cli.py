@@ -47,7 +47,7 @@ from .flow import (
     save_model,
     train,
 )
-from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance, pair_directions
+from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance, signal_direction
 from .panorama import (
     FOV_PRESETS,
     CameraSpec,
@@ -123,9 +123,10 @@ def _require(path, kind, ambix=False):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    """The comma-separated integers of a list flag; a bad token is a usage error."""
+    """The comma-separated integers of a list flag; a bad or empty token,
+    and so an empty list, is a usage error."""
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid list of integers: {text!r}") from None
 
@@ -191,14 +192,16 @@ def _cmd_eval_doa(args) -> int:
     paths = _wav_pair_paths(args.truth, args.estimate)
 
     def directions(pair):
-        # Only the directions or an error's description leave the task, so
-        # no signal outlives it: at most ``jobs`` pairs are held at once.
+        # Each file is read and turned into its direction before the next
+        # is read, and the signal dies when signal_direction returns, so a
+        # task holds one decoded signal and the pool at most ``jobs``. A
+        # read failure outranks a silent file, and the truth file's first.
         try:
-            truth = _require(pair[0], FoaSignal, ambix=args.ambix)
-            estimate = _require(pair[1], FoaSignal, ambix=args.ambix)
+            truth = signal_direction(_require(pair[0], FoaSignal, ambix=args.ambix))
+            estimate = signal_direction(_require(pair[1], FoaSignal, ambix=args.ambix))
         except FoagenError as exc:
             return _describe(exc)
-        return pair_directions(truth, estimate)
+        return None if None in (truth, estimate) else (truth, estimate)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         outcomes = list(pool.map(directions, paths))
@@ -499,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("estimate", help="matching file or directory")
     p.add_argument("--degrees", action="store_true", help="print errors in degrees")
     p.add_argument("--ambix", action="store_true")
-    p.add_argument("--jobs", type=int, help="parallel pair loads, each worker estimating its pair's directions; at most jobs pairs are held at once; unset: usable CPU count")
+    p.add_argument("--jobs", type=int, help="parallel pair loads, each worker estimating its pair's directions one file at a time; at most jobs decoded signals are held at once; unset: usable CPU count")
 
     p = _add(subparsers, "eval-fd", _cmd_eval_fd, "Frechet distance between two feature matrices.")
     p.add_argument("a", help=".fmat container or delimited text")

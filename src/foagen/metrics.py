@@ -88,13 +88,24 @@ class BatchDoaResult:
     pairs_excluded: int
 
 
-def pair_directions(truth: FoaSignal, estimate: FoaSignal) -> tuple[Direction, Direction] | None:
-    """Both directions of a (truth, estimate) pair, or None when either
-    signal is too weak to define one."""
+def signal_direction(signal: FoaSignal) -> Direction | None:
+    """The direction of one signal, or None when it is too weak to define
+    one. Only the direction leaves the call, so ``eval-doa``, which reads
+    a pair's files through it one at a time, holds at most ``jobs``
+    decoded signals."""
     try:
-        return estimate_doa(truth), estimate_doa(estimate)
+        return estimate_doa(signal)
     except ZeroEnergy:
         return None
+
+
+def pair_directions(truth: FoaSignal, estimate: FoaSignal) -> tuple[Direction, Direction] | None:
+    """Both directions of a (truth, estimate) pair, or None when either
+    signal is too weak to define one. The caller holds both signals;
+    ``eval-doa`` holds at most ``jobs`` decoded signals, as it takes each
+    file's :func:`signal_direction` before it reads the next."""
+    pair = signal_direction(truth), signal_direction(estimate)
+    return None if None in pair else pair
 
 
 def eval_doa_batch(

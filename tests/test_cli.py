@@ -321,6 +321,40 @@ def test_eval_doa_with_no_loadable_pair_is_an_empty_batch(tmp_path, capsys):
     assert "evaluated" not in kv
 
 
+def _silent_foa(path):
+    z = np.zeros(400)
+    write_wav(FoaSignal([z, z, z, z], RATE), path)
+
+
+def _cut_short(path):
+    path.write_bytes(path.read_bytes()[:30])  # cut inside the fmt chunk
+
+
+def test_eval_doa_a_read_failure_outranks_a_silent_file(tmp_path, capsys):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 3)
+    _silent_foa(truth_dir / "p00.wav")
+    _cut_short(est_dir / "p00.wav")
+    _cut_short(truth_dir / "p01.wav")
+    _silent_foa(est_dir / "p01.wav")
+    for jobs in ("1", "2"):
+        code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", jobs)
+        assert code == 0
+        assert (kv["evaluated"], kv["excluded"], kv["failed"]) == ("1", "0", "2")
+        for name, bad in (("p00.wav", est_dir), ("p01.wav", truth_dir)):
+            assert kv[f"failed.{name}"] == f"CorruptHeader {bad / name}: chunk b'fmt ' truncated"
+
+
+def test_eval_doa_shows_the_truth_file_error_when_both_fail(tmp_path, capsys):
+    truth_dir, est_dir = _foa_pair_dirs(tmp_path, 2)
+    _cut_short(truth_dir / "p01.wav")
+    (est_dir / "p01.wav").write_bytes(b"OggS" + bytes(40))
+    for jobs in ("1", "2"):
+        code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", jobs)
+        assert code == 0
+        assert (kv["evaluated"], kv["failed"]) == ("1", "1")
+        assert kv["failed.p01.wav"] == f"CorruptHeader {truth_dir / 'p01.wav'}: chunk b'fmt ' truncated"
+
+
 def test_eval_doa_output_does_not_depend_on_jobs(tmp_path, capsys):
     truth_dir, est_dir = _foa_pair_dirs(tmp_path, 6)
     outputs = set()
@@ -334,8 +368,9 @@ def test_eval_doa_output_does_not_depend_on_jobs(tmp_path, capsys):
 
 
 def test_eval_doa_holds_at_most_jobs_pairs(tmp_path, capsys, monkeypatch):
+    # Each task reads its pair's files one at a time, so the pool holds at
+    # most ``jobs`` decoded signals.
     truth_dir, est_dir = _foa_pair_dirs(tmp_path, 10)
-    jobs = 2
     lock = threading.RLock()  # a finalizer may run while its own thread holds it
     alive = peak = 0
 
@@ -354,10 +389,12 @@ def test_eval_doa_holds_at_most_jobs_pairs(tmp_path, capsys, monkeypatch):
         return signal
 
     monkeypatch.setattr(cli, "read_wav", counted_read_wav)
-    code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", jobs)
-    assert code == 0
-    assert kv["evaluated"] == "10"
-    assert 0 < peak <= 2 * jobs
+    for jobs in (1, 2):
+        peak = 0
+        code, kv = run_cli(capsys, "eval-doa", truth_dir, est_dir, "--jobs", jobs)
+        assert code == 0
+        assert kv["evaluated"] == "10"
+        assert 0 < peak <= jobs
 
 
 def test_eval_fd_and_kl(tmp_path, capsys):
@@ -379,6 +416,25 @@ def test_eval_fd_and_kl(tmp_path, capsys):
     code, kv = run_cli(capsys, "eval-kl", tmp_path / "p.txt", tmp_path / "z.txt")
     assert code == 1
     assert kv["error"].startswith("InvalidValue")
+
+
+def test_eval_fd_names_the_corrupt_matrix_file_once(tmp_path, capsys):
+    good, bad = tmp_path / "good.fmat", tmp_path / "bad.fmat"
+    write_matrix(good, np.eye(3))
+    bad.write_bytes(good.read_bytes()[:8])  # the magic alone
+    code, kv = run_cli(capsys, "eval-fd", bad, good)
+    assert code == 1
+    assert kv["error"] == f"CorruptHeader {bad}: container truncated at offset 8"
+
+
+def test_eval_kl_names_the_unparsable_text_file_once(tmp_path, capsys):
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    p.write_text("0.5 x\n")
+    np.savetxt(q, [[0.5, 0.5]], fmt="%.17g")
+    code, kv = run_cli(capsys, "eval-kl", p, q)
+    assert code == 1
+    assert kv["error"].startswith(f"ParseError {p}: line 1: bad number (")
+    assert kv["error"].count(str(p)) == 1
 
 
 def test_eval_stft_identical_files(tmp_path, capsys):
@@ -630,6 +686,13 @@ def test_clean_rejects_unparsable_manifest(tmp_path, capsys):
         )
         assert code == 1
         assert kv["error"].startswith("ManifestParseError ")
+
+
+def test_clean_names_an_unreadable_manifest_once(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    code, kv = run_cli(capsys, "clean", missing, "--report", tmp_path / "r.jsonl")
+    assert code == 1
+    assert kv["error"] == f"ManifestParseError cannot read {missing}: No such file or directory"
 
 
 def test_clean_min_alignment_two_is_the_strict_cut(tmp_path, capsys):
@@ -1216,6 +1279,10 @@ def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, command, fla
     ["eval-stft", "a.wav", "b.wav", "--windows", "8,1e3"],
     ["fm-train", "--data", "x.fmat", "--hidden", "x"],
     ["fm-train", "--data", "x.fmat", "--steps", "x"],
+    ["eval-stft", "a.wav", "b.wav", "--windows", ","],
+    ["eval-stft", "a.wav", "b.wav", "--windows", ""],
+    ["eval-stft", "a.wav", "b.wav", "--windows", "256,,512"],
+    ["fm-train", "--data", "x.fmat", "--hidden", "8,"],
 ])
 def test_malformed_integer_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
