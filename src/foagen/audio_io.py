@@ -34,14 +34,13 @@ as the ``.fmat`` binary container laid out in :mod:`foagen.container`.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 
 import numpy as np
 
 from . import container
-from .errors import CorruptHeader, FoagenError, InvalidValue, ParseError, SpecMismatch, UnsupportedFormat
+from .errors import CorruptHeader, InvalidValue, ParseError, SpecMismatch, UnsupportedFormat
 from .foa import signal_type
 
 MATRIX_MAGIC = b"FMAT0001"
@@ -95,16 +94,6 @@ def _chunks(blob: bytes):
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
 
-@contextlib.contextmanager
-def _naming(path):
-    """Put ``path: `` at the head of a FoagenError's message raised inside,
-    for decoders whose own messages do not name the file."""
-    try:
-        yield
-    except FoagenError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
 def read_wav(path, ambix: bool = False):
     """Read a WAV file into the signal type matching its channel count.
 
@@ -120,7 +109,7 @@ def read_wav(path, ambix: bool = False):
     Each message names ``path`` once.
     """
     blob = container.read_bytes(path)  # an IoFailure names the path itself
-    with _naming(path):
+    with container.naming(path):
         return _decode_wav(blob, ambix)
 
 
@@ -269,7 +258,7 @@ def read_matrix(path) -> np.ndarray:
     Each message names ``path`` once.
     """
     blob = container.read_bytes(path)  # an IoFailure names the path itself
-    with _naming(path):
+    with container.naming(path):
         reader = container.Reader(blob, MATRIX_MAGIC)
         matrix = reader.floats(reader.ints("<QQ"))
         reader.end()
@@ -291,7 +280,7 @@ def read_matrix_text(path) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     rows: list[list[float]] = []
-    with _naming(path):
+    with container.naming(path):
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

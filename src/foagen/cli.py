@@ -239,9 +239,9 @@ def _cmd_eval_kl(args) -> int:
 
 
 def _cmd_eval_stft(args) -> int:
+    config = StftConfig(window_sizes=args.windows, hop_fraction=args.hop)
     a = _require(args.a, FoaSignal, ambix=args.ambix)
     b = _require(args.b, FoaSignal, ambix=args.ambix)
-    config = StftConfig(window_sizes=args.windows, hop_fraction=args.hop)
     _emit("stft_distance", multires_stft_distance(a, b, config, jobs=args.jobs))
     return 0
 
@@ -382,10 +382,10 @@ def _cmd_fm_train(args) -> int:
     for name in ("hidden", "init_seed", "cond"):
         if getattr(args, name) is not None and args.fixture is not None:
             raise InvalidValue(f"--{name.replace('_', '-')} cannot be used with --fixture")
+    config = _resolve_train_config(args, fixture=args.fixture is not None)
     if args.fixture is not None:
         dataset = mixture_dataset()
         model = mixture_model()
-        config = _resolve_train_config(args, fixture=True)
     else:
         x1 = read_matrix_any(args.data)
         cond = read_matrix_any(args.cond) if args.cond else None
@@ -404,7 +404,6 @@ def _cmd_fm_train(args) -> int:
         model = VelocityModel.initialize(
             latent_dim, cond_dim, hidden, np.random.default_rng(init_seed)
         )
-        config = _resolve_train_config(args, fixture=False)
 
     trace = train(model, dataset, config)
     if args.trace:
@@ -424,18 +423,19 @@ def _cmd_fm_train(args) -> int:
 
 
 def _cmd_fm_sample(args) -> int:
-    model = load_model(args.model)
     if args.cond and args.mixture_class is not None:
         raise InvalidValue("--cond and --mixture-class are mutually exclusive")
+    cfg = CfgSpec(args.cfg_scale)
     global_cond = None
+    if args.mixture_class is not None:
+        global_cond = mixture_condition(args.mixture_class)
+    model = load_model(args.model)
     if args.cond:
         global_cond = read_matrix_any(args.cond).ravel()
-    elif args.mixture_class is not None:
-        global_cond = mixture_condition(args.mixture_class)
     samples = euler_sample(
         model,
         steps=args.steps,
-        cfg=CfgSpec(args.cfg_scale),
+        cfg=cfg,
         global_cond=global_cond,
         frames=args.frames,
         rng=np.random.default_rng(args.seed),

@@ -30,6 +30,7 @@ cannot hold, or leftover bytes, and IoFailure when the OS read fails.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeader, IoFailure
+from .errors import CorruptHeader, FoagenError, IoFailure
 
 
 def read_bytes(path) -> bytes:
@@ -77,6 +78,18 @@ def _read(path, limit: int | None) -> tuple[bytes, int]:
             os.close(fd)
     except (OSError, ValueError) as exc:
         raise _failure("cannot read", path, exc) from exc
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Put ``path: `` at the head of a FoagenError's message raised inside,
+    for decoders of a file's bytes whose own messages do not name the file.
+    An IoFailure of :func:`read_bytes` names the path already, so only the
+    decode is wrapped."""
+    try:
+        yield
+    except FoagenError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _failure(action: str, path, exc: OSError | ValueError) -> IoFailure:

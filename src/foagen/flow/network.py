@@ -9,6 +9,15 @@ time value. Gradients are accumulated by exact reverse-mode
 differentiation; no framework is involved, which keeps the arithmetic
 reproducible and easy to check against finite differences.
 
+Adding a (fan_out,) bias to every row makes numpy run one fan_out-long
+loop per row, which at sampling's small widths costs more than the add
+itself. So :meth:`VelocityModel.forward`, which sampling calls with the
+same row count at every step, adds each bias from a row-tiled copy that
+the model keeps and reuses until the row count or a bias's bytes change.
+Each element gets the same addition, so the outputs are the same bits.
+Training changes the biases every step, so
+:meth:`VelocityModel.forward_cached` adds them by broadcasting.
+
 Checkpoints are the ``.fgvm`` container laid out in :mod:`foagen.container`.
 The latent width is the last layer width and the condition width is
 recoverable as widths[0] - widths[-1] - 1.
@@ -26,6 +35,11 @@ from ..conditioning import upsample_features
 
 CHECKPOINT_MAGIC = b"FGVM0001"
 
+# Values per row-tiled bias, at most; a larger input gets its bias in row
+# blocks. A tile then holds 16384 float64 values, 128 KiB, like
+# panorama's _BLOCK_PIXELS, whatever the row count.
+_TILE_VALUES = 1 << 14
+
 
 @dataclass
 class VelocityModel:
@@ -42,6 +56,11 @@ class VelocityModel:
     cond_dim: int
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    # (key, tiles) of the last forward, swapped in whole so concurrent
+    # callers each read one consistent pair. Not a field: equality and
+    # repr ignore it.
+    _bias_tiles = None
 
     def __post_init__(self):
         if self.latent_dim < 1 or self.cond_dim < 0:
@@ -125,28 +144,71 @@ class VelocityModel:
         unconditional branch: every condition channel reads zero, which is
         what fully masked training draws without external features (or with
         them dropped) show the model.
+
+        Repeated calls at one row count reuse row-tiled copies of the
+        biases (see :meth:`_tiled_biases`); the output is the same bits as
+        :meth:`forward_cached`'s.
         """
-        out, _ = self.forward_cached(t, cond, x)
-        return out
+        table = self._assemble_input(t, cond, x)
+        return self._layers(table, self._tiled_biases(table.shape[0]))[-1]
 
     def forward_cached(
         self, t, cond: np.ndarray | None, x: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping layer activations for the backward pass.
 
-        Each layer's output is one fresh array: the bias is added and tanh
-        applied in place, so ``x`` and ``cond`` are only read.
+        Each layer's output is one fresh array, so ``x`` and ``cond`` are
+        only read.
         """
-        activation = self._assemble_input(t, cond, x)
+        cache = self._layers(self._assemble_input(t, cond, x), self.biases)
+        return cache[-1], cache
+
+    def _layers(self, activation: np.ndarray, biases) -> list[np.ndarray]:
+        """The input table followed by each layer's output.
+
+        ``biases`` holds, per layer, its (fan_out,) bias or a row-tiled
+        (block, fan_out) copy of it, which is added block by block. The
+        bias is added and tanh applied in place on each layer's fresh
+        output.
+        """
         cache = [activation]
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(self.weights, biases)):
             activation = activation @ w
-            activation += b
+            if b.ndim == 1 or len(b) == len(activation):
+                activation += b
+            else:
+                for start in range(0, len(activation), len(b)):
+                    part = activation[start : start + len(b)]
+                    part += b[: len(part)]
             if i != last:
                 np.tanh(activation, out=activation)
             cache.append(activation)
-        return activation, cache
+        return cache
+
+    def _tiled_biases(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Each layer's bias as a read-only (block, fan_out) tile of
+        ``block`` = min(rows, _TILE_VALUES // fan_out) copies, or as a
+        read-only (fan_out,) copy where that is below 2.
+
+        The tiles are built from the exact bytes of every bias and kept
+        until ``rows`` or any of those bytes change, so an in-place update,
+        a 0.0 turned -0.0 or a new NaN payload each rebuilds them.
+        """
+        key = (rows, *[b.tobytes() for b in self.biases])
+        held = self._bias_tiles
+        if held is None or held[0] != key:
+            tiles = []
+            for b, data in zip(self.biases, key[1:]):
+                bias = np.frombuffer(data, b.dtype)  # read-only
+                block = min(rows, _TILE_VALUES // max(1, bias.size))
+                if block >= 2:
+                    bias = np.tile(bias, (block, 1))
+                    bias.flags.writeable = False
+                tiles.append(bias)
+            held = (key, tuple(tiles))
+            self._bias_tiles = held
+        return held[1]
 
     def backward(
         self, cache: list[np.ndarray], grad_out: np.ndarray
@@ -235,20 +297,25 @@ def load_model(path) -> VelocityModel:
 
     Raises:
         CorruptHeader: on bad magic, truncation, or impossible widths.
+        IoFailure: the underlying read failed.
+
+    Each message names ``path`` once.
     """
-    reader = container.Reader(container.read_bytes(path), CHECKPOINT_MAGIC)
-    (n_widths,) = reader.ints("<I")
-    if n_widths < 3:
-        raise CorruptHeader("checkpoint must describe at least one hidden layer")
-    widths = reader.ints(f"<{n_widths}I")
-    latent_dim = widths[-1]
-    cond_dim = widths[0] - latent_dim - 1
-    if latent_dim < 1 or cond_dim < 0:
-        raise CorruptHeader(f"width table {list(widths)!r} is not a valid model")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        weights.append(reader.floats((fan_in, fan_out)))
-        biases.append(reader.floats((fan_out,)))
-    reader.end()
+    blob = container.read_bytes(path)  # an IoFailure names the path itself
+    with container.naming(path):
+        reader = container.Reader(blob, CHECKPOINT_MAGIC)
+        (n_widths,) = reader.ints("<I")
+        if n_widths < 3:
+            raise CorruptHeader("checkpoint must describe at least one hidden layer")
+        widths = reader.ints(f"<{n_widths}I")
+        latent_dim = widths[-1]
+        cond_dim = widths[0] - latent_dim - 1
+        if latent_dim < 1 or cond_dim < 0:
+            raise CorruptHeader(f"width table {list(widths)!r} is not a valid model")
+        weights = []
+        biases = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            weights.append(reader.floats((fan_in, fan_out)))
+            biases.append(reader.floats((fan_out,)))
+        reader.end()
     return VelocityModel(latent_dim, cond_dim, weights, biases)

@@ -1274,6 +1274,35 @@ def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, command, fla
     assert kv["error"] == f"InvalidValue {flag} must be non-negative, got -1"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval-stft", "a.wav", "b.wav", "--hop", "2"], "hop_fraction must lie in (0, 1]"),
+    (["eval-stft", "a.wav", "b.wav", "--windows", "512,256"], "window sizes must be strictly increasing"),
+    (["fm-train", "--data", "x.fmat", "--lr", "-1"], "learning_rate must be positive and finite, got -1.0"),
+    (["fm-train", "--data", "x.fmat", "--steps", "0"], "batch_size and steps must be >= 1"),
+    (["fm-train", "--data", "x.fmat", "--time-sampler", "logit_normal", "--sigma", "0"],
+     "sigma must be positive and finite"),
+    (["fm-sample", "--model", "m.fgvm", "--cfg-scale", "nan"], "guidance scale must be finite"),
+    (["fm-sample", "--model", "m.fgvm", "--mixture-class", "7"], "mixture class must be one of (1, 2), got 7"),
+    (["fm-sample", "--model", "m.fgvm", "--cond", "c.txt", "--mixture-class", "1"],
+     "--cond and --mixture-class are mutually exclusive"),
+])
+def test_a_bad_flag_is_refused_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # The inputs do not exist: reading one first would report IoFailure.
+    argv = [tmp_path / a if a.endswith((".wav", ".fmat", ".fgvm", ".txt")) else a for a in argv]
+    code, kv = run_cli(capsys, *argv)
+    assert code == 1
+    assert kv["error"] == f"InvalidValue {message}"
+
+
+def test_fm_sample_names_the_corrupt_checkpoint_once(tmp_path, capsys):
+    bad = tmp_path / "bad.fgvm"
+    bad.write_bytes(b"FGVM")
+    code, kv = run_cli(capsys, "fm-sample", "--model", bad, "--frames", "4", "--steps", "2")
+    assert code == 1
+    assert kv["error"] == f"CorruptHeader {bad}: bad magic; expected b'FGVM0001'"
+    assert "samples" not in kv
+
+
 @pytest.mark.parametrize("argv", [
     ["eval-stft", "a.wav", "b.wav", "--windows", "a,b"],
     ["eval-stft", "a.wav", "b.wav", "--windows", "8,1e3"],

@@ -1,3 +1,7 @@
+import sys
+import threading
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,7 +15,7 @@ from foagen.flow import (
     load_model,
     save_model,
 )
-from foagen.flow.network import CHECKPOINT_MAGIC
+from foagen.flow.network import _TILE_VALUES, CHECKPOINT_MAGIC
 
 
 def _finite_difference_grads(model, t, cond, x, target, h=1e-5):
@@ -131,6 +135,103 @@ def test_backward_only_reads_cache_and_grad_out():
         assert a.tobytes() == b.tobytes()
     for dw, db in grads:
         assert not any(np.shares_memory(g, a) for g in (dw, db) for a in (*cache, grad_out))
+
+
+def _tile_model():
+    """A model with non-zero biases, hidden width 16 as the mixture model's."""
+    rng = np.random.default_rng(31)
+    model = VelocityModel.initialize(2, 4, (16, 16), rng)
+    for b in model.biases:
+        b[:] = rng.standard_normal(b.shape)
+    return model
+
+
+def _same_bits_as_forward_cached(model, rows, seed=0):
+    rng = np.random.default_rng(seed)
+    t, cond, x = 0.375, rng.standard_normal((rows, 4)), rng.standard_normal((rows, 2))
+    expected = model.forward_cached(t, cond, x)[0].tobytes()
+    # The first call builds the tiles and the second reuses them.
+    return all(model.forward(t, cond, x).tobytes() == expected for _ in range(2))
+
+
+# 1025 rows are one past a 16-wide layer's block of _TILE_VALUES // 16 rows.
+@pytest.mark.parametrize("rows", [1, 7, 1000, _TILE_VALUES // 16 + 1])
+def test_forward_is_forward_cached_bit_for_bit(rows):
+    assert _same_bits_as_forward_cached(_tile_model(), rows)
+
+
+def test_forward_rebuilds_its_tiles_when_a_bias_changes_in_place():
+    model = _tile_model()
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((40, 2))
+    assert _same_bits_as_forward_cached(model, 40)
+    # An SGD step writes into the bias arrays the tiles were made from.
+    out, cache = model.forward_cached(0.5, None, x)
+    model.apply_gradients(model.backward(cache, out), 0.1)
+    assert _same_bits_as_forward_cached(model, 40)
+    # A zero's sign and a NaN's payload compare equal, or unordered, as
+    # values; the tiles must follow their bits all the same.
+    model.biases[0][:] = 0.0
+    assert _same_bits_as_forward_cached(model, 40)
+    model.biases[0][:] = -0.0
+    assert _same_bits_as_forward_cached(model, 40)
+    assert np.signbit(model._tiled_biases(40)[0]).all()
+    for payload in (0x7FF8000000000001, 0x7FF8000000000002):
+        model.biases[-1][:] = np.array([payload], dtype=np.uint64).view(np.float64)[0]
+        assert _same_bits_as_forward_cached(model, 40)
+        assert model._tiled_biases(40)[-1].view(np.uint64)[0, 0] == payload
+
+
+def test_forward_from_two_threads_at_different_row_counts():
+    model = _tile_model()
+    cases = {}
+    for rows in (7, 1000):
+        rng = np.random.default_rng(rows)
+        args = (0.625, rng.standard_normal((rows, 4)), rng.standard_normal((rows, 2)))
+        cases[rows] = (args, model.forward_cached(*args)[0].tobytes())
+    mismatches = []
+
+    def run(rows):
+        args, expected = cases[rows]
+        for _ in range(300):
+            if model.forward(*args).tobytes() != expected:
+                mismatches.append(rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(rows,)) for rows in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_bias_tiles_hold_at_most_the_bound():
+    narrow = _tile_model()
+    wide = VelocityModel.initialize(2, 4, (_TILE_VALUES // 2 + 1,), np.random.default_rng(33))
+    for model in (narrow, wide):
+        for rows in (1, 7, 1000, 5000):
+            assert _same_bits_as_forward_cached(model, rows)
+            for tile, b in zip(model._tiled_biases(rows), model.biases):
+                assert tile.size <= max(_TILE_VALUES, b.size)
+                assert not tile.flags.writeable
+    # A layer wider than half the bound gets its bias as it is, not tiled.
+    assert wide._tiled_biases(5000)[0].shape == wide.biases[0].shape
+
+
+def test_velocity_model_equality_and_repr_ignore_the_tiles():
+    model = _tile_model()
+    twin = VelocityModel(model.latent_dim, model.cond_dim, model.weights, model.biases)
+    assert _same_bits_as_forward_cached(model, 9)
+    assert model._bias_tiles is not None and twin._bias_tiles is None
+    assert model == twin
+    assert repr(model) == repr(twin)
+    assert [f.name for f in fields(VelocityModel)] == ["latent_dim", "cond_dim", "weights", "biases"]
 
 
 def test_build_condition_per_row_global_block():
