@@ -108,9 +108,8 @@ def read_wav(path, ambix: bool = False):
 
     Each message names ``path`` once.
     """
-    blob = container.read_bytes(path)  # an IoFailure names the path itself
     with container.naming(path):
-        return _decode_wav(blob, ambix)
+        return _decode_wav(container.read_bytes(path), ambix)
 
 
 def _decode_wav(blob: bytes, ambix: bool):
@@ -226,10 +225,11 @@ def write_wav(signal, path, encoding: str = "float32", ambix: bool = False) -> N
             else:
                 frames[start:stop] = block.T
                 if not np.isfinite(frames[start:stop]).all():
-                    raise SpecMismatch(
-                        f"{path}: a sample lies past the float32 range and "
-                        "would be written as an infinity"
-                    )
+                    with container.naming(path):
+                        raise SpecMismatch(
+                            "a sample lies past the float32 range and "
+                            "would be written as an infinity"
+                        )
     header = (
         b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
         + chunks + b"data" + struct.pack("<I", data_size)
@@ -257,9 +257,8 @@ def read_matrix(path) -> np.ndarray:
 
     Each message names ``path`` once.
     """
-    blob = container.read_bytes(path)  # an IoFailure names the path itself
     with container.naming(path):
-        reader = container.Reader(blob, MATRIX_MAGIC)
+        reader = container.Reader(container.read_bytes(path), MATRIX_MAGIC)
         matrix = reader.floats(reader.ints("<QQ"))
         reader.end()
     return matrix
@@ -275,12 +274,12 @@ def read_matrix_text(path) -> np.ndarray:
 
     Each message names ``path`` once.
     """
-    try:
-        lines = container.read_lines(path)  # an IoFailure names the path itself
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     rows: list[list[float]] = []
     with container.naming(path):
+        try:
+            lines = container.read_lines(path)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc})") from exc
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -238,45 +238,43 @@ def read_manifest(path) -> list[ClipManifestEntry]:
         ManifestParseError: naming the offending line on bad JSON, missing or
             unknown keys, a value the entry refuses (``InvalidValue``) or a
             duplicate id; or on an unreadable or non-UTF-8 file.
+
+    Each message names ``path`` once.
     """
     keys = {f.name for f in fields(ClipManifestEntry)}
     required = {f.name for f in fields(ClipManifestEntry) if f.default is MISSING}
     entries: list[ClipManifestEntry] = []
     seen: set[str] = set()
     try:
-        lines = container.read_lines(path)
-    except IoFailure as exc:  # its message names the path
+        with container.naming(path):
+            try:
+                lines = container.read_lines(path)
+            except UnicodeDecodeError as exc:
+                raise ManifestParseError(f"not UTF-8 text ({exc})") from exc
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
+                    raise ManifestParseError(f"line {lineno}: invalid JSON ({exc})") from exc
+                if not isinstance(record, dict):
+                    raise ManifestParseError(f"line {lineno}: expected an object")
+                given = {key: value for key, value in record.items() if value is not None}
+                if missing := required - given.keys():
+                    raise ManifestParseError(f"line {lineno}: missing keys {sorted(missing)}")
+                if unknown := record.keys() - keys:
+                    raise ManifestParseError(f"line {lineno}: unknown keys {sorted(unknown)}")
+                try:
+                    entry = ClipManifestEntry(**given)
+                except InvalidValue as exc:
+                    raise ManifestParseError(f"line {lineno}: {exc}") from exc
+                if entry.id in seen:
+                    raise ManifestParseError(f"line {lineno}: duplicate id {entry.id!r}")
+                seen.add(entry.id)
+                entries.append(entry)
+    except IoFailure as exc:  # only the read raises one, and it names the path
         raise ManifestParseError(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise ManifestParseError(f"cannot read manifest {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
-            raise ManifestParseError(f"line {lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise ManifestParseError(f"line {lineno}: expected an object")
-        given = {key: value for key, value in record.items() if value is not None}
-        missing = required - given.keys()
-        if missing:
-            raise ManifestParseError(
-                f"line {lineno}: missing keys {sorted(missing)}"
-            )
-        unknown = record.keys() - keys
-        if unknown:
-            raise ManifestParseError(
-                f"line {lineno}: unknown keys {sorted(unknown)}"
-            )
-        try:
-            entry = ClipManifestEntry(**given)
-        except InvalidValue as exc:
-            raise ManifestParseError(f"line {lineno}: {exc}") from exc
-        if entry.id in seen:
-            raise ManifestParseError(f"line {lineno}: duplicate id {entry.id!r}")
-        seen.add(entry.id)
-        entries.append(entry)
     return entries
 
 

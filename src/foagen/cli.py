@@ -115,10 +115,11 @@ def _require(path, kind, ambix=False):
     ChannelCountUnsupported naming the file."""
     signal = read_wav(path, ambix=ambix)
     if not isinstance(signal, kind):
-        raise ChannelCountUnsupported(
-            f"{path}: expected a {kind.n_channels}-channel input file, "
-            f"got {len(signal.channels)} channels"
-        )
+        with container.naming(path):
+            raise ChannelCountUnsupported(
+                f"expected a {kind.n_channels}-channel input file, "
+                f"got {len(signal.channels)} channels"
+            )
     return signal
 
 
@@ -135,10 +136,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_spatialize(args) -> int:
-    mono = _require(args.input, MonoSignal)
     direction = Direction(
         _angle_in(args.theta, args.degrees), _angle_in(args.phi, args.degrees)
     )
+    mono = _require(args.input, MonoSignal)
     foa = spatialize_mono(mono, direction)
     write_wav(foa, args.output, args.encoding, ambix=args.ambix)
     _emit("samples", foa.w.shape[0])
@@ -262,9 +263,9 @@ def _cmd_pad_erp(args) -> int:
 
 
 def _cmd_cut_fov(args) -> int:
+    cameras = fov_cameras(args.preset, args.hfov / DEGREES, args.width, args.height)
     # Cuts sample the stored pixels; the ERP is never decoded whole.
     frame = read_stored(args.input)
-    cameras = fov_cameras(args.preset, args.hfov / DEGREES, args.width, args.height)
     # Cuts keep the ERP's format and are named by it: an anymap's are
     # quantized to --bit-depth block by block as they render, so no task
     # holds a float cut; a float container's stay float.
@@ -293,10 +294,10 @@ def _cmd_cut_fov(args) -> int:
 
 
 def _cmd_clean(args) -> int:
-    entries = read_manifest(args.manifest)
     thresholds = FilterThresholds(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(FilterThresholds)}
     )
+    entries = read_manifest(args.manifest)
     report = run_pipeline(entries, thresholds, base_dir=args.base_dir, jobs=args.jobs)
     write_report(args.report, report)
     _emit("evaluated", report.evaluated)

@@ -3,8 +3,8 @@
 Visual features arrive at a coarser rate than audio latents, so they are
 upsampled along time and then appended to the velocity model's condition
 channels; its linear first layer projects them and adds the result to
-the rest of its input, so no projection or fusion happens here. A global
-summary is taken by per-channel max pooling over time.
+the rest of its input, so no projection or fusion happens here. Flow
+latents pass the same (frames, channels) check as features.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ import numpy as np
 from .errors import InvalidValue
 
 
-def _as_feature_seq(features) -> np.ndarray:
-    arr = np.asarray(features, dtype=np.float64)
+def _as_feature_seq(x, name: str) -> np.ndarray:
+    """``x`` as a float64 (frames, channels) array with no empty axis and
+    only finite values; a refusal calls it ``name``."""
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise InvalidValue("features must be a non-empty 2-D (frames, channels) array")
+        raise InvalidValue(f"{name} must be a non-empty 2-D (frames, channels) array")
     if not np.all(np.isfinite(arr)):
-        raise InvalidValue("features contains non-finite values")
+        raise InvalidValue(f"{name} contains non-finite values")
     return arr
 
 
@@ -33,7 +35,7 @@ def upsample_features(features, target_len: int) -> np.ndarray:
     Raises:
         InvalidValue: when ``target_len`` is shorter than the input.
     """
-    arr = _as_feature_seq(features)
+    arr = _as_feature_seq(features, "features")
     frames = arr.shape[0]
     target_len = int(target_len)
     if target_len < frames:
@@ -43,12 +45,6 @@ def upsample_features(features, target_len: int) -> np.ndarray:
         )
     indices = (np.arange(target_len) * frames) // target_len
     return arr[indices]
-
-
-def pool_global(features) -> np.ndarray:
-    """Per-channel maximum over time; the global condition vector."""
-    arr = _as_feature_seq(features)
-    return arr.max(axis=0)
 
 
 def synth_features(

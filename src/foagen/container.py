@@ -30,7 +30,6 @@ cannot hold, or leftover bytes, and IoFailure when the OS read fails.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
 import os
@@ -80,16 +79,24 @@ def _read(path, limit: int | None) -> tuple[bytes, int]:
         raise _failure("cannot read", path, exc) from exc
 
 
-@contextlib.contextmanager
-def naming(path):
-    """Put ``path: `` at the head of a FoagenError's message raised inside,
-    for decoders of a file's bytes whose own messages do not name the file.
-    An IoFailure of :func:`read_bytes` names the path already, so only the
-    decode is wrapped."""
-    try:
-        yield
-    except FoagenError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+class naming:
+    """``with naming(path):`` puts ``path: `` at the head of the message of
+    a FoagenError raised inside, so a reader wraps its whole body once and
+    names its file once. An IoFailure, which names the path already,
+    passes through unchanged. A class, because frame checks enter it
+    thousands of times a pass and a generator's ``with`` costs more."""
+
+    __slots__ = ("_path",)
+
+    def __init__(self, path):
+        self._path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, FoagenError) and not isinstance(exc, IoFailure):
+            raise type(exc)(f"{self._path}: {exc}") from None
 
 
 def _failure(action: str, path, exc: OSError | ValueError) -> IoFailure:

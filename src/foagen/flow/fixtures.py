@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..conditioning import pool_global, synth_features
 from ..errors import InvalidValue
 from .network import VelocityModel
 from .path import TimeSampler
@@ -23,8 +22,8 @@ MIXTURE_MEANS = {1: (8.0, 8.0), 2: (-8.0, -8.0)}
 MIXTURE_SIGMA = 0.15
 MIXTURE_POINTS_PER_CLASS = 512
 MIXTURE_COND_CHANNELS = 4
-# Embeddings are synth_features pooled over time, so their channel means
-# equal the class id; subtracting the midpoint centers them at +-0.5.
+# Every channel of a class's embedding is its id less this midpoint of the
+# two ids, which centers the classes at +-0.5.
 MIXTURE_COND_SHIFT = 1.5
 MIXTURE_HIDDEN = (16, 16)
 MIXTURE_DATA_SEED = 11
@@ -57,8 +56,7 @@ def mixture_condition(class_id: int) -> np.ndarray:
     """
     if class_id not in MIXTURE_CLASS_IDS:
         raise InvalidValue(f"mixture class must be one of {MIXTURE_CLASS_IDS}, got {class_id!r}")
-    features = synth_features(0, 1, MIXTURE_COND_CHANNELS, class_id)
-    return pool_global(features) - MIXTURE_COND_SHIFT
+    return np.full(MIXTURE_COND_CHANNELS, class_id - MIXTURE_COND_SHIFT)
 
 
 def mixture_dataset() -> list[tuple[np.ndarray, np.ndarray]]:

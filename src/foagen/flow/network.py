@@ -301,9 +301,8 @@ def load_model(path) -> VelocityModel:
 
     Each message names ``path`` once.
     """
-    blob = container.read_bytes(path)  # an IoFailure names the path itself
     with container.naming(path):
-        reader = container.Reader(blob, CHECKPOINT_MAGIC)
+        reader = container.Reader(container.read_bytes(path), CHECKPOINT_MAGIC)
         (n_widths,) = reader.ints("<I")
         if n_widths < 3:
             raise CorruptHeader("checkpoint must describe at least one hidden layer")

@@ -15,17 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..conditioning import _as_feature_seq
 from ..errors import InvalidValue
 
 
 def as_latent(x) -> np.ndarray:
-    """Validate a (frames, dims) latent sequence and return it as float64."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise InvalidValue("latent must be a non-empty 2-D (frames, dims) array")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidValue("latent contains non-finite values")
-    return arr
+    """Validate a (frames, channels) latent sequence and return it as float64."""
+    return _as_feature_seq(x, "latent")
 
 
 def _point_and_target(x0: np.ndarray, x1: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:

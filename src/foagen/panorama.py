@@ -24,7 +24,7 @@ import numpy as np
 
 from . import container
 from .errors import CorruptHeader, InvalidValue, ShapeMismatch, UnsupportedFormat
-from .foa import wrap_azimuth
+from .foa import Direction
 
 FRAME_MAGIC = b"FFRM0001"
 
@@ -53,9 +53,10 @@ def _check_erp(frame: np.ndarray) -> np.ndarray:
 class CameraSpec:
     """Pinhole camera pointed at (yaw, pitch) with a horizontal FOV.
 
-    The yaw is wrapped into (-pi, pi] on construction so cuts just past
-    the seam are bit-identical to their wrapped equivalents. The vertical
-    FOV follows from the output aspect ratio.
+    Yaw and pitch obey :class:`~foagen.foa.Direction`: the yaw is wrapped
+    into (-pi, pi], so cuts just past the seam are bit-identical to their
+    wrapped equivalents, and a pitch outside [-pi/2, pi/2] is refused. The
+    vertical FOV follows from the output aspect ratio.
     """
 
     yaw: float = 0.0
@@ -65,11 +66,9 @@ class CameraSpec:
     out_height: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "yaw", wrap_azimuth(float(self.yaw)))
-        pitch = float(self.pitch)
-        if not math.isfinite(pitch) or abs(pitch) > math.pi / 2:
-            raise InvalidValue(f"pitch must lie in [-pi/2, pi/2], got {self.pitch!r}")
-        object.__setattr__(self, "pitch", pitch)
+        direction = Direction(self.yaw, self.pitch)
+        object.__setattr__(self, "yaw", direction.azimuth)
+        object.__setattr__(self, "pitch", direction.elevation)
         hfov = float(self.hfov)
         if not 0.0 < hfov < math.pi:
             raise InvalidValue(f"hfov must lie in (0, pi), got {self.hfov!r}")
@@ -545,7 +544,8 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
     elif name.endswith(".pgm") or name.endswith(".ppm"):
         parts = encode_stored(_quantized(name, arr, bit_depth))
     else:
-        raise UnsupportedFormat(f"cannot infer frame format from {name!r}")
+        with container.naming(path):
+            raise UnsupportedFormat("cannot infer frame format from the extension")
     container.write_bytes(path, *parts)
 
 
@@ -582,10 +582,10 @@ class StoredFrame(NamedTuple):
 
 def read_stored(path) -> StoredFrame:
     """Read a frame file without decoding its pixels; :func:`read_frame`
-    is its float64 decoding."""
-    name = str(path)
-    blob = container.read_bytes(name)
-    offset, dtype, shape, maxval = _frame_layout(name, blob, len(blob))
+    is its float64 decoding. Each error message names ``path`` once."""
+    with container.naming(path):
+        blob = container.read_bytes(path)
+        offset, dtype, shape, maxval = _frame_layout(blob, len(blob))
     pixels = np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
     return StoredFrame(pixels, maxval)
 
@@ -619,19 +619,19 @@ def check_frame(path) -> tuple[int, int, int]:
     Otherwise the pixels are never read, so an OS read error inside them
     goes unnoticed.
     """
-    name = str(path)
-    head, size = container.read_head(name, _HEAD_BYTES)
-    layout = _frame_layout(name, head, size)
-    if layout is None:
-        head = container.read_bytes(name)
-        layout = _frame_layout(name, head, len(head))
+    with container.naming(path):
+        head, size = container.read_head(path, _HEAD_BYTES)
+        layout = _frame_layout(head, size)
+        if layout is None:
+            head = container.read_bytes(path)
+            layout = _frame_layout(head, len(head))
     return layout[2]
 
 
 _Layout = tuple[int, np.dtype, tuple[int, int, int], int | None]
 
 
-def _frame_layout(name: str, head: bytes, size: int) -> _Layout | None:
+def _frame_layout(head: bytes, size: int) -> _Layout | None:
     """Where a frame file's pixels lie: their byte offset, stored type,
     (height, width, channels) shape and anymap maxval (None for the float
     container), from the file's leading bytes ``head`` and its length
@@ -641,7 +641,7 @@ def _frame_layout(name: str, head: bytes, size: int) -> _Layout | None:
         return _raw_layout(head, size)
     if head[:2] in (b"P5", b"P6"):
         return _pnm_layout(head, size)
-    raise UnsupportedFormat(f"{name!r} is neither a portable anymap nor a raw frame")
+    raise UnsupportedFormat("neither a portable anymap nor a raw frame")
 
 
 def _quantized(name: str, arr: np.ndarray, bit_depth: int) -> np.ndarray:

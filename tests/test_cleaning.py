@@ -280,7 +280,7 @@ def test_manifest_parse_errors(tmp_path):
         with pytest.raises(ManifestParseError) as err:
             read_manifest(path)
         assert "line" in str(err.value)
-    with pytest.raises(ManifestParseError, match=r"^line 1: missing keys \['id'\]$"):
+    with pytest.raises(ManifestParseError, match=r"id-null\.jsonl: line 1: missing keys \['id'\]$"):
         read_manifest(tmp_path / "id-null.jsonl")
 
     not_utf8 = tmp_path / "latin1.jsonl"

@@ -512,6 +512,22 @@ def test_cut_fov_of_an_anymap_matches_the_cuts_of_the_decoded_frame(tmp_path, ca
         assert (outdir / f"erp_cut{i}{suffix}").read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["pad-erp", "cut-fov"])
+@pytest.mark.parametrize("name, blob, message", [
+    ("bad.pgm", b"P5\n4 2\n255\n", "CorruptHeader {}: anymap pixel data truncated"),
+    ("bad.fframe", b"FFRM0001", "CorruptHeader {}: container truncated at offset 8"),
+    ("weird.pgm", b"P7\n4 2\n255\n", "UnsupportedFormat {}: neither a portable anymap nor a raw frame"),
+    ("missing.pgm", None, "IoFailure cannot read {}: No such file or directory"),
+], ids=["truncated-anymap", "truncated-fframe", "unknown-magic", "missing"])
+def test_frame_commands_name_the_bad_frame_once(tmp_path, capsys, command, name, blob, message):
+    frame = tmp_path / name
+    if blob is not None:
+        frame.write_bytes(blob)
+    code, kv = run_cli(capsys, command, frame, tmp_path / "out.pgm")
+    assert code == 1
+    assert kv["error"] == message.format(frame)
+
+
 def test_pad_erp_refuses_to_quantize_nan(tmp_path, capsys):
     frame = np.random.default_rng(9).random((8, 16, 1))
     frame[:, :8] = np.nan
@@ -693,6 +709,18 @@ def test_clean_names_an_unreadable_manifest_once(tmp_path, capsys):
     code, kv = run_cli(capsys, "clean", missing, "--report", tmp_path / "r.jsonl")
     assert code == 1
     assert kv["error"] == f"ManifestParseError cannot read {missing}: No such file or directory"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("m.jsonl", b'{"id": 1}\n', "m.jsonl: line 1: missing keys ['audio_path', 'duration', 'sample_rate']"),
+    ("nu.jsonl", b"\xff\xfe", "nu.jsonl: not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+     "in position 0: invalid start byte)"),
+], ids=["missing-keys", "not-utf8"])
+def test_clean_names_a_malformed_manifest_once(tmp_path, capsys, name, text, message):
+    (tmp_path / name).write_bytes(text)
+    code, kv = run_cli(capsys, "clean", tmp_path / name, "--report", tmp_path / "r.jsonl")
+    assert code == 1
+    assert kv["error"] == f"ManifestParseError {tmp_path}{os.sep}{message}"
 
 
 def test_clean_min_alignment_two_is_the_strict_cut(tmp_path, capsys):
@@ -1285,10 +1313,24 @@ def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, command, fla
     (["fm-sample", "--model", "m.fgvm", "--mixture-class", "7"], "mixture class must be one of (1, 2), got 7"),
     (["fm-sample", "--model", "m.fgvm", "--cond", "c.txt", "--mixture-class", "1"],
      "--cond and --mixture-class are mutually exclusive"),
+    (["spatialize", "m.wav", "o.wav", "--theta", "nan"], "azimuth must be finite, got nan"),
+    (["spatialize", "m.wav", "o.wav", "--theta", "0", "--phi", "2"],
+     "elevation must lie in [-pi/2, pi/2], got 2.0"),
+    (["cut-fov", "erp.ppm", "cuts/", "--hfov", "180"], "hfov must lie in (0, pi), got 3.141592653589793"),
+    (["cut-fov", "erp.ppm", "cuts/", "--width", "0"], "output dimensions must be >= 1"),
+    (["cut-fov", "erp.ppm", "cuts/", "--height", "0"], "output dimensions must be >= 1"),
+    (["clean", "m.jsonl", "--window-ms", "0"], "window_ms must be positive and finite, got 0.0"),
+    (["clean", "m.jsonl", "--silence-dbfs", "nan"], "silence_dbfs must be a number, got nan"),
+    (["clean", "m.jsonl", "--silence-ratio", "2"], "silence_ratio must lie in [0, 1]"),
+    (["clean", "m.jsonl", "--frame-interval", "0"], "frame_interval must be >= 1"),
+    (["clean", "m.jsonl", "--frame-mse", "nan"], "frame_mse must be a number, got nan"),
+    (["clean", "m.jsonl", "--stationary-ratio", "2"], "stationary_ratio must lie in [0, 1]"),
+    (["clean", "m.jsonl", "--min-alignment", "nan"], "min_alignment must be a number, got nan"),
 ])
 def test_a_bad_flag_is_refused_before_any_input_is_read(tmp_path, capsys, argv, message):
     # The inputs do not exist: reading one first would report IoFailure.
-    argv = [tmp_path / a if a.endswith((".wav", ".fmat", ".fgvm", ".txt")) else a for a in argv]
+    files = (".wav", ".fmat", ".fgvm", ".txt", ".ppm", ".jsonl", "/")
+    argv = [tmp_path / a if a.endswith(files) else a for a in argv]
     code, kv = run_cli(capsys, *argv)
     assert code == 1
     assert kv["error"] == f"InvalidValue {message}"

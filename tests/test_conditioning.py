@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foagen.conditioning import pool_global, synth_features, upsample_features
+from foagen.conditioning import synth_features, upsample_features
 from foagen.errors import InvalidValue
 
 
@@ -37,26 +37,6 @@ def test_upsample_monotone_and_endpoint_preserving():
         up = upsample_features(f, T)
         np.testing.assert_array_equal(up[0], f[0])
         np.testing.assert_array_equal(up[-1], f[-1])
-
-
-def test_pool_commutes_with_upsampling():
-    # repetition cannot introduce new maxima
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal((6, 4))
-    for T in (6, 10, 24):
-        np.testing.assert_array_equal(
-            pool_global(upsample_features(f, T)), pool_global(f)
-        )
-
-
-def test_pool_global():
-    np.testing.assert_array_equal(pool_global(np.array([[1.0, 5.0], [3.0, 2.0]])), [3.0, 5.0])
-    single = np.array([[0.1, -0.2, 7.0]])
-    np.testing.assert_array_equal(pool_global(single), single[0])
-    rng = np.random.default_rng(4)
-    f = rng.standard_normal((9, 3))
-    shuffled = f[rng.permutation(9)]
-    np.testing.assert_array_equal(pool_global(f), pool_global(shuffled))
 
 
 def test_synth_features_deterministic():

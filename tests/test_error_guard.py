@@ -8,6 +8,10 @@ class (a ``TypeError`` from foagen's own check would read as a defect),
 every FoagenError subclass is raised somewhere in ``src/`` (a code nothing
 raises is one no user can see), and README's error-code table has one row
 for each subclass.
+
+A message names its file one way: ``container.naming(path)`` puts
+``path: `` at its head, so no f-string outside ``container.py`` starts
+with a ``{path}`` field followed by ``": "``.
 """
 
 import ast
@@ -31,10 +35,21 @@ def _name(node: ast.expr) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def _src_nodes():
-    for path in sorted((ROOT / "src" / "foagen").rglob("*.py")):
+def _src_nodes(root: Path = ROOT):
+    for path in sorted((root / "src" / "foagen").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            yield path.relative_to(ROOT), node
+            yield path.relative_to(root), node
+
+
+def _hand_named(root: Path) -> list[str]:
+    """The f-strings outside ``container.py`` that start ``{path}: ``."""
+    return [
+        f"{path.as_posix()}:{node.lineno}" for path, node in _src_nodes(root)
+        if path.name != "container.py" and isinstance(node, ast.JoinedStr)
+        and len(node.values) > 1 and isinstance(node.values[0], ast.FormattedValue)
+        and getattr(node.values[0].value, "id", None) == "path"
+        and isinstance(node.values[1], ast.Constant) and node.values[1].value.startswith(": ")
+    ]
 
 
 def _codes() -> set[str]:
@@ -78,3 +93,21 @@ def test_readme_table_lists_every_error_code():
     rows = _ROW.findall(table)
     assert len(rows) == len(set(rows))
     assert set(rows) == _codes()
+
+
+def test_every_file_is_named_through_container_naming():
+    assert _hand_named(ROOT) == []
+
+
+def test_the_naming_guard_flags_a_hand_built_prefix_only(tmp_path):
+    package = tmp_path / "src" / "foagen"
+    package.mkdir(parents=True)
+    (package / "container.py").write_text('def naming(path, exc):\n    return f"{path}: {exc}"\n')
+    (package / "audio_io.py").write_text(
+        "def refuse(path, name):\n"
+        '    a = f"{path}: a sample lies past the float32 range"\n'
+        '    b = f"cannot read {path}: gone"\n'
+        '    c = f"{name}: not a path"\n'
+        '    d = f"{path!r} is neither"\n'
+    )
+    assert _hand_named(tmp_path) == ["src/foagen/audio_io.py:2"]

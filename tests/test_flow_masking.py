@@ -124,7 +124,7 @@ def test_masked_latent_condition_view():
 def test_masked_latent_validation():
     with pytest.raises(ValueError):
         MaskedLatent(np.zeros((4, 2)), np.zeros(3, dtype=bool))
-    with pytest.raises(InvalidValue, match="non-empty 2-D"):
+    with pytest.raises(InvalidValue, match=r"^latent must be a non-empty 2-D \(frames, channels\) array$"):
         MaskedLatent(np.zeros((0, 2)), np.zeros(0, dtype=bool))
     with pytest.raises(InvalidValue, match="non-finite"):
         MaskedLatent(np.array([[0.0, np.nan], [1.0, 2.0]]), np.zeros(2, dtype=bool))

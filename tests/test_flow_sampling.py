@@ -133,6 +133,15 @@ def test_mixture_condition_refuses_a_class_the_fixture_lacks(class_id):
         assert mixture_condition(known).shape == (4,)
 
 
+def test_mixture_condition_is_each_class_id_less_the_midpoint():
+    # Exact halves, so these bits hold on every build, not only on the
+    # host the golden table was recorded on.
+    for class_id, value in ((1, -0.5), (2, 0.5)):
+        condition = mixture_condition(class_id)
+        assert condition.dtype == np.float64
+        assert condition.tobytes() == np.full(4, value).tobytes()
+
+
 class _NoSteps(_ConstantField):
     """Stand-in model that fails if the sampler takes any step."""
 

@@ -67,7 +67,7 @@ def test_pad_rejects_wrong_aspect():
 
 def test_camera_spec_validation():
     assert CameraSpec(yaw=2.0 * math.pi).yaw == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^elevation must lie in \[-pi/2, pi/2\], got 2\.0$"):
         CameraSpec(pitch=2.0)
     with pytest.raises(ValueError):
         CameraSpec(hfov=math.pi)
@@ -665,6 +665,22 @@ def test_anymap_header_forms(header, shape, tmp_path):
     path.write_bytes(header + bytes(math.prod(shape) * itemsize))
     assert check_frame(path) == shape
     assert read_frame(path).shape == shape
+
+
+def test_check_frame_names_the_corrupt_frame_once(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n4 2\n255\n")
+    with pytest.raises(CorruptHeader) as err:
+        check_frame(path)
+    assert str(err.value) == f"{path}: anymap pixel data truncated"
+
+
+def test_write_frame_names_a_file_of_unknown_format_once(tmp_path):
+    path = tmp_path / "f.png"
+    with pytest.raises(UnsupportedFormat) as err:
+        write_frame(path, np.zeros((2, 4, 1)))
+    assert str(err.value) == f"{path}: cannot infer frame format from the extension"
+    assert not path.exists()
 
 
 def test_check_frame_and_read_frame_fail_alike_on_an_unopenable_path(tmp_path):

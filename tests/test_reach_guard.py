@@ -109,8 +109,8 @@ def test_the_guard_sees_each_place_and_flags_a_name_only_tests_use(tmp_path):
     references = _references(ROOT)
     assert "make_fov_cuts" in references[ACCEPTANCE]  # criterion 09 cuts a panorama
     assert "train_mixture" in references["README.md"]  # the library example
-    fixtures = [used for path, _, used in _statements(ROOT) if path.name == "fixtures.py"]
-    assert any("synth_features" in used for used in fixtures)
+    training = [used for path, _, used in _statements(ROOT) if path.name == "training.py"]
+    assert any("upsample_features" in used for used in training)
     assert "cfm_loss" in references["perfbench"]  # the tracer's string target
 
     package = tmp_path / "src" / "foagen"
