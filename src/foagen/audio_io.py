@@ -175,7 +175,16 @@ def write_wav(signal, path, encoding: str = "float32", ambix: bool = False) -> N
         SpecMismatch: ``ambix`` on a signal that is not 4-channel, or a
             float32 file that would hold an infinity because a sample
             (after the AmbiX omni scaling) lies past the float32 range.
+
+    Each refusal names ``path`` once.
     """
+    with container.naming(path):
+        parts = _wav_parts(signal, encoding, ambix)
+    container.write_bytes(path, *parts)
+
+
+def _wav_parts(signal, encoding: str, ambix: bool) -> tuple[bytes, np.ndarray]:
+    """The header and the frames of :func:`write_wav`'s file, or its refusal."""
     if encoding not in WAV_ENCODINGS:
         raise UnsupportedFormat(
             f"encoding {encoding!r} unsupported; use "
@@ -225,16 +234,15 @@ def write_wav(signal, path, encoding: str = "float32", ambix: bool = False) -> N
             else:
                 frames[start:stop] = block.T
                 if not np.isfinite(frames[start:stop]).all():
-                    with container.naming(path):
-                        raise SpecMismatch(
-                            "a sample lies past the float32 range and "
-                            "would be written as an infinity"
-                        )
+                    raise SpecMismatch(
+                        "a sample lies past the float32 range and "
+                        "would be written as an infinity"
+                    )
     header = (
         b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
         + chunks + b"data" + struct.pack("<I", data_size)
     )
-    container.write_bytes(path, header, frames)
+    return header, frames
 
 
 # --- matrix containers -----------------------------------------------------------

@@ -196,6 +196,16 @@ def alignment_filter(
 
 # --- segmentation ---------------------------------------------------------------
 
+def check_clip_seconds(clip_seconds: float) -> None:
+    """Refuse a clip length that no sample rate makes valid.
+
+    Raises:
+        InvalidValue: when ``clip_seconds`` is not positive and finite.
+    """
+    if not 0.0 < clip_seconds < math.inf:
+        raise InvalidValue(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
+
+
 def segment_clips(n_samples: int, sample_rate: int, clip_seconds: float) -> list[slice]:
     """Non-overlapping fixed-length clips of an ``n_samples`` signal, as
     sample slices; the trailing remainder is dropped.
@@ -208,8 +218,7 @@ def segment_clips(n_samples: int, sample_rate: int, clip_seconds: float) -> list
             shorter than one sample at ``sample_rate``, or is so long that
             its sample count overflows a float.
     """
-    if not 0.0 < clip_seconds < math.inf:
-        raise InvalidValue(f"clip_seconds must be positive and finite, got {clip_seconds!r}")
+    check_clip_seconds(clip_seconds)
     clip_samples = clip_seconds * sample_rate
     if math.isinf(clip_samples):
         raise InvalidValue(

@@ -24,6 +24,7 @@ from .audio_io import WAV_ENCODINGS, read_matrix_any, read_wav, write_matrix, wr
 from .cleaning import (
     FILTER_ORDER,
     FilterThresholds,
+    check_clip_seconds,
     read_manifest,
     run_pipeline,
     segment_clips,
@@ -47,6 +48,7 @@ from .flow import (
     save_model,
     train,
 )
+from .flow.sampling import sample_count
 from .metrics import StftConfig, eval_doa_batch, frechet_distance, kl_divergence, multires_stft_distance, signal_direction
 from .panorama import (
     FOV_PRESETS,
@@ -312,6 +314,7 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    check_clip_seconds(args.clip_seconds)
     signal = read_wav(args.input)
     clips = segment_clips(signal.n_samples, signal.sample_rate, args.clip_seconds)
     _emit("segments", len(clips))
@@ -430,15 +433,17 @@ def _cmd_fm_sample(args) -> int:
     global_cond = None
     if args.mixture_class is not None:
         global_cond = mixture_condition(args.mixture_class)
+    steps = sample_count("steps", args.steps)
+    frames = sample_count("frames", args.frames)
     model = load_model(args.model)
     if args.cond:
         global_cond = read_matrix_any(args.cond).ravel()
     samples = euler_sample(
         model,
-        steps=args.steps,
+        steps=steps,
         cfg=cfg,
         global_cond=global_cond,
-        frames=args.frames,
+        frames=frames,
         rng=np.random.default_rng(args.seed),
     )
     _emit("samples", samples.shape[0])

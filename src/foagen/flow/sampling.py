@@ -51,6 +51,18 @@ def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, cfg: CfgSpec) -> np.n
     return v_uncond + cfg.scale * (v_cond - v_uncond)
 
 
+def sample_count(name: str, value) -> int:
+    """``value`` as an int, for :func:`euler_sample`'s ``steps`` or ``frames``.
+
+    Raises:
+        InvalidValue: when it is below 1.
+    """
+    count = int(value)
+    if count < 1:
+        raise InvalidValue(f"{name} must be at least 1, got {count}")
+    return count
+
+
 def euler_sample(
     model: VelocityModel,
     steps: int,
@@ -79,9 +91,7 @@ def euler_sample(
     a ``local`` or ``global_cond`` holding a NaN or infinity raise
     InvalidValue, before any noise is drawn.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise InvalidValue(f"steps must be >= 1, got {steps!r}")
+    steps = sample_count("steps", steps)
     for name, features in (("local", local), ("global_cond", global_cond)):
         if features is not None and not np.isfinite(np.asarray(features, np.float64)).all():
             raise InvalidValue(f"{name} contains non-finite values")
@@ -89,9 +99,7 @@ def euler_sample(
         if masked_cond is None:
             raise InvalidValue("frames is required without a condition")
         frames = masked_cond.n_frames
-    n_frames = int(frames)
-    if n_frames < 1:
-        raise InvalidValue(f"frames must be at least 1, got {n_frames}")
+    n_frames = sample_count("frames", frames)
 
     if masked_cond is not None and masked_cond.n_frames != n_frames:
         raise ShapeMismatch(

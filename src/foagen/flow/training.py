@@ -47,9 +47,20 @@ activations kept for the backward pass grow with the table, and without
 the cap one table of 16 draws of 256 frames (hidden widths 128, 128)
 raised the peak resident memory of a training and sampling run from about
 52 MB to 82 MB. Short draws, such as the one frame per sample of the
-mixture fixture, still share a table. Latents and local features stay one
-array per item and are gathered per table, because stacking them up front
-would hold a second copy of the data. A table's latents, noise and local
+mixture fixture, still share a table. A step whose covered rows fit one
+table skips the packing.
+
+Sequences, latents and local features alike, stay one array per item and
+are gathered per table, because stacking them up front would hold a
+second copy of the data: a stacked copy of the ``infill`` benchmark's
+256-frame sequences raised its peak resident memory from about 52 MB to
+55 MB. A dataset whose every item is one frame, such as the mixture
+fixture or ``fm-train --data``'s matrix rows, is held as one
+(items, 1, dims) array instead, its local features likewise, so
+``x1s[i]`` is still item i. In a table of one-frame draws the rows are
+the draws: the latents and condition rows are gathered with one index,
+and the times, weights, noise rows and dropout flags are used as drawn,
+with no per-frame repeat. A table's sequence latents, noise and local
 features (upsampled to each draw's full length) are gathered over its
 draws' full lengths and then cut to the covered rows, so these inputs may
 briefly hold more rows than the cap; the activations never do.
@@ -185,6 +196,8 @@ def _check_dataset(dataset, latent_dim: int):
     counts, the external condition kind ("none", "global" or "local"),
     and the conditions: None, the global vectors stacked as
     (items, channels), or a list of float64 (rows, channels) local features.
+    When every item is one frame, the latents and local features are one
+    (items, 1, width) array each instead of a list.
 
     Raises:
         ShapeMismatch: when a latent is not (frames, latent_dim), local
@@ -195,7 +208,7 @@ def _check_dataset(dataset, latent_dim: int):
     """
     if len(dataset) == 0:
         raise InvalidValue("dataset must be non-empty")
-    x1s, conds = [], []
+    x1s, conds, frames = [], [], []
     layout = None
     for x1, external in dataset:
         x1 = np.asarray(x1, dtype=np.float64)
@@ -224,17 +237,23 @@ def _check_dataset(dataset, latent_dim: int):
             upsample_features(external, x1.shape[0])  # raises what a draw would
         x1s.append(x1)
         conds.append(external)
-    if not _all_finite(x1s):
+        frames.append(x1.shape[0])
+    items = len(x1s)
+    one_frame = sum(frames) == items
+    if one_frame:
+        x1s = np.concatenate(x1s).reshape(items, 1, latent_dim)
+    if not (np.isfinite(x1s).all() if one_frame else _all_finite(x1s)):
         raise InvalidValue("x1 contains non-finite values")
-    frames = np.array([x1.shape[0] for x1 in x1s])
     kind = layout[0]
     if kind == "none":
         conds = None
     elif kind == "global":
-        conds = np.stack(conds)
+        conds = np.concatenate(conds).reshape(items, layout[1])
         if not np.isfinite(conds).all():
             raise InvalidValue("global condition contains non-finite values")
-    return x1s, frames, kind, conds
+    elif one_frame:
+        conds = np.concatenate(conds).reshape(items, 1, layout[1])
+    return x1s, np.array(frames), kind, conds
 
 
 def _all_finite(arrays: list[np.ndarray]) -> bool:
@@ -264,6 +283,12 @@ def _table_bounds(counts: list[int]):
             first, rows = i, 0
         rows += n
     yield first, len(counts)
+
+
+def _per_row(values: np.ndarray, counts: np.ndarray | None) -> np.ndarray:
+    """Each draw's ``values`` once per frame of the draw; ``counts`` None
+    means one-frame draws, whose values are their rows already."""
+    return values if counts is None else values.repeat(counts, axis=0)
 
 
 def _draw_masks(sizes: list[int], config: TrainConfig, rng) -> list[np.ndarray]:
@@ -310,55 +335,83 @@ def train(
     dims = model.latent_dim
     batch = config.batch_size
     dropout = kind != "none" and config.cond_dropout > 0.0
+    # One-frame items come stacked: a draw is one row, so per-draw arrays
+    # are already per-row arrays and a gather by index replaces the joins.
+    one_frame = isinstance(x1s, np.ndarray)
+    if one_frame:
+        x1s = x1s.reshape(len(x1s), dims)
+        if kind == "local":
+            conds = conds.reshape(len(conds), -1)
+    covered_only = config.mask_spec is not None and config.masked_frames_only
+    # Loss weights of draws that the loss covers whole: 1 / (batch * terms).
+    item_scales = 1.0 / (frames * (batch * dims))
     rng = np.random.default_rng(config.seed)
     trace: list[float] = []
     for step in range(config.steps):
         indices = rng.integers(0, len(x1s), size=batch)
         counts = frames[indices]
-        picks, sizes = indices.tolist(), counts.tolist()
-        offsets = [0, *itertools.accumulate(sizes)]
-        noise = rng.standard_normal((offsets[-1], dims))
+        if one_frame:
+            noise = rng.standard_normal((batch, dims))
+        else:
+            picks, sizes = indices.tolist(), counts.tolist()
+            offsets = [0, *itertools.accumulate(sizes)]
+            noise = rng.standard_normal((offsets[-1], dims))
         times = sample_time(config.time_sampler, rng, batch)
         dropped = rng.random(batch) < config.cond_dropout if dropout else None
-        masks = None if config.mask_spec is None else _draw_masks(sizes, config, rng)
+        masks = None if config.mask_spec is None else _draw_masks(counts.tolist(), config, rng)
 
-        covered_only = masks is not None and config.masked_frames_only
-        selected = np.array([np.count_nonzero(mask) for mask in masks]) if covered_only else counts
-        scales = 1.0 / (selected * (batch * dims))
+        if covered_only:
+            selected = np.array([np.count_nonzero(mask) for mask in masks])
+            scales = 1.0 / (selected * (batch * dims))
+            covered = selected.sum()
+        else:
+            selected, scales, covered = counts, item_scales[indices], len(noise)
+        tables = [(0, batch)]
+        if covered > _TABLE_ROWS:
+            tables = _table_bounds(selected.tolist())
 
         batch_loss = 0.0
         batch_grads = None
-        for first, stop in _table_bounds(selected.tolist()):
-            n = counts[first:stop]
+        for first, stop in tables:
+            draws = slice(first, stop)
+            # Frames per draw, or None where every draw is one row.
+            n = None if one_frame else counts[draws]
             # The table's rows that the loss covers: its hidden frames, or all of them.
-            keep = np.concatenate(masks[first:stop]) if covered_only else slice(None)
-            x1 = np.concatenate([x1s[i] for i in picks[first:stop]])[keep]
+            keep = np.concatenate(masks[draws]) if covered_only else slice(None)
+            if one_frame:
+                x1 = x1s[indices[draws]]
+                x0 = noise[draws]
+            else:
+                x1 = np.concatenate([x1s[i] for i in picks[draws]])
+                x0 = noise[offsets[first] : offsets[stop]]
+            x1 = x1[keep]
             if masks is None or covered_only:
                 view = np.zeros(x1.shape)
             else:
-                view = np.where(np.concatenate(masks[first:stop])[:, None], 0.0, x1)
-            # Per-row external channels at full frame rate: a global
-            # vector repeated over its item's frames, or upsampled features.
+                view = np.where(np.concatenate(masks[draws])[:, None], 0.0, x1)
+            # Per-row external channels at full frame rate: a global vector,
+            # or one-frame features, repeated over its item's frames, or
+            # upsampled features.
             rows = None
-            if kind == "global":
-                rows = conds[indices[first:stop]].repeat(n, axis=0)
+            if kind == "global" or (kind == "local" and one_frame):
+                rows = _per_row(conds[indices[draws]], n)
             elif kind == "local":
                 rows = np.concatenate([
                     conds[i] if conds[i].shape[0] == f else upsample_features(conds[i], f)
-                    for i, f in zip(picks[first:stop], sizes[first:stop])
+                    for i, f in zip(picks[draws], sizes[draws])
                 ])
             if rows is not None:
                 if dropped is not None:
-                    rows[dropped[first:stop].repeat(n)] = 0.0
+                    rows[_per_row(dropped[draws], n)] = 0.0
                 rows = rows[keep]
             cond = build_condition(view, rows)
             loss, grads = cfm_loss(
                 model,
-                noise[offsets[first] : offsets[stop]][keep],
+                x0[keep],
                 x1,
-                times[first:stop].repeat(n)[keep],
+                _per_row(times[draws], n)[keep],
                 cond,
-                scales[first:stop].repeat(n)[keep],
+                _per_row(scales[draws], n)[keep],
             )
             batch_loss += loss
             if batch_grads is None:

@@ -535,16 +535,16 @@ def write_frame(path, frame, bit_depth: int = 8) -> None:
     An anymap quantizes values in [0, 1] to its bit depth and clips any
     value outside them, +-inf included; a frame holding NaN raises
     InvalidValue before the file is created. ``.fframe`` keeps every value
-    exactly, NaN too.
+    exactly, NaN too. Each refusal names ``path`` once.
     """
-    arr = _as_frame(frame)
     name = str(path)
-    if name.endswith(".fframe"):
-        parts = encode_stored(arr)
-    elif name.endswith(".pgm") or name.endswith(".ppm"):
-        parts = encode_stored(_quantized(name, arr, bit_depth))
-    else:
-        with container.naming(path):
+    with container.naming(path):
+        arr = _as_frame(frame)
+        if name.endswith(".fframe"):
+            parts = encode_stored(arr)
+        elif name.endswith(".pgm") or name.endswith(".ppm"):
+            parts = encode_stored(_quantized(name, arr, bit_depth))
+        else:
             raise UnsupportedFormat("cannot infer frame format from the extension")
     container.write_bytes(path, *parts)
 

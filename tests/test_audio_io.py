@@ -222,6 +222,19 @@ def test_ambix_requires_four_channels(tmp_path):
         read_wav(tmp_path / "m.wav", ambix=True)
 
 
+def test_write_wav_names_its_file_once_in_a_refusal(tmp_path):
+    path = tmp_path / "m.wav"
+    with pytest.raises(SpecMismatch) as err:
+        write_wav(MonoSignal(np.zeros(4), 8000), path, ambix=True)
+    assert str(err.value) == f"{path}: ambix ordering applies to 4-channel signals only"
+    # A zero-stride matrix stands in for 2**30 frames without their memory.
+    huge = SimpleNamespace(channels=np.broadcast_to(0.0, (4, 2**30)), sample_rate=16000)
+    with pytest.raises(UnsupportedFormat) as err:
+        write_wav(huge, path, "pcm16")
+    assert str(err.value) == f"{path}: 1073741824 frames of 8 bytes overflow the 32-bit RIFF size field"
+    assert not path.exists()
+
+
 def test_wav_spec_validation(tmp_path):
     with pytest.raises(UnsupportedFormat):
         write_wav(MonoSignal(np.zeros(4), 16000), tmp_path / "x.wav", "mp3")

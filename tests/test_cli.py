@@ -535,8 +535,9 @@ def test_pad_erp_refuses_to_quantize_nan(tmp_path, capsys):
     code = main([str(a) for a in ("pad-erp", tmp_path / "erp.fframe", tmp_path / "sq.pgm")])
     errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error=")]
     assert code == 1
-    assert len(errors) == 1 and errors[0].startswith("error=InvalidValue frame holds NaN")
-    assert not (tmp_path / "sq.pgm").exists()
+    out = tmp_path / "sq.pgm"
+    assert errors == [f"error=InvalidValue {out}: frame holds NaN, which an anymap cannot store"]
+    assert not out.exists()
 
 
 def test_cut_fov_of_a_float_erp_writes_float_cuts(tmp_path, capsys):
@@ -1326,6 +1327,12 @@ def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, command, fla
     (["clean", "m.jsonl", "--frame-mse", "nan"], "frame_mse must be a number, got nan"),
     (["clean", "m.jsonl", "--stationary-ratio", "2"], "stationary_ratio must lie in [0, 1]"),
     (["clean", "m.jsonl", "--min-alignment", "nan"], "min_alignment must be a number, got nan"),
+    (["fm-sample", "--model", "m.fgvm", "--steps", "0"], "steps must be at least 1, got 0"),
+    (["fm-sample", "--model", "m.fgvm", "--frames", "-1"], "frames must be at least 1, got -1"),
+    (["segment", "a.wav", "--clip-seconds", "nan"], "clip_seconds must be positive and finite, got nan"),
+    (["segment", "a.wav", "--clip-seconds", "0"], "clip_seconds must be positive and finite, got 0.0"),
+    (["segment", "a.wav", "--clip-seconds", "-1"], "clip_seconds must be positive and finite, got -1.0"),
+    (["segment", "a.wav", "--clip-seconds", "inf"], "clip_seconds must be positive and finite, got inf"),
 ])
 def test_a_bad_flag_is_refused_before_any_input_is_read(tmp_path, capsys, argv, message):
     # The inputs do not exist: reading one first would report IoFailure.
@@ -1334,6 +1341,22 @@ def test_a_bad_flag_is_refused_before_any_input_is_read(tmp_path, capsys, argv, 
     code, kv = run_cli(capsys, *argv)
     assert code == 1
     assert kv["error"] == f"InvalidValue {message}"
+
+
+# Refusals that depend on the input, so they stay after the read: with the
+# input missing, the read's IoFailure is reported instead.
+REFUSED_AFTER_THE_READ = {
+    ("segment", "a.wav", "--clip-seconds", "1e-9"): "shorter than one sample only at the file's rate",
+    ("segment", "a.wav", "--clip-seconds", "1e305"): "overflows a sample count only at the file's rate",
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED_AFTER_THE_READ))
+def test_an_input_dependent_refusal_comes_after_the_read(tmp_path, capsys, argv):
+    missing = tmp_path / argv[1]
+    code, kv = run_cli(capsys, argv[0], missing, *argv[2:])
+    assert code == 1
+    assert kv["error"].startswith(f"IoFailure cannot read {missing}: ")
 
 
 def test_fm_sample_names_the_corrupt_checkpoint_once(tmp_path, capsys):

@@ -230,12 +230,25 @@ def _ragged_dataset(kind, dims=3, channels=2):
     dataset = []
     for frames in lengths:
         x1 = rng.standard_normal((frames, dims))
-        if kind == "global":
+        if kind == "none":
+            external = None
+        elif kind == "global":
             external = rng.standard_normal(channels)
         else:
             external = rng.standard_normal((max(1, frames // 4), channels))
         dataset.append((x1, external))
     return dataset
+
+
+def _one_frame_dataset(kind, dims=3, channels=2):
+    """400 one-frame items, as fm-train builds from a matrix's rows."""
+    rng = np.random.default_rng(16)
+    externals = {
+        "none": [None] * 400,
+        "global": list(rng.standard_normal((400, channels))),
+        "local": list(rng.standard_normal((400, 1, channels))),
+    }[kind]
+    return [(x1, external) for x1, external in zip(rng.standard_normal((400, 1, dims)), externals)]
 
 
 # p_cond 0 draws only fully hidden masks and 1 only partial ones; the mixed
@@ -336,13 +349,20 @@ def _train_through_cfm_loss(model, dataset, config):
     return trace
 
 
+# The ragged sequences keep the test ids they had before one-frame items,
+# stacked by _check_dataset, were added; 300 one-frame draws fill two tables.
+@pytest.mark.parametrize("items, batch", [
+    pytest.param(_ragged_dataset, 6, id=pytest.HIDDEN_PARAM),
+    pytest.param(_one_frame_dataset, 6, id="one-frame"),
+    pytest.param(_one_frame_dataset, 300, id="one-frame-300-draws"),
+])
 @pytest.mark.parametrize("masking", ["none", "hidden-frames", "all-frames"])
-@pytest.mark.parametrize("kind", ["local", "global"])
-def test_train_scores_tables_as_cfm_loss_does(kind, masking):
+@pytest.mark.parametrize("kind", ["local", "global", "none"])
+def test_train_scores_tables_as_cfm_loss_does(kind, masking, items, batch):
     dims, channels = 3, 2
     config = TrainConfig(
         learning_rate=0.01,
-        batch_size=6,
+        batch_size=batch,
         steps=8,
         seed=13,
         time_sampler=TimeSampler("logit_normal"),
@@ -352,15 +372,32 @@ def test_train_scores_tables_as_cfm_loss_does(kind, masking):
         cond_dropout=0.3,
         lr_tail=0.5,
     )
+    cond_dim = dims + (0 if kind == "none" else channels)
     models = [
-        VelocityModel.initialize(dims, dims + channels, (8, 6), np.random.default_rng(14))
+        VelocityModel.initialize(dims, cond_dim, (8, 6), np.random.default_rng(14))
         for _ in range(2)
     ]
-    got = train(models[0], _ragged_dataset(kind, dims, channels), config)
-    want = _train_through_cfm_loss(models[1], _ragged_dataset(kind, dims, channels), config)
+    got = train(models[0], items(kind, dims, channels), config)
+    want = _train_through_cfm_loss(models[1], items(kind, dims, channels), config)
     assert got == want
     for a, b in zip(models[0].weights + models[0].biases, models[1].weights + models[1].biases):
         assert a.tobytes() == b.tobytes()
+
+
+def test_check_dataset_keeps_sequences_one_array_per_item():
+    # A stacked copy of long sequences would hold the data twice; only
+    # one-frame items are stacked.
+    dataset = _ragged_dataset("local")
+    x1s, frames, kind, conds = training._check_dataset(dataset, 3)
+    assert isinstance(x1s, list) and isinstance(conds, list)
+    assert all(x1 is item for x1, (item, _) in zip(x1s, dataset))
+    assert frames.tolist() == [x1.shape[0] for x1, _ in dataset]
+    # One frame per item: one (items, 1, dims) array, read as item i by x1s[i].
+    dataset = _one_frame_dataset("local")
+    x1s, frames, kind, conds = training._check_dataset(dataset, 3)
+    assert x1s.shape == (400, 1, 3) and conds.shape == (400, 1, 2)
+    assert all(np.array_equal(x1s[i], x1) for i, (x1, _) in enumerate(dataset))
+    assert frames.tolist() == [1] * 400 and kind == "local"
 
 
 def _rows_per_step(monkeypatch, dataset, config):

@@ -15,7 +15,11 @@ Some outputs pass through FFT, BLAS or libm (``stft_distance``, the
 table also records the numpy version and BLAS build it was made with. On
 another build the test is skipped with both builds named; re-record the
 table there with ``python tests/test_golden_outputs.py``, which rewrites
-it from the code as it stands.
+it from the code as it stands. On one build the flow outputs still depend
+on the host: numpy's run-time SIMD targets and OpenBLAS's core. The
+table records both under ``host``, outside its key, and a failure names
+them beside this host's, so it shows whether the host or the code moved
+the digests.
 
 A change that alters an output on purpose updates only that output's
 entries, and says which and why.
@@ -24,6 +28,7 @@ entries, and says which and why.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -45,6 +50,26 @@ SEED = 2026
 def _build() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def _host() -> str:
+    """The host's arithmetic on this build: the SIMD targets numpy found at
+    run time and the core numpy's bundled OpenBLAS chose. Either can move
+    the flow digests with no change to the code; they are not in the key."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name))
+    except ImportError:
+        simd = "unknown"
+    core = "unknown"
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return f"numpy SIMD {simd or 'none'}, OpenBLAS core {core}"
 
 
 def _wav(samples: np.ndarray, encoding: str) -> bytes:
@@ -223,7 +248,8 @@ def test_every_cli_output_matches_its_recorded_digest(tmp_path):
     missing = sorted(want.keys() - got.keys())
     extra = sorted(got.keys() - want.keys())
     assert not (differ or missing or extra), (
-        f"outputs that differ: {differ}; recorded but not made: {missing}; made but not recorded: {extra}"
+        f"outputs that differ: {differ}; recorded but not made: {missing}; made but not recorded: {extra}; "
+        f"recorded on {table.get('host', 'an unnamed host')}, this host has {_host()}"
     )
 
 
@@ -232,5 +258,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as work:
         digests = run_all(Path(work))
-    TABLE.write_text(json.dumps({"build": _build(), "digests": digests}, indent=1, sort_keys=True) + "\n")
+    table = {"build": _build(), "host": _host(), "digests": digests}
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {TABLE}", file=sys.stderr)

@@ -683,6 +683,19 @@ def test_write_frame_names_a_file_of_unknown_format_once(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name, frame, error, message", [
+    ("f.pgm", np.zeros((2, 4, 3)), UnsupportedFormat, "grayscale .pgm needs a single-channel frame"),
+    ("f.ppm", np.zeros((2, 4, 1)), UnsupportedFormat, "color .ppm needs a three-channel frame"),
+    ("f.pgm", np.full((2, 4, 1), np.nan), InvalidValue, "frame holds NaN, which an anymap cannot store"),
+])
+def test_write_frame_names_its_file_once_in_a_refusal(tmp_path, name, frame, error, message):
+    path = tmp_path / name
+    with pytest.raises(error) as err:
+        write_frame(path, frame)
+    assert str(err.value) == f"{path}: {message}"
+    assert not path.exists()
+
+
 def test_check_frame_and_read_frame_fail_alike_on_an_unopenable_path(tmp_path):
     for path in ("a\x00b.pgm", tmp_path):
         for reader in (read_frame, check_frame):
